@@ -2,8 +2,12 @@
 
 The package provides arbitrary-order cell/face polynomial spaces, local
 gradient and potential reconstructions with stabilization, a Newton solver
-with static condensation, and a convergence-study harness.
+with static condensation, and a convergence-study harness.  The library
+logs through the ``hhonl`` logger, which is silent unless the caller
+configures logging.
 """
+
+import logging
 
 from .basis import (BasisDegenerateError, BasisError, CellBasis, FaceBasis,
                     Polynomial, cell_mass_matrix, cell_stiffness_matrix,
@@ -26,6 +30,8 @@ from .solver import (NewtonDivergedError, NewtonReport, NonlinearProblem,
                      solve_linear_hho, static_condense)
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "BasisDegenerateError", "BasisError", "CellBasis", "FaceBasis",

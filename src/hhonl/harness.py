@@ -203,13 +203,24 @@ def run_study(config):
     if problem.exact_gradient is None:
         raise StudyConfigError(
             f"problem {config.problem!r} has no exact gradient; cannot study errors")
+    # Each level's mesh is built once and shared by every degree column.  A
+    # failed build ends the list: every column fails there with its message.
+    meshes = []
+    for level in config.levels:
+        try:
+            meshes.append(build_mesh(config.family, level))
+        except Exception as exc:
+            meshes.append(exc)
+            break
     records = []
     failures = []
     for k in config.degrees:
         column = []
-        for level in config.levels:
+        for level, mesh in zip(config.levels, meshes):
+            if isinstance(mesh, Exception):
+                failures.append(StudyFailure(config.family, k, level, str(mesh)))
+                break
             try:
-                mesh = build_mesh(config.family, level)
                 u, report = newton_solve(problem, mesh, k, tol=config.tol)
                 err = gradient_error(u, problem.exact_gradient)
                 column.append(ConvergenceRecord(

@@ -4,10 +4,20 @@ The discrete nonlinear form and its fully discrete linearization are
 assembled cell by cell; congruent cells are processed in vectorized
 batches.  Global solves eliminate the cell blocks per cell (static
 condensation) and factor the remaining interior-face system directly.
+
+The face system is permuted into the mesh's nested-dissection order of
+the interior faces (``PolytopalMesh.interior_face_order``, built once
+per mesh), each face's ``k+1`` dofs kept together, and factored by
+SuperLU without a column reordering of its own (``NATURAL``) in
+symmetric mode: the diagonal pivot is kept unless it is below 0.1 times
+the largest entry of its column.  Full partial pivoting would swap rows
+freely and destroy the ordering's fill savings; the threshold still
+pivots a nonsymmetric Jacobian where it must.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +44,8 @@ __all__ = [
     "solve_linear_hho",
     "newton_solve",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class SolverError(Exception):
@@ -95,8 +107,9 @@ class NonlinearProblem:
         """Sample-based guard on user callbacks.
 
         Verifies output shapes, symmetry of ``a_z``, and that the supplied
-        derivatives match central finite differences of ``a`` and ``f``.
-        Raises :class:`ProblemDefinitionError` on the first violation.
+        derivatives match central finite differences of ``a`` and ``f``;
+        a non-finite value fails every comparison.  Raises
+        :class:`ProblemDefinitionError` on the first violation.
         """
         rng = np.random.default_rng(1905) if rng is None else rng
         n = samples
@@ -107,28 +120,28 @@ class NonlinearProblem:
         if az.shape != (n, 2, 2):
             raise ProblemDefinitionError("a_z must return an (n, 2, 2) array")
         scale = 1.0 + np.abs(az).max()
-        if np.abs(az - np.transpose(az, (0, 2, 1))).max() > 1e-9 * scale:
+        if not np.abs(az - np.transpose(az, (0, 2, 1))).max() <= 1e-9 * scale:
             raise ProblemDefinitionError("a_z is not symmetric at sampled points")
         eps = 1e-6
         for j in range(2):
             dz = np.zeros_like(z)
             dz[:, j] = eps
             fd = (np.asarray(self.a(x, y, z + dz)) - np.asarray(self.a(x, y, z - dz))) / (2 * eps)
-            if np.abs(fd - az[:, :, j]).max() > 1e-4 * scale:
+            if not np.abs(fd - az[:, :, j]).max() <= 1e-4 * scale:
                 raise ProblemDefinitionError("a_z disagrees with finite differences of a")
             fdf = (np.asarray(self.f(x, y, z + dz)) - np.asarray(self.f(x, y, z - dz))) / (2 * eps)
             fz = np.asarray(self.f_z(x, y, z), dtype=float)
             if fz.shape != (n, 2):
                 raise ProblemDefinitionError("f_z must return an (n, 2) array")
-            if np.abs(fdf - fz[:, j]).max() > 1e-4 * (1.0 + np.abs(fz).max()):
+            if not np.abs(fdf - fz[:, j]).max() <= 1e-4 * (1.0 + np.abs(fz).max()):
                 raise ProblemDefinitionError("f_z disagrees with finite differences of f")
         fd = (np.asarray(self.a(x, y + eps, z)) - np.asarray(self.a(x, y - eps, z))) / (2 * eps)
         ay = np.asarray(self.a_y(x, y, z), dtype=float)
-        if np.abs(fd - ay).max() > 1e-4 * (1.0 + np.abs(ay).max()):
+        if not np.abs(fd - ay).max() <= 1e-4 * (1.0 + np.abs(ay).max()):
             raise ProblemDefinitionError("a_y disagrees with finite differences of a")
         fdf = (np.asarray(self.f(x, y + eps, z)) - np.asarray(self.f(x, y - eps, z))) / (2 * eps)
         fy = np.asarray(self.f_y(x, y, z), dtype=float)
-        if np.abs(fdf - fy).max() > 1e-4 * (1.0 + np.abs(fy).max()):
+        if not np.abs(fdf - fy).max() <= 1e-4 * (1.0 + np.abs(fy).max()):
             raise ProblemDefinitionError("f_y disagrees with finite differences of f")
         self._checked = True
         return self
@@ -215,13 +228,22 @@ def problem_names():
 
 
 def _call(problem, attr, x, y, z, cells):
+    """Callback ``attr`` at the quadrature points of ``cells``, which must come out finite."""
     fn = getattr(problem, attr)
     try:
-        return np.asarray(fn(x, y, z), dtype=float)
+        out = np.asarray(fn(x, y, z), dtype=float)
     except Exception as exc:
         raise EvaluationError(
             f"problem callback {attr!r} failed on cells {cells[0]}..{cells[-1]}: {exc}"
         ) from exc
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = cells[~finite.reshape(len(cells), -1).all(axis=1)]
+        shown = ", ".join(map(str, bad[:8])) + (", ..." if len(bad) > 8 else "")
+        raise EvaluationError(
+            f"problem callback {attr!r} returned non-finite values on "
+            f"{len(bad)} cells: {shown}")
+    return out
 
 
 def _assemble(space, problem, w, need_jacobian, fields=None, restrict=False, chunk=4096):
@@ -398,14 +420,28 @@ def static_condense(J, r, num_cells, block_size):
     return S, g, recover
 
 
+def _face_dof_order(space):
+    """Face-system dofs in the mesh's interior-face order, each face's dofs together."""
+    order = space.mesh.interior_face_order
+    return (order[:, None] * space.nF + np.arange(space.nF)).ravel()
+
+
 def _solve_restricted(space, J, rhs):
-    """Solve the free-dof system by condensation plus a sparse direct factor."""
+    """Solve the free-dof system by condensation plus a sparse direct factor.
+
+    The face system is factored in the mesh's nested-dissection order,
+    each face's dofs kept together, with symmetric-mode threshold pivoting.
+    """
     S, g, recover = static_condense(J, rhs, space.mesh.num_cells, space.Nk)
+    log.debug("face system: %d rows, %d nonzeros", S.shape[0], S.nnz)
+    p = _face_dof_order(space)
     try:
-        lu = splu(S)
+        lu = splu(S[p][:, p], permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                  options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"condensed face system is singular: {exc}") from exc
-    uf = lu.solve(g)
+    uf = np.empty_like(g)
+    uf[p] = lu.solve(g[p])
     uc = recover(uf)
     x = np.zeros(space.num_dofs)
     x[space.free_dofs()] = np.concatenate((uc, uf))

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+import hhonl.solver as solver_mod
 from hhonl.basis import graded_lex_exponents
 from hhonl.harness import StudyConfig, run_study, shipped_mesh_files
 from hhonl.hho import HHOSpace, HybridVector
@@ -471,6 +472,26 @@ def test_static_condensation_equivalence():
                         f"1e-10 (condensed {report.iterations} vs direct "
                         f"{iterations} iterations)"))
     _verdict("condensed and uncondensed solves agree", clauses)
+
+
+def test_condensed_solve_of_a_nonsymmetric_jacobian():
+    # a_y and f_y do not vanish, so the Jacobian is nonsymmetric: the
+    # symmetric-mode factor of the face system must not rely on symmetric
+    # values, only on its symmetric pattern and threshold pivoting.
+    rng = np.random.default_rng(4242)
+    problem = _randomized_smooth_problem(rng)
+    space = HHOSpace(generate_cartesian(8), 2)
+    state = space.vector_from_flat(0.1 * rng.standard_normal(space.num_dofs))
+    free = space.free_dofs()
+    jac = jacobian(problem, state)[np.ix_(free, free)].tocsr()
+    rhs = residual(problem, state)[free]
+    asym = abs(jac - jac.T).max() / abs(jac).max()
+    condensed = solver_mod._solve_restricted(space, jac, rhs).to_flat()[free]
+    direct = spsolve(jac.tocsc(), rhs)
+    rel = np.abs(condensed - direct).max() / np.abs(direct).max()
+    _verdict("condensed and direct solves agree on a nonsymmetric Jacobian",
+             [(asym > 1e-6, f"relative asymmetry {asym:.2e} > 1e-6"),
+              (rel <= 1e-10, f"relative solution difference {rel:.2e} <= 1e-10")])
 
 
 # -- quadrature oracle --------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hhonl.harness as harness_mod
 import hhonl.solver as solver_mod
 from hhonl.harness import (
     FAMILIES,
@@ -193,6 +194,29 @@ def test_run_study_isolates_column_failures():
     for k, column in by_k.items():
         assert len(column) == 2
         assert column[1].rate is not None
+
+
+def test_run_study_builds_each_mesh_once(monkeypatch):
+    built = []
+
+    def counting_build_mesh(family, level):
+        built.append(level)
+        return build_mesh(family, level)
+
+    monkeypatch.setattr(harness_mod, "build_mesh", counting_build_mesh)
+    result = run_study(StudyConfig("cartesian", [2, 4], [0, 1]))
+    assert built == [2, 4]
+    assert not result.failures
+    assert len(result.records) == 4
+    # A level whose build fails fails every degree column with the same
+    # message, and ends each column there.
+    built.clear()
+    result = run_study(StudyConfig("hexagonal-files", [1, 9, 2], [0, 1]))
+    assert built == [1, 9]
+    assert [(f.k, f.level) for f in result.failures] == [(0, 9), (1, 9)]
+    assert result.failures[0].message == result.failures[1].message
+    assert "shipped levels" in result.failures[0].message
+    assert [(r.k, r.rate) for r in result.records] == [(0, None), (1, None)]
 
 
 def test_run_study_requires_an_exact_gradient():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import hhonl.mesh as mesh_mod
+from hhonl.harness import build_mesh
 from hhonl.mesh import (
     MeshFormatError,
     MeshInvalidError,
@@ -192,6 +194,53 @@ def test_compute_geometry_matches_mesh_arrays():
         if mesh.face_neighbor[fi] != -1:
             np.testing.assert_allclose(
                 fg.normals[int(mesh.face_neighbor[fi])], -mesh.face_normals[fi])
+
+
+ORDERED_MESHES = {
+    "cartesian": lambda: generate_cartesian(16),
+    "triangular": lambda: generate_triangular(12),
+    "hexagonal": lambda: build_mesh("hexagonal-files", 2),
+}
+
+
+def test_interior_face_graph_joins_faces_of_a_cell():
+    mesh = generate_triangular(3)
+    interior = mesh.interior_faces
+    position = {int(f): i for i, f in enumerate(interior)}
+    expected = set()
+    for faces in mesh.cell_faces:
+        inner = [position[int(f)] for f in faces if int(f) in position]
+        expected.update((a, b) for a in inner for b in inner)
+    graph = mesh._interior_face_graph().tocoo()
+    assert set(zip(graph.row.tolist(), graph.col.tolist())) == expected
+
+
+@pytest.mark.parametrize("family", sorted(ORDERED_MESHES))
+def test_interior_face_order_is_a_cached_permutation(family):
+    mesh = ORDERED_MESHES[family]()
+    order = mesh.interior_face_order
+    assert len(order) > mesh_mod._ND_LEAF
+    assert np.array_equal(np.sort(order), np.arange(len(mesh.interior_faces)))
+    assert mesh.interior_face_order is order
+    assert not order.flags.writeable
+
+
+@pytest.mark.parametrize("family", sorted(ORDERED_MESHES))
+def test_nested_dissection_top_level_separates_the_halves(family):
+    mesh = ORDERED_MESHES[family]()
+    points = mesh.face_midpoints[mesh.interior_faces]
+    graph = mesh._interior_face_graph()
+    n = len(points)
+    left, right, separator = mesh_mod._bisect(points, graph, np.arange(n))
+    assert min(len(left), len(right)) > n // 4
+    assert np.array_equal(np.sort(np.concatenate((left, right, separator))), np.arange(n))
+    assert graph[left][:, right].nnz == 0
+    # Every separator face shares a cell with the other half.
+    assert np.all(graph[separator][:, right].getnnz(axis=1) > 0)
+    # The order eliminates both halves before the separator.
+    order = mesh.interior_face_order
+    assert np.array_equal(order[n - len(separator):], separator)
+    assert set(order[:len(left)].tolist()) == set(left.tolist())
 
 
 def test_json_round_trip(tmp_path):

@@ -1,13 +1,16 @@
 """Nonlinear problem definitions, assembly, condensation, and Newton."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
+import hhonl.mesh as mesh_mod
 import hhonl.solver as solver_mod
 from hhonl.hho import HHOSpace, HybridVector
-from hhonl.mesh import generate_cartesian
+from hhonl.mesh import PolytopalMesh, generate_cartesian
 from hhonl.solver import (
     CondensationError,
     EvaluationError,
@@ -280,3 +283,119 @@ def test_callback_failures_carry_cell_context():
     space = HHOSpace(generate_cartesian(4), 1)
     with pytest.raises(EvaluationError, match="'a'.*boom"):
         residual(problem, HybridVector(space))
+
+
+def _quadrant_nan_flux(x, y, z):
+    out = np.array(z, dtype=float)
+    out[(x[:, 0] > 0.5) & (x[:, 1] > 0.5)] = np.nan
+    return out
+
+
+def test_non_finite_callback_values_name_the_callback_and_cells():
+    problem = NonlinearProblem(
+        a=_quadrant_nan_flux,
+        a_z=lambda x, y, z: np.broadcast_to(np.eye(2), (len(x), 2, 2)),
+        a_y=_zero_vec, f=_zero_scal, f_z=_zero_vec, f_y=_zero_scal)
+    mesh = generate_cartesian(4)
+    space = HHOSpace(mesh, 1)
+    with pytest.raises(EvaluationError, match="'a' returned non-finite") as info:
+        residual(problem, HybridVector(space))
+    named = [int(c) for c in str(info.value).split(":")[-1].split(",")]
+    quadrant = np.flatnonzero((mesh.cell_centroids > 0.5).all(axis=1))
+    assert sorted(named) == list(quadrant)
+
+
+def test_check_rejects_non_finite_flux_derivative():
+    def nan_az(x, y, z):
+        out = np.array(np.broadcast_to(np.eye(2), (len(x), 2, 2)))
+        out[0] = np.nan
+        return out
+
+    problem = NonlinearProblem(a=lambda x, y, z: z, a_z=nan_az, a_y=_zero_vec,
+                               f=_zero_scal, f_z=_zero_vec, f_y=_zero_scal)
+    with pytest.raises(ProblemDefinitionError):
+        problem.check()
+
+
+def test_face_dof_order_is_a_permutation_in_face_blocks():
+    mesh = generate_cartesian(12)
+    for k in range(4):
+        space = HHOSpace(mesh, k)
+        p = solver_mod._face_dof_order(space)
+        assert np.array_equal(np.sort(p), np.arange(len(mesh.interior_faces) * space.nF))
+        blocks = p.reshape(-1, space.nF)
+        assert np.array_equal(blocks - blocks[:, :1], np.broadcast_to(
+            np.arange(space.nF), blocks.shape))
+        assert np.array_equal(blocks[:, 0] // space.nF, mesh.interior_face_order)
+
+
+def test_face_order_is_built_once_per_newton_solve(monkeypatch):
+    builds, factors = [], []
+    build, factor = mesh_mod._nested_dissection, solver_mod.splu
+
+    def counting_build(*args):
+        builds.append(1)
+        return build(*args)
+
+    def counting_factor(*args, **kwargs):
+        factors.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(mesh_mod, "_nested_dissection", counting_build)
+    monkeypatch.setattr(solver_mod, "splu", counting_factor)
+    mesh = generate_cartesian(12)  # 264 interior faces, more than one block
+    _, report = newton_solve(mean_curvature_problem(), mesh, 1)
+    assert len(factors) == report.iterations + 1 >= 3  # bootstrap plus each step
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("mesh", [
+    generate_cartesian(4),  # 24 interior faces: a single block
+    PolytopalMesh([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [[0, 1, 2, 3]]),
+], ids=["one-block", "one-cell"])
+def test_meshes_with_one_face_block_solve(mesh):
+    assert np.array_equal(mesh.interior_face_order, np.arange(len(mesh.interior_faces)))
+    u, report = newton_solve(mean_curvature_problem(), mesh, 2)
+    assert report.converged
+    assert np.all(np.isfinite(u.to_flat()))
+
+
+def test_nested_dissection_factor_fill_is_under_half_of_colamd(monkeypatch):
+    # Guards the ordering against a silent fill regression: on this system
+    # the factor holds 1.28 M entries against 3.07 M with COLAMD.
+    problem = mean_curvature_problem()
+    space = HHOSpace(generate_cartesian(32), 3)
+    w = space.interpolate(problem.exact_solution, zero_boundary=True)
+    seen = {}
+    condense, factor = solver_mod.static_condense, solver_mod.splu
+
+    def capture_condense(*args):
+        seen["S"], g, recover = condense(*args)
+        return seen["S"], g, recover
+
+    def capture_factor(*args, **kwargs):
+        seen["lu"] = factor(*args, **kwargs)
+        return seen["lu"]
+
+    monkeypatch.setattr(solver_mod, "static_condense", capture_condense)
+    monkeypatch.setattr(solver_mod, "splu", capture_factor)
+    r, J = solver_mod._assemble(space, problem, w, need_jacobian=True, restrict=True)
+    solver_mod._solve_restricted(space, J, -r)
+    nested = seen["lu"].L.nnz + seen["lu"].U.nnz
+    colamd = splu(seen["S"])
+    assert nested < 0.5 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_solve_logs_face_system_and_ordering_at_debug(caplog):
+    assert any(isinstance(h, logging.NullHandler)
+               for h in logging.getLogger("hhonl").handlers)
+    caplog.set_level(logging.DEBUG, logger="hhonl")
+    mesh = generate_cartesian(12)
+    _, report = newton_solve(mean_curvature_problem(), mesh, 1)
+    messages = [rec.getMessage() for rec in caplog.records]
+    systems = [m for m in messages if m.startswith("face system:")]
+    assert len(systems) == report.iterations + 1
+    # Two dofs per face, coupled to every face of the cells around it.
+    nnz = mesh._interior_face_graph().nnz * 4
+    assert systems[0] == f"face system: {264 * 2} rows, {nnz} nonzeros"
+    assert len([m for m in messages if m.startswith("nested-dissection order")]) == 1
