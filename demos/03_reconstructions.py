@@ -37,10 +37,10 @@ worst_pot = 0.0
 worst_grd = 0.0
 for ids, pts, w, phi in space.quadrature_batches():
     flat = pts.reshape(-1, 2)
-    pv = p(flat).reshape(len(ids), len(w))
-    pg = grad_p(flat).reshape(len(ids), len(w), 2)
-    rv = pot.coefficients[ids] @ phi.T
-    gv = np.einsum("qn,mcn->mqc", phi[:, :space.Nk], grd.coefficients[ids])
+    pv = p(flat).reshape(w.shape)
+    pg = grad_p(flat).reshape(w.shape + (2,))
+    rv = np.einsum("mqn,mn->mq", phi, pot.coefficients[ids])
+    gv = np.einsum("mqn,mcn->mqc", phi[..., :space.Nk], grd.coefficients[ids])
     worst_pot = max(worst_pot, np.abs(rv - pv).max())
     worst_grd = max(worst_grd, np.abs(gv - pg).max())
 
@@ -67,10 +67,10 @@ for n in (4, 8, 16, 32):
     grd = space.reconstruct_gradient_global(v)
     err2 = 0.0
     for ids, pts, w, phi in space.quadrature_batches():
-        gv = g_fn(pts.reshape(-1, 2)).reshape(len(ids), len(w), 2)
-        gg = np.einsum("qn,mcn->mqc", phi[:, :space.Nk],
+        gv = g_fn(pts.reshape(-1, 2)).reshape(w.shape + (2,))
+        gg = np.einsum("mqn,mcn->mqc", phi[..., :space.Nk],
                        grd.coefficients[ids])
-        err2 += float(np.einsum("q,mqc->", w, (gv - gg) ** 2))
+        err2 += float(np.einsum("mq,mqc->", w, (gv - gg) ** 2))
     err = np.sqrt(err2)
     rate = "" if previous is None else f"   rate {np.log2(previous / err):.3f}"
     print(f"  n={n:3d}: error {err:.4e}{rate}")

@@ -21,6 +21,7 @@ __all__ = [
     "BasisDegenerateError",
     "graded_lex_exponents",
     "space_dimension",
+    "scaled_monomials",
     "CellBasis",
     "FaceBasis",
     "Polynomial",
@@ -52,10 +53,29 @@ def space_dimension(degree):
 
 
 def _powers(t, degree):
-    out = np.ones((len(t), degree + 1))
+    """Powers t^0 .. t^degree along a new last axis."""
+    out = np.ones(np.shape(t) + (degree + 1,))
     for j in range(1, degree + 1):
-        out[:, j] = out[:, j - 1] * t
+        out[..., j] = out[..., j - 1] * t
     return out
+
+
+def scaled_monomials(xi, degree, gradient=False):
+    """Monomials xi^a eta^b, a + b <= ``degree``, at scaled points ``xi`` of shape (..., 2).
+
+    Values come out with shape (..., N) in graded lexicographic order; with
+    ``gradient`` the derivatives with respect to (xi, eta) come out with
+    shape (..., N, 2).  ``xi`` may stack any number of cells and points.
+    """
+    exps = graded_lex_exponents(degree)
+    a, b = exps[:, 0], exps[:, 1]
+    px = _powers(xi[..., 0], degree)
+    py = _powers(xi[..., 1], degree)
+    if not gradient:
+        return px[..., a] * py[..., b]
+    gx = a * px[..., np.maximum(a - 1, 0)] * py[..., b]
+    gy = b * px[..., a] * py[..., np.maximum(b - 1, 0)]
+    return np.stack((gx, gy), axis=-1)
 
 
 class CellBasis:
@@ -100,11 +120,7 @@ class CellBasis:
     def evaluate(self, points):
         """Basis values, shape (npoints, dimension)."""
         p = np.asarray(points, dtype=float).reshape(-1, 2)
-        xi = (p[:, 0] - self.center[0]) / self.diameter
-        eta = (p[:, 1] - self.center[1]) / self.diameter
-        px = _powers(xi, self.degree)
-        py = _powers(eta, self.degree)
-        vals = px[:, self.exponents[:, 0]] * py[:, self.exponents[:, 1]]
+        vals = scaled_monomials((p - self.center) / self.diameter, self.degree)
         if self._transform is not None:
             vals = vals @ self._transform
         return vals
@@ -112,15 +128,8 @@ class CellBasis:
     def gradient(self, points):
         """Basis gradients, shape (npoints, dimension, 2)."""
         p = np.asarray(points, dtype=float).reshape(-1, 2)
-        xi = (p[:, 0] - self.center[0]) / self.diameter
-        eta = (p[:, 1] - self.center[1]) / self.diameter
-        px = _powers(xi, self.degree)
-        py = _powers(eta, self.degree)
-        a = self.exponents[:, 0]
-        b = self.exponents[:, 1]
-        gx = (a / self.diameter) * px[:, np.maximum(a - 1, 0)] * py[:, b]
-        gy = (b / self.diameter) * px[:, a] * py[:, np.maximum(b - 1, 0)]
-        grads = np.stack((gx, gy), axis=2)
+        grads = scaled_monomials((p - self.center) / self.diameter, self.degree,
+                                 gradient=True) / self.diameter
         if self._transform is not None:
             grads = np.einsum("qid,ij->qjd", grads, self._transform)
         return grads
@@ -193,13 +202,16 @@ def cell_stiffness_matrix(basis, degree=None):
     return 0.5 * (mat + mat.T)
 
 
+def _unit_face_mass(dimension):
+    """Gram matrix of the face basis of ``dimension`` functions on a face of unit length."""
+    i = np.arange(dimension)
+    p = i[:, None] + i[None, :]
+    return np.where(p % 2 == 0, 1.0 / (2.0**p * (p + 1)), 0.0)
+
+
 def face_mass_matrix(basis):
     """Gram matrix of a face basis; closed form in the scaled coordinate."""
-    n = basis.dimension
-    i = np.arange(n)
-    p = i[:, None] + i[None, :]
-    mat = np.where(p % 2 == 0, basis.length / (2.0**p * (p + 1)), 0.0)
-    return mat
+    return basis.length * _unit_face_mass(basis.dimension)
 
 
 def l2_project_cell(f, basis, degree=None):

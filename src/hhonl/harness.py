@@ -163,14 +163,11 @@ def gradient_error(u_h, exact_gradient):
     num = 0.0
     den = 0.0
     for ids, pts, weights, phi in space.quadrature_batches():
-        phi_k = phi[:, :space.Nk]
-        gx = coeffs[ids, 0] @ phi_k.T
-        gy = coeffs[ids, 1] @ phi_k.T
+        grad = phi[..., :space.Nk] @ coeffs[ids].transpose(0, 2, 1)
         exact = np.asarray(exact_gradient(pts.reshape(-1, 2)), dtype=float)
-        exact = exact.reshape(len(ids), -1, 2)
-        num += float((((exact[:, :, 0] - gx)**2 + (exact[:, :, 1] - gy)**2)
-                      @ weights).sum())
-        den += float(((exact**2).sum(axis=2) @ weights).sum())
+        exact = exact.reshape(grad.shape)
+        num += float(np.sum(weights * ((exact - grad)**2).sum(axis=2)))
+        den += float(np.sum(weights * (exact**2).sum(axis=2)))
     if den <= 0.0:
         raise DegenerateExactSolutionError("exact gradient has zero norm")
     return float(np.sqrt(num / den))

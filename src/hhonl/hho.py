@@ -3,20 +3,28 @@
 Unknowns are polynomial blocks of degree k on cells and faces.  Per cell
 the layer builds the gradient reconstruction G_T into P_k(T)^2, the
 potential reconstruction R_T into P_{k+1}(T), and the stabilization S_T
-penalizing the face/cell mismatch left after reconstruction.  Cells with
-congruent geometry (translates with the same face orientations) share one
-set of operator matrices, which keeps uniform meshes cheap.
+penalizing the face/cell mismatch left after reconstruction.
+
+Cells are grouped by face count.  A group's operators are built on
+stacked arrays (one batched quadrature, one batched basis evaluation and
+stacked solves per stage), and every loop over cells, in assembly, norms
+and interpolation, runs over the groups in chunks of bounded size.
+Congruence only deduplicates: cells with the same shape, size and face
+ownership share one row of their group's operator stacks, so uniform
+meshes store a handful of operator sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+import time
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .basis import CellBasis, FaceBasis, face_mass_matrix, space_dimension
-from .quadrature import cell_quadrature, face_quadrature
+from .basis import (CellBasis, FaceBasis, _powers, _unit_face_mass, graded_lex_exponents,
+                    scaled_monomials, space_dimension)
+from .quadrature import QuadratureError, cell_quadrature, face_quadrature, triangle_rule
 
 __all__ = [
     "HHOError",
@@ -31,13 +39,26 @@ __all__ = [
     "discrete_norm_1ph",
 ]
 
+log = logging.getLogger(__name__)
+
+# Arrays gathered for one chunk of cells stay under about this many bytes.
+_CHUNK_BYTES = 1 << 22
+
+# The congruence key rounds centroid-relative corners, in units of the cell
+# diameter, and diameters relative to the largest one to this resolution,
+# so round-off in the vertex coordinates does not split a class.
+_KEY_RESOLUTION = 1e-8
+
 
 class HHOError(Exception):
     """Base class for operator-layer failures."""
 
 
 class OperatorBuildError(HHOError):
-    """A local reconstruction system could not be solved."""
+    """A cell's local operators could not be built.
+
+    Its quadrature rule failed, or one of its local systems is singular.
+    """
 
 
 @dataclass(frozen=True)
@@ -55,42 +76,27 @@ class LocalOperators:
 
 
 @dataclass
-class _FaceData:
-    """Geometry and coupling matrices for one face slot of a cell class."""
+class _Group:
+    """Cells with one face count and the operator stacks of their congruence classes.
 
-    length: float
-    normal: np.ndarray
-    MF: np.ndarray            # face mass, (k+1, k+1)
-    TF1: np.ndarray           # cell(k+1) x face couplings on F
-    TC1: np.ndarray           # cell(k+1) x cell(k+1) products on F
-    rel_start: np.ndarray     # owner-direction endpoints relative to the centroid
-    rel_end: np.ndarray
+    Cell ``cells[i]`` uses row ``op[i]`` of every stack; the stacks' rows
+    are the global classes ``first``, ``first + 1``, ...  A chunk of
+    ``step`` cells keeps every gathered array under ``_CHUNK_BYTES``.
+    """
 
-
-@dataclass
-class _CellClass:
-    """Cells sharing one congruent geometry, and their shared matrices."""
-
-    rep: int
-    cells: list = field(default_factory=list)
-    # filled by the operator build
-    h: float = 0.0
-    nloc: int = 0
-    Mk: np.ndarray = None
-    Mk_chol: tuple = None
-    M1: np.ndarray = None
-    G: np.ndarray = None
-    R: np.ndarray = None
-    S: np.ndarray = None
-    faces: list = None
-    offsets: np.ndarray = None     # assembly quadrature points minus the centroid
-    weights: np.ndarray = None
-    phi: np.ndarray = None         # degree-(k+1) basis values at assembly points
-    phi_grad: np.ndarray = None    # degree-k basis gradients, built on demand
-    face_trace: list = None        # per slot (offsets, weights, phiF, psiF), on demand
-    cell_ids: np.ndarray = None
-    face_ids: np.ndarray = None    # (ncells, nfaces) global face ids per slot
-    gidx: np.ndarray = None        # (ncells, nloc) global dof indices
+    first: int
+    step: int
+    cells: np.ndarray      # (m,) ascending cell ids
+    face_ids: np.ndarray   # (m, nf) global face ids per slot
+    gidx: np.ndarray       # (m, nloc) global dof indices
+    op: np.ndarray         # (m,) stack row of each cell
+    Mk: np.ndarray         # (c, Nk, Nk) cell mass matrices
+    G: np.ndarray          # (c, 2 Nk, nloc)
+    R: np.ndarray          # (c, Nk1, nloc)
+    S: np.ndarray          # (c, nloc, nloc)
+    offsets: np.ndarray    # (c, nq, 2) assembly quadrature points minus the centroid
+    weights: np.ndarray    # (c, nq)
+    phi: np.ndarray        # (c, nq, Nk1) degree-(k+1) basis values at those points
 
 
 class HybridVector:
@@ -172,18 +178,72 @@ class PiecewiseVectorPolynomial:
                          vals @ self.coefficients[cell_index, 1]), axis=1)
 
 
-def _derivative_matrices(exponents, diameter):
-    """Coefficient maps of d/dx and d/dy in one graded scaled-monomial basis."""
+def _derivative_matrices(degree):
+    """Coefficient maps of d/dxi and d/deta in the graded scaled-monomial basis.
+
+    Divide by the cell diameter for the derivatives in x and y.
+    """
+    exponents = graded_lex_exponents(degree)
     n = len(exponents)
     index = {(int(a), int(b)): i for i, (a, b) in enumerate(exponents)}
     Dx = np.zeros((n, n))
     Dy = np.zeros((n, n))
     for j, (a, b) in enumerate(exponents):
         if a > 0:
-            Dx[index[(a - 1, b)], j] = a / diameter
+            Dx[index[(a - 1, b)], j] = a
         if b > 0:
-            Dy[index[(a, b - 1)], j] = b / diameter
+            Dy[index[(a, b - 1)], j] = b
     return Dx, Dy
+
+
+def _sym(a):
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _gauss(degree):
+    """Face rule on [0, 1]: nodes and weights summing to 1, exact for ``degree``."""
+    rule = face_quadrature(((0.0, 0.0), (1.0, 0.0)), degree)
+    return rule.points[:, 0], rule.weights
+
+
+def _slices(n, step):
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _step(floats_per_row):
+    """Rows per chunk so that an array of ``floats_per_row`` per row stays under _CHUNK_BYTES."""
+    return max(1, _CHUNK_BYTES // (8 * floats_per_row))
+
+
+def _solve(A, B, cells, what):
+    """Stacked ``np.linalg.solve``; a singular system names the cell it belongs to."""
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        for i in range(len(A)):
+            try:
+                np.linalg.solve(A[i], B[i])
+            except np.linalg.LinAlgError as exc:
+                raise OperatorBuildError(f"cell {cells[i]}: singular {what}") from exc
+        raise
+
+
+def _congruence_index(rel, signs, size):
+    """Class of each cell of a stack, and the position of each class's first cell.
+
+    Cells share a class when their centroid-relative corners in units of
+    the diameter, their face ownership signs and their diameters relative
+    to the mesh's largest agree at ``_KEY_RESOLUTION``.  Classes are
+    numbered in order of first appearance.
+    """
+    m = len(rel)
+    key = np.hstack((np.rint(rel.reshape(m, -1) / _KEY_RESOLUTION), signs,
+                     np.rint(size / _KEY_RESOLUTION)[:, None])).astype(np.int64)
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.reshape(-1)], first[order]
 
 
 class HHOSpace:
@@ -212,8 +272,9 @@ class HHOSpace:
         self.num_cell_dofs = mesh.num_cells * self.Nk
         self.num_face_dofs = mesh.num_faces * self.nF
         self.num_dofs = self.num_cell_dofs + self.num_face_dofs
-        self._classes = None
-        self._cell_class = None
+        self._classes = None      # representative cell of each congruence class
+        self._cell_class = None   # class of each cell
+        self._groups = None       # one _Group per face count
         self._free_dofs = None
 
     # -- bases --------------------------------------------------------------
@@ -229,201 +290,192 @@ class HHOSpace:
         """Degree-k basis on face ``fi`` in the owner cell's direction."""
         return FaceBasis(self.mesh.vertices[self.mesh.faces[fi]], self.k, face_index=fi)
 
-    # -- congruence classes -------------------------------------------------
+    # -- operator build --------------------------------------------------------
 
     def _ensure_classes(self):
+        """Build the operators of every congruence class, one face-count group at a time."""
         if self._classes is not None:
             return
+        start = time.perf_counter()
         mesh = self.mesh
-        table = {}
-        classes = []
+        Nk, nF = self.Nk, self.nF
+        nfaces = np.fromiter(map(len, mesh.cell_faces), dtype=np.int64, count=mesh.num_cells)
+        hmax = mesh.cell_diameters.max()
+        groups, reps = [], []
         cell_class = np.empty(mesh.num_cells, dtype=np.int64)
-        for ci in range(mesh.num_cells):
-            rel = (mesh.cell_vertices(ci) - mesh.cell_centroids[ci]) / mesh.cell_diameters[ci]
-            key = (np.round(rel, 12).tobytes(),
-                   mesh.cell_face_signs[ci].tobytes(),
-                   round(float(mesh.cell_diameters[ci]), 12))
-            idx = table.get(key)
-            if idx is None:
-                idx = len(classes)
-                table[key] = idx
-                classes.append(_CellClass(rep=ci))
-            classes[idx].cells.append(ci)
-            cell_class[ci] = idx
-        for cls in classes:
-            self._build_class(cls)
-        self._classes = classes
+        for nf in np.unique(nfaces):
+            cells = np.flatnonzero(nfaces == nf)
+            face_ids = np.stack([mesh.cell_faces[ci] for ci in cells])
+            signs = np.where(mesh.face_owner[face_ids] == cells[:, None], 1, -1)
+            h = mesh.cell_diameters[cells]
+            verts = (mesh.vertices[np.stack([mesh.cells[ci] for ci in cells])]
+                     - mesh.cell_centroids[cells, None])
+            op, rows = _congruence_index(verts / h[:, None, None], signs, h / hmax)
+            first = sum(map(len, reps))
+            reps.append(cells[rows])
+            cell_class[cells] = first + op
+            stacks = self._build_stacks(verts[rows], h[rows], signs[rows], cells[rows])
+            nloc = Nk + nf * nF
+            fdofs = self.num_cell_dofs + face_ids[:, :, None] * nF + np.arange(nF)
+            gidx = np.hstack((cells[:, None] * Nk + np.arange(Nk), fdofs.reshape(len(cells), -1)))
+            # The widest per-cell array a chunk gathers: basis values or
+            # callback values at the quadrature points, or a local matrix.
+            nq = stacks[-1].shape[1]
+            groups.append(_Group(first, _step(max(nq * max(self.Nk1, 4), nloc * nloc)),
+                                 cells, face_ids, gidx, op, *stacks))
+        self._groups = groups
         self._cell_class = cell_class
+        self._classes = np.concatenate(reps)
+        log.debug("operators of %d cells in %d face-count groups, %d distinct classes, "
+                  "built in %.3f s", mesh.num_cells, len(groups), len(self._classes),
+                  time.perf_counter() - start)
 
-    def _build_class(self, cls):
-        mesh = self.mesh
-        k, Nk, Nk1, nF = self.k, self.Nk, self.Nk1, self.nF
-        ci = cls.rep
-        verts = mesh.cell_vertices(ci)
-        center = mesh.cell_centroids[ci]
-        h = float(mesh.cell_diameters[ci])
-        cb = CellBasis(verts, k + 1, center=center, diameter=h, cell_index=ci)
-        deg_op = 2 * (k + 1)
-
-        rule = cell_quadrature(verts, deg_op)
-        phi = cb.evaluate(rule.points)
-        M1 = phi.T @ (rule.weights[:, None] * phi)
-        M1 = 0.5 * (M1 + M1.T)
-        grad = cb.gradient(rule.points)
-        K1 = np.einsum("qid,q,qjd->ij", grad, rule.weights, grad, optimize=True)
-        K1 = 0.5 * (K1 + K1.T)
-        Mk = M1[:Nk, :Nk]
-        Dx1, Dy1 = _derivative_matrices(cb.exponents, h)
-
-        fids = mesh.cell_faces[ci]
-        signs = mesh.cell_face_signs[ci]
-        faces = []
-        for fi, sign in zip(fids, signs):
-            fb = FaceBasis(mesh.vertices[mesh.faces[fi]], k, face_index=fi)
-            frule = face_quadrature((fb.start, fb.end), deg_op)
-            phiF = cb.evaluate(frule.points)
-            psiF = fb.evaluate(frule.points)
-            TF1 = phiF.T @ (frule.weights[:, None] * psiF)
-            TC1 = phiF.T @ (frule.weights[:, None] * phiF)
-            faces.append(_FaceData(
-                length=float(fb.length), normal=sign * mesh.face_normals[fi],
-                MF=face_mass_matrix(fb), TF1=TF1, TC1=0.5 * (TC1 + TC1.T),
-                rel_start=fb.start - center, rel_end=fb.end - center))
-
-        nloc = Nk + len(faces) * nF
+    def _cell_rule(self, verts, degree, cells):
+        """Batched cell rule; a cell the rule cannot handle is named in the error."""
         try:
-            Mk_chol = cho_factor(Mk)
-        except np.linalg.LinAlgError as exc:
-            raise OperatorBuildError(f"cell {ci}: singular cell mass matrix") from exc
+            return cell_quadrature(verts, degree)
+        except QuadratureError as exc:
+            raise OperatorBuildError(f"cell {cells[exc.index]}: {exc}") from exc
+
+    def _build_stacks(self, verts, h, signs, cells):
+        """Operator stacks of the cells ``cells``, built a chunk of cells at a time.
+
+        ``verts`` holds their centroid-relative corners (c, nf, 2), ``h``
+        their diameters and ``signs`` +1 where the cell owns the face of a
+        slot, -1 where its neighbor does.
+        """
+        c, nf = verts.shape[:2]
+        nq = len(triangle_rule(self.quad_degree).weights) * (1 if nf == 3 else nf)
+        stacks = None
+        for sl in _slices(c, _step(2 * nq * self.Nk1)):
+            part = self._build_operators(verts[sl], h[sl], signs[sl], cells[sl])
+            if stacks is None:
+                stacks = [np.empty((c,) + a.shape[1:]) for a in part]
+            for whole, a in zip(stacks, part):
+                whole[sl] = a
+        return stacks
+
+    def _build_operators(self, verts, h, signs, cells):
+        """Mk, G, R, S and the assembly quadrature of a stack of cells (see _build_stacks)."""
+        k, Nk, Nk1, nF = self.k, self.Nk, self.Nk1, self.nF
+        c, nf = verts.shape[:2]
+        nloc = Nk + nf * nF
+        deg = 2 * (k + 1)
+        hh = h[:, None, None]
+
+        rule = self._cell_rule(verts, deg, cells)
+        phi = scaled_monomials(rule.points / hh, k + 1)                    # (c, q, Nk1)
+        wphi = phi * rule.weights[..., None]
+        M1 = _sym(np.swapaxes(wphi, 1, 2) @ phi)
+        grad = scaled_monomials(rule.points / hh, k + 1, gradient=True) / hh[..., None]
+        grad = np.swapaxes(grad, 2, 3).reshape(c, -1, Nk1)                 # (c, 2q, Nk1)
+        K1 = _sym(np.swapaxes(grad * np.repeat(rule.weights, 2, axis=1)[..., None], 1, 2)
+                  @ grad)
+        Mk = M1[:, :Nk, :Nk]
+
+        # Face slots in the cell's counterclockwise order: the outward normal
+        # of the edge a -> b is (dy, -dx); the face basis runs in the owner's
+        # direction, from a to b where the cell owns the face.
+        a = verts
+        b = np.roll(verts, -1, axis=1)
+        edge = b - a
+        length = np.hypot(edge[..., 0], edge[..., 1])                      # (c, nf)
+        normal = np.stack((edge[..., 1], -edge[..., 0]), axis=-1) / length[..., None]
+        own = (signs > 0)[..., None]
+        fstart = np.where(own, a, b)
+        t, wt = _gauss(deg)
+        fpts = fstart[:, :, None] + t[:, None] * np.where(own, edge, -edge)[:, :, None]
+        phiF = scaled_monomials(fpts / hh[..., None], k + 1)               # (c, nf, qF, Nk1)
+        wphiF = np.swapaxes(phiF * (wt * length[..., None])[..., None], -1, -2)
+        TF1 = wphiF @ _powers(t - 0.5, k)                                  # (c, nf, Nk1, nF)
+        TC1 = _sym(wphiF @ phiF)                                           # (c, nf, Nk1, Nk1)
+        MF = length[..., None, None] * _unit_face_mass(nF)                 # (c, nf, nF, nF)
+
+        Dx, Dy = _derivative_matrices(k + 1)
+        D = np.stack((Dx, Dy)) / hh[:, None]                               # (c, 2, Nk1, Nk1)
 
         # Gradient reconstruction: (G v, tau)_T = (grad v_T, tau)_T
         #                                        + sum_F (v_F - v_T, tau.n)_F.
-        Bx = np.zeros((Nk, nloc))
-        By = np.zeros((Nk, nloc))
-        Bx[:, :Nk] = Mk @ Dx1[:Nk, :Nk]
-        By[:, :Nk] = Mk @ Dy1[:Nk, :Nk]
-        col = Nk
-        for fd in faces:
-            nx, ny = fd.normal
-            Bx[:, :Nk] -= nx * fd.TC1[:Nk, :Nk]
-            By[:, :Nk] -= ny * fd.TC1[:Nk, :Nk]
-            Bx[:, col:col + nF] = nx * fd.TF1[:Nk]
-            By[:, col:col + nF] = ny * fd.TF1[:Nk]
-            col += nF
-        G = np.vstack((cho_solve(Mk_chol, Bx), cho_solve(Mk_chol, By)))
+        B = np.empty((c, 2, Nk, nloc))
+        B[..., :Nk] = (Mk[:, None] @ D[:, :, :Nk, :Nk]
+                       - np.einsum("csd,csij->cdij", normal, TC1[:, :, :Nk, :Nk]))
+        B[..., Nk:] = np.einsum("csd,csij->cdisj", normal,
+                                TF1[:, :, :Nk]).reshape(c, 2, Nk, nf * nF)
+        G = _solve(Mk[:, None], B, cells, "cell mass matrix").reshape(c, 2 * Nk, nloc)
 
         # Potential reconstruction: Neumann-type system in P_{k+1} closed by
         # the mean constraint (R v, 1)_T = (v_T, 1)_T via one multiplier row.
-        BR = np.zeros((Nk1, nloc))
-        BR[:, :Nk] = K1[:, :Nk]
-        col = Nk
-        for fd in faces:
-            A = fd.normal[0] * Dx1 + fd.normal[1] * Dy1
-            BR[:, :Nk] -= (A.T @ fd.TC1)[:, :Nk]
-            BR[:, col:col + nF] = A.T @ fd.TF1
-            col += nF
-        Kaug = np.zeros((Nk1 + 1, Nk1 + 1))
-        Kaug[:Nk1, :Nk1] = K1
-        Kaug[:Nk1, Nk1] = M1[:, 0]
-        Kaug[Nk1, :Nk1] = M1[:, 0]
-        Baug = np.zeros((Nk1 + 1, nloc))
-        Baug[:Nk1] = BR
-        Baug[Nk1, :Nk] = M1[0, :Nk]
-        try:
-            R = np.linalg.solve(Kaug, Baug)[:Nk1]
-        except np.linalg.LinAlgError as exc:
-            raise OperatorBuildError(
-                f"cell {ci}: singular potential reconstruction system") from exc
+        An = np.swapaxes(np.einsum("csd,cdij->csij", normal, D), -1, -2)   # (c, nf, Nk1, Nk1)
+        Baug = np.zeros((c, Nk1 + 1, nloc))
+        Baug[:, :Nk1, :Nk] = K1[:, :, :Nk] - (An @ TC1).sum(axis=1)[:, :, :Nk]
+        Baug[:, :Nk1, Nk:] = np.swapaxes(An @ TF1, 1, 2).reshape(c, Nk1, nf * nF)
+        Baug[:, Nk1, :Nk] = M1[:, 0, :Nk]
+        Kaug = np.zeros((c, Nk1 + 1, Nk1 + 1))
+        Kaug[:, :Nk1, :Nk1] = K1
+        Kaug[:, :Nk1, Nk1] = M1[:, :, 0]
+        Kaug[:, Nk1, :Nk1] = M1[:, :, 0]
+        R = _solve(Kaug, Baug, cells, "potential reconstruction system")[:, :Nk1]
 
         # Stabilization: face projections of v_F - v_T - (R v - pi_T^k R v),
         # squared against the face mass and scaled by 1/h_T.
-        Pk = cho_solve(Mk_chol, M1[:Nk, :])
-        S = np.zeros((nloc, nloc))
-        col = Nk
-        for fd in faces:
-            PT1 = np.linalg.solve(fd.MF, fd.TF1.T)
-            delta = np.zeros((nF, nloc))
-            delta[:, col:col + nF] = np.eye(nF)
-            delta[:, :Nk] -= PT1[:, :Nk]
-            delta -= PT1 @ R
-            delta += PT1[:, :Nk] @ (Pk @ R)
-            S += delta.T @ fd.MF @ delta
-            col += nF
-        S /= h
-        S = 0.5 * (S + S.T)
+        Pk = _solve(Mk, M1[:, :Nk, :], cells, "cell mass matrix")
+        PT1 = np.linalg.solve(MF, np.swapaxes(TF1, -1, -2))               # (c, nf, nF, Nk1)
+        delta = PT1[..., :Nk] @ (Pk @ R)[:, None] - PT1 @ R[:, None]       # (c, nf, nF, nloc)
+        delta[..., :Nk] -= PT1[..., :Nk]
+        slot = np.arange(nf)[:, None]
+        delta[:, slot, np.arange(nF), Nk + slot * nF + np.arange(nF)] += 1.0
+        S = _sym((np.swapaxes(delta, -1, -2) @ MF @ delta).sum(axis=1) / hh)
 
-        rule_asm = cell_quadrature(verts, self.quad_degree)
+        rule = self._cell_rule(verts, self.quad_degree, cells)
+        return (Mk, G, R, S, rule.points, rule.weights,
+                scaled_monomials(rule.points / hh, k + 1))
 
-        cls.h = h
-        cls.nloc = nloc
-        cls.Mk = Mk
-        cls.Mk_chol = Mk_chol
-        cls.M1 = M1
-        cls.G = G
-        cls.R = R
-        cls.S = S
-        cls.faces = faces
-        cls.offsets = rule_asm.points - center
-        cls.weights = rule_asm.weights
-        cls.phi = cb.evaluate(rule_asm.points)
-        cls.cell_ids = np.asarray(cls.cells, dtype=np.int64)
-        cls.face_ids = np.vstack([mesh.cell_faces[c] for c in cls.cells])
-        base = cls.cell_ids[:, None] * Nk + np.arange(Nk)
-        fdofs = (self.num_cell_dofs + cls.face_ids[:, :, None] * nF
-                 + np.arange(nF)).reshape(len(cls.cells), -1)
-        cls.gidx = np.hstack((base, fdofs))
-
-    def _class_of(self, ci):
+    def _locate(self, ci):
+        """Group of cell ``ci`` and its class's row in the group's stacks."""
         self._ensure_classes()
-        return self._classes[self._cell_class[ci]]
+        cls = self._cell_class[ci]
+        firsts = [g.first for g in self._groups]
+        g = self._groups[np.searchsorted(firsts, cls, side="right") - 1]
+        return g, cls - g.first
 
-    def _local_values(self, cls, v):
-        """Local dof blocks of ``v`` for every cell of a class, (ncells, nloc)."""
-        loc = np.empty((len(cls.cells), cls.nloc))
-        loc[:, :self.Nk] = v.cell_blocks[cls.cell_ids]
-        loc[:, self.Nk:] = v.face_blocks[cls.face_ids].reshape(len(cls.cells), -1)
-        return loc
+    def _chunks(self, limit=None):
+        """(group, slice of its cells) pairs covering every cell once."""
+        self._ensure_classes()
+        for g in self._groups:
+            yield from ((g, sl) for sl in _slices(len(g.cells), min(g.step, limit or g.step)))
 
-    def _face_trace_data(self, cls):
-        """Assembly-degree trace values on each face slot of a class."""
-        if cls.face_trace is None:
-            ci = cls.rep
-            center = self.mesh.cell_centroids[ci]
-            cb = self.cell_basis(ci)
-            data = []
-            for fd in cls.faces:
-                start, end = center + fd.rel_start, center + fd.rel_end
-                frule = face_quadrature((start, end), self.quad_degree)
-                fb = FaceBasis((start, end), self.k)
-                data.append((frule.points - center, frule.weights,
-                             cb.evaluate(frule.points)[:, :self.Nk],
-                             fb.evaluate(frule.points)))
-            cls.face_trace = data
-        return cls.face_trace
+    def _local_values(self, g, sl, v):
+        """Local dof blocks of ``v`` for the cells ``g.cells[sl]``, (m, nloc)."""
+        ids = g.cells[sl]
+        return np.hstack((v.cell_blocks[ids],
+                          v.face_blocks[g.face_ids[sl]].reshape(len(ids), -1)))
 
     # -- public operator access ---------------------------------------------
 
     def local_operators(self, ci):
         """Cached (G_T, R_T, S_T) for cell ``ci``."""
-        cls = self._class_of(ci)
-        return LocalOperators(G=cls.G, R=cls.R, S=cls.S)
+        g, row = self._locate(ci)
+        return LocalOperators(G=g.G[row], R=g.R[row], S=g.S[row])
 
     def build_gradient_reconstruction(self, ci):
         """Matrix of G_T: local dof block to P_k(T)^2 coefficients (x block, then y)."""
-        return self._class_of(ci).G
+        g, row = self._locate(ci)
+        return g.G[row]
 
     def build_potential_reconstruction(self, ci):
         """Matrix of R_T: local dof block to P_{k+1}(T) coefficients."""
-        return self._class_of(ci).R
+        g, row = self._locate(ci)
+        return g.R[row]
 
     def build_stabilization(self, ci):
         """Stabilization bilinear form s_T on the local dof block."""
-        return self._class_of(ci).S
+        g, row = self._locate(ci)
+        return g.S[row]
 
     def local_dof_indices(self, ci):
         """Global dof indices of cell ``ci``'s local block."""
-        cls = self._class_of(ci)
-        return cls.gidx[cls.cells.index(ci)]
+        g, _ = self._locate(ci)
+        return g.gidx[np.searchsorted(g.cells, ci)]
 
     # -- interpolation -------------------------------------------------------
 
@@ -433,32 +485,23 @@ class HHOSpace:
         ``v`` takes an (n, 2) array of points and returns n values.  With
         ``zero_boundary`` the boundary face blocks are forced to zero.
         """
-        self._ensure_classes()
         mesh = self.mesh
         cell_blocks = np.empty((mesh.num_cells, self.Nk))
-        for cls in self._classes:
-            pts = mesh.cell_centroids[cls.cell_ids][:, None, :] + cls.offsets[None]
-            vals = np.asarray(v(pts.reshape(-1, 2)), dtype=float)
-            vals = vals.reshape(len(cls.cells), -1) * cls.weights
-            rhs = vals @ cls.phi[:, :self.Nk]
-            cell_blocks[cls.cell_ids] = cho_solve(cls.Mk_chol, rhs.T).T
+        for g, sl in self._chunks():
+            ids, op = g.cells[sl], g.op[sl]
+            pts = mesh.cell_centroids[ids][:, None, :] + g.offsets[op]
+            w = g.weights[op]
+            vals = np.asarray(v(pts.reshape(-1, 2)), dtype=float).reshape(w.shape) * w
+            rhs = g.phi[op, :, :self.Nk].transpose(0, 2, 1) @ vals[..., None]
+            cell_blocks[ids] = np.linalg.solve(g.Mk[op], rhs)[..., 0]
 
-        n1 = max(1, (self.quad_degree + 2) // 2)
-        xg, wg = np.polynomial.legendre.leggauss(n1)
-        t = 0.5 * (xg + 1.0)
-        u = t - 0.5
-        psi = np.ones((n1, self.nF))
-        for j in range(1, self.nF):
-            psi[:, j] = psi[:, j - 1] * u
-        i = np.arange(self.nF)
-        p = i[:, None] + i[None, :]
-        mref = np.where(p % 2 == 0, 1.0 / (2.0**p * (p + 1)), 0.0)
+        t, wt = _gauss(self.quad_degree)
         p0 = mesh.vertices[mesh.faces[:, 0]]
         p1 = mesh.vertices[mesh.faces[:, 1]]
         pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
-        vals = np.asarray(v(pts.reshape(-1, 2)), dtype=float).reshape(mesh.num_faces, n1)
-        rhs = (vals * (0.5 * wg)) @ psi
-        face_blocks = np.linalg.solve(mref, rhs.T).T
+        vals = np.asarray(v(pts.reshape(-1, 2)), dtype=float).reshape(mesh.num_faces, len(t))
+        rhs = (vals * wt) @ _powers(t - 0.5, self.k)
+        face_blocks = np.linalg.solve(_unit_face_mass(self.nF), rhs.T).T
         if zero_boundary:
             face_blocks[mesh.boundary_faces] = 0.0
         return HybridVector(self, cell_blocks, face_blocks)
@@ -467,90 +510,80 @@ class HHOSpace:
 
     def gradient_norm(self, v):
         """Broken L^2 norm of the reconstructed gradient, (sum_T ||G_T v||^2)^(1/2)."""
-        self._ensure_classes()
+        return float(np.sqrt(max(self._gradient_energy(v), 0.0)))
+
+    def _gradient_energy(self, v):
+        """sum_T ||G_T v||^2_T, with G_T v contracted against the cell mass matrix."""
         total = 0.0
-        for cls in self._classes:
-            loc = self._local_values(cls, v)
-            q = loc @ cls.G.T
-            qx, qy = q[:, :self.Nk], q[:, self.Nk:]
-            total += np.einsum("mi,ij,mj->", qx, cls.Mk, qx)
-            total += np.einsum("mi,ij,mj->", qy, cls.Mk, qy)
-        return float(np.sqrt(max(total, 0.0)))
+        for g, sl in self._chunks():
+            op = g.op[sl]
+            q = (g.G[op] @ self._local_values(g, sl, v)[..., None]).reshape(-1, 2, self.Nk)
+            total += float(np.sum(q * (q @ g.Mk[op])))
+        return total
+
+    def _face_jumps(self, v, p):
+        """sum_T sum_F h_F^(1-p) ||v_F - v_T||^p_{L^p(F)}, by quadrature of ``quad_degree``."""
+        mesh = self.mesh
+        t, wt = _gauss(self.quad_degree)
+        psi = _powers(t - 0.5, self.k)
+        total = 0.0
+        for g, sl in self._chunks():
+            ids, fids = g.cells[sl], g.face_ids[sl]
+            ends = mesh.vertices[mesh.faces[fids]]                          # (m, nf, 2, 2)
+            fpts = ends[:, :, :1] + t[:, None] * (ends[:, :, 1:] - ends[:, :, :1])
+            x = (fpts - mesh.cell_centroids[ids, None, None]) \
+                / mesh.cell_diameters[ids, None, None, None]
+            vT = scaled_monomials(x, self.k) @ v.cell_blocks[ids][:, None, :, None]
+            d = v.face_blocks[fids] @ psi.T - vT[..., 0]                     # (m, nf, qF)
+            length = mesh.face_lengths[fids]
+            total += float(np.sum(length ** (2.0 - p) * (np.abs(d) ** p @ wt)))
+        return total
 
     def discrete_norm_1h(self, v):
         """Energy-type seminorm: gradient reconstructions plus scaled face jumps."""
-        self._ensure_classes()
-        total = 0.0
-        for cls in self._classes:
-            loc = self._local_values(cls, v)
-            q = loc @ cls.G.T
-            qx, qy = q[:, :self.Nk], q[:, self.Nk:]
-            total += np.einsum("mi,ij,mj->", qx, cls.Mk, qx)
-            total += np.einsum("mi,ij,mj->", qy, cls.Mk, qy)
-            vT = loc[:, :self.Nk]
-            for s, fd in enumerate(cls.faces):
-                vF = v.face_blocks[cls.face_ids[:, s]]
-                jump = (np.einsum("mi,ij,mj->m", vF, fd.MF, vF)
-                        - 2.0 * np.einsum("mi,ij,mj->m", vT, fd.TF1[:self.Nk], vF)
-                        + np.einsum("mi,ij,mj->m", vT, fd.TC1[:self.Nk, :self.Nk], vT))
-                total += jump.sum() / fd.length
-        return float(np.sqrt(max(total, 0.0)))
+        return float(np.sqrt(max(self._gradient_energy(v) + self._face_jumps(v, 2.0), 0.0)))
 
     def discrete_norm_1ph(self, v, p):
         """W^{1,p}-type norm from broken cell gradients and scaled face jumps."""
         if p < 1:
             raise ValueError("p must be at least 1")
-        self._ensure_classes()
         total = 0.0
-        for cls in self._classes:
-            if cls.phi_grad is None:
-                cb = self.cell_basis(cls.rep)
-                pts = self.mesh.cell_centroids[cls.rep] + cls.offsets
-                cls.phi_grad = cb.gradient(pts)[:, :self.Nk, :]
-            loc = self._local_values(cls, v)
-            vT = loc[:, :self.Nk]
-            g = np.einsum("mi,qid->mqd", vT, cls.phi_grad)
-            mag = np.sqrt((g**2).sum(axis=2))
-            total += float((mag**p @ cls.weights).sum())
-            for s, (foff, fw, phiF, psiF) in enumerate(self._face_trace_data(cls)):
-                vF = v.face_blocks[cls.face_ids[:, s]]
-                d = vF @ psiF.T - vT @ phiF.T
-                total += cls.faces[s].length ** (1.0 - p) * float(
-                    (np.abs(d)**p @ fw).sum())
-        return float(total ** (1.0 / p))
+        for ids, pts, w, _ in self.quadrature_batches():
+            h = self.mesh.cell_diameters[ids, None, None]
+            x = (pts - self.mesh.cell_centroids[ids, None]) / h
+            grad = scaled_monomials(x, self.k, gradient=True) / h[..., None]  # (m, q, Nk, 2)
+            g = np.einsum("mi,mqid->mqd", v.cell_blocks[ids], grad)
+            total += float(np.sum(w * np.sqrt((g**2).sum(axis=2)) ** p))
+        return float((total + self._face_jumps(v, p)) ** (1.0 / p))
 
     def reconstruct_gradient_global(self, v):
         """Cellwise G_T v as a piecewise vector polynomial of degree k."""
-        self._ensure_classes()
         coeffs = np.empty((self.mesh.num_cells, 2, self.Nk))
-        for cls in self._classes:
-            q = self._local_values(cls, v) @ cls.G.T
-            coeffs[cls.cell_ids, 0] = q[:, :self.Nk]
-            coeffs[cls.cell_ids, 1] = q[:, self.Nk:]
+        for g, sl in self._chunks():
+            q = g.G[g.op[sl]] @ self._local_values(g, sl, v)[..., None]
+            coeffs[g.cells[sl]] = q.reshape(-1, 2, self.Nk)
         return PiecewiseVectorPolynomial(self, self.k, coeffs)
 
     def reconstruct_potential_global(self, v):
         """Cellwise R_T v as a piecewise polynomial of degree k+1."""
-        self._ensure_classes()
         coeffs = np.empty((self.mesh.num_cells, self.Nk1))
-        for cls in self._classes:
-            coeffs[cls.cell_ids] = self._local_values(cls, v) @ cls.R.T
+        for g, sl in self._chunks():
+            r = g.R[g.op[sl]] @ self._local_values(g, sl, v)[..., None]
+            coeffs[g.cells[sl]] = r[..., 0]
         return PiecewisePolynomial(self, self.k + 1, coeffs)
 
     # -- iteration helpers ----------------------------------------------------
 
-    def quadrature_batches(self, chunk=8192):
+    def quadrature_batches(self, chunk=None):
         """Yield (cell ids, points, weights, degree-(k+1) basis values) batches.
 
-        Points have shape (ncells, nq, 2); values are shared within a batch
-        because all its cells are congruent.
+        Shapes are (m,), (m, nq, 2), (m, nq) and (m, nq, Nk1), with m at
+        most ``chunk`` when given; the cells of one batch share a face count.
         """
-        self._ensure_classes()
-        for cls in self._classes:
-            for lo in range(0, len(cls.cells), chunk):
-                ids = cls.cell_ids[lo:lo + chunk]
-                pts = self.mesh.cell_centroids[ids][:, None, :] + cls.offsets[None]
-                yield ids, pts, cls.weights, cls.phi
+        for g, sl in self._chunks(chunk):
+            ids, op = g.cells[sl], g.op[sl]
+            pts = self.mesh.cell_centroids[ids][:, None, :] + g.offsets[op]
+            yield ids, pts, g.weights[op], g.phi[op]
 
     def free_dofs(self):
         """All cell dofs plus interior face dofs, in global layout order."""

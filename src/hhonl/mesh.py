@@ -57,30 +57,32 @@ class MeshInvalidError(MeshError):
 
 
 def polygon_area(vertices):
-    """Signed shoelace area of the polygon with rows of ``vertices`` as corners."""
+    """Signed shoelace area of a polygon (nv, 2), or of each polygon of a stack (m, nv, 2)."""
     v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - xn * y))
+    x, y = v[..., 0], v[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    return 0.5 * np.sum(x * yn - xn * y, axis=-1)
 
 
 def polygon_centroid(vertices):
-    """Area centroid of a simple polygon (signed-area weighted, orientation safe)."""
+    """Area centroid of a simple polygon (signed-area weighted, orientation safe).
+
+    Takes one polygon (nv, 2) or a stack (m, nv, 2), returning (2,) or (m, 2).
+    """
     v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    x, y = v[..., 0], v[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
     cross = x * yn - xn * y
-    area = 0.5 * np.sum(cross)
-    cx = np.sum((x + xn) * cross) / (6.0 * area)
-    cy = np.sum((y + yn) * cross) / (6.0 * area)
-    return np.array([cx, cy])
+    six_area = 3.0 * np.sum(cross, axis=-1)
+    return np.stack((np.sum((x + xn) * cross, axis=-1) / six_area,
+                     np.sum((y + yn) * cross, axis=-1) / six_area), axis=-1)
 
 
 def polygon_diameter(vertices):
-    """Largest pairwise vertex distance."""
+    """Largest pairwise vertex distance of a polygon (nv, 2) or of each polygon of a stack."""
     v = np.asarray(vertices, dtype=float)
-    diff = v[:, None, :] - v[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2)).max())
+    diff = v[..., :, None, :] - v[..., None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1)).max(axis=(-2, -1))
 
 
 def _segments_intersect(p, q, r, s):
@@ -98,25 +100,23 @@ def _segments_intersect(p, q, r, s):
     return False
 
 
-def _is_simple_polygon(v):
-    """Check that the closed polygon given by rows of ``v`` has no edge crossings."""
+def _first(cell_lists):
+    """Smallest cell id in a list of id arrays, or None when all are empty."""
+    ids = np.concatenate([np.asarray(c, dtype=np.int64) for c in cell_lists])
+    return int(ids.min()) if len(ids) else None
+
+
+def _edges_cross(v):
+    """Whether two non-adjacent edges of the closed polygon given by rows of ``v`` cross."""
     m = len(v)
     edges = [(v[i], v[(i + 1) % m]) for i in range(m)]
-    # Convex polygons (all left turns, possibly with straight vertices) are simple.
-    turns = []
-    for i in range(m):
-        a, b, c = v[i - 1], v[i], v[(i + 1) % m]
-        turns.append((b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]))
-    scale = polygon_diameter(v) ** 2
-    if all(t >= -1e-12 * scale for t in turns):
-        return True
     for i in range(m):
         for j in range(i + 1, m):
             if j == i + 1 or (i == 0 and j == m - 1):
                 continue  # adjacent edges share a vertex
             if _segments_intersect(*edges[i], *edges[j]):
-                return False
-    return True
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -169,15 +169,15 @@ class PolytopalMesh:
         for ci, cell in enumerate(self.cells):
             if cell.ndim != 1 or len(cell) < 3:
                 raise MeshInvalidError(f"cell {ci} has fewer than 3 vertices")
-            if cell.min() < 0 or cell.max() >= len(vertices):
-                raise MeshInvalidError(f"cell {ci} references a missing vertex")
-            if len(np.unique(cell)) != len(cell):
-                raise MeshInvalidError(f"cell simplicity: cell {ci} repeats a vertex")
 
-        self.orientation_repairs = self._repair_orientation()
-        self._check_simplicity()
+        stacks = self._stacks()
+        self._check_vertex_indices(stacks)
+        area, self.cell_centroids, self.cell_diameters = self._cell_geometry(stacks)
+        self.orientation_repairs = self._repair_orientation(area)
+        self.cell_areas = np.abs(area)
+        self._check_simplicity(stacks, area)
         self._build_faces()
-        self._compute_geometry()
+        self._compute_face_geometry()
         self._check_partition()
         self._interior_face_order = None
         for arr in (self.vertices, self.faces, self.face_owner, self.face_neighbor,
@@ -187,72 +187,111 @@ class PolytopalMesh:
 
     # -- construction steps -------------------------------------------------
 
-    def _repair_orientation(self):
-        repairs = 0
+    def _stacks(self):
+        """(cell ids, (m, nv) vertex indices) per vertex count, in input orientation."""
+        sizes = np.fromiter(map(len, self.cells), dtype=np.int64, count=len(self.cells))
+        stacks = []
+        for nv in np.unique(sizes):
+            ids = np.flatnonzero(sizes == nv)
+            stacks.append((ids, np.stack([self.cells[ci] for ci in ids])))
+        return stacks
+
+    def _check_vertex_indices(self, stacks):
+        missing, repeated = [], []
+        for ids, idx in stacks:
+            missing.append(ids[(idx.min(axis=1) < 0) | (idx.max(axis=1) >= len(self.vertices))])
+            repeated.append(ids[(np.diff(np.sort(idx, axis=1), axis=1) == 0).any(axis=1)])
+        if (ci := _first(missing)) is not None:
+            raise MeshInvalidError(f"cell {ci} references a missing vertex")
+        if (ci := _first(repeated)) is not None:
+            raise MeshInvalidError(f"cell simplicity: cell {ci} repeats a vertex")
+
+    def _cell_geometry(self, stacks):
+        """Signed area, area centroid and diameter of every cell, one stack at a time."""
+        nc = len(self.cells)
+        area, centroid, diameter = np.empty(nc), np.empty((nc, 2)), np.empty(nc)
+        # A degenerate cell divides by its zero area here; it is rejected next.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for ids, idx in stacks:
+                v = self.vertices[idx]
+                area[ids] = polygon_area(v)
+                centroid[ids] = polygon_centroid(v)
+                diameter[ids] = polygon_diameter(v)
+        return area, centroid, diameter
+
+    def _repair_orientation(self, area):
         span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         scale = max(float(np.hypot(span[0], span[1])), 1.0)
-        for ci, cell in enumerate(self.cells):
-            area = polygon_area(self.vertices[cell])
-            if abs(area) <= 1e-14 * scale**2:
-                raise MeshInvalidError(f"cell orientation/area: cell {ci} is degenerate")
-            if area < 0:
-                self.cells[ci] = cell[::-1].copy()
-                repairs += 1
-        return repairs
+        degenerate = np.flatnonzero(np.abs(area) <= 1e-14 * scale**2)
+        if len(degenerate):
+            raise MeshInvalidError(
+                f"cell orientation/area: cell {degenerate[0]} is degenerate")
+        clockwise = np.flatnonzero(area < 0)
+        for ci in clockwise:
+            self.cells[ci] = self.cells[ci][::-1].copy()
+        return len(clockwise)
 
-    def _check_simplicity(self):
-        for ci, cell in enumerate(self.cells):
-            if not _is_simple_polygon(self.vertices[cell]):
-                raise MeshInvalidError(f"cell simplicity: cell {ci} self-intersects")
+    def _check_simplicity(self, stacks, area):
+        # Convex cells (all left turns, possibly with straight vertices) are
+        # simple; only the others are searched for crossing edges.
+        crossing = []
+        for ids, idx in stacks:
+            v = self.vertices[idx]
+            d_in = v - np.roll(v, 1, axis=1)
+            d_out = np.roll(v, -1, axis=1) - v
+            turns = (d_in[..., 0] * d_out[..., 1] - d_in[..., 1] * d_out[..., 0]) \
+                * np.sign(area[ids])[:, None]
+            tol = -1e-12 * self.cell_diameters[ids, None] ** 2
+            suspects = ids[~(turns >= tol).all(axis=1)]
+            crossing.append([ci for ci in suspects if _edges_cross(self.vertices[self.cells[ci]])])
+        if (ci := _first(crossing)) is not None:
+            raise MeshInvalidError(f"cell simplicity: cell {ci} self-intersects")
 
     def _build_faces(self):
-        faces = []
-        owner = []
-        neighbor = []
-        seen = {}
-        cell_faces = []
-        cell_face_signs = []
-        for ci, cell in enumerate(self.cells):
-            fids = []
-            signs = []
-            for a, b in zip(cell, np.roll(cell, -1)):
-                key = (min(a, b), max(a, b))
-                if key not in seen:
-                    seen[key] = len(faces)
-                    faces.append((a, b))
-                    owner.append(ci)
-                    neighbor.append(-1)
-                    fids.append(seen[key])
-                    signs.append(1)
-                else:
-                    fi = seen[key]
-                    if neighbor[fi] != -1:
-                        raise MeshInvalidError(
-                            f"face incidence: edge {key} belongs to more than two cells")
-                    if faces[fi] != (b, a):
-                        raise MeshInvalidError(
-                            f"face conformity: edge {key} traversed twice in the same direction")
-                    neighbor[fi] = ci
-                    fids.append(fi)
-                    signs.append(-1)
-            cell_faces.append(np.asarray(fids, dtype=np.int64))
-            cell_face_signs.append(np.asarray(signs, dtype=np.int64))
-        self.faces = np.asarray(faces, dtype=np.int64)
-        self.face_owner = np.asarray(owner, dtype=np.int64)
-        self.face_neighbor = np.asarray(neighbor, dtype=np.int64)
-        self.cell_faces = cell_faces
-        self.cell_face_signs = cell_face_signs
+        """Faces numbered by first traversal; the first cell to traverse a face owns it.
 
-    def _compute_geometry(self):
-        nc = len(self.cells)
-        self.cell_centroids = np.empty((nc, 2))
-        self.cell_areas = np.empty(nc)
-        self.cell_diameters = np.empty(nc)
-        for ci, cell in enumerate(self.cells):
-            v = self.vertices[cell]
-            self.cell_areas[ci] = polygon_area(v)
-            self.cell_centroids[ci] = polygon_centroid(v)
-            self.cell_diameters[ci] = polygon_diameter(v)
+        Edges are grouped by their sorted vertex pair; within a group the
+        traversal order decides owner (first) and neighbor (second).
+        """
+        sizes = np.fromiter(map(len, self.cells), dtype=np.int64, count=len(self.cells))
+        starts = np.cumsum(sizes) - sizes
+        a = np.concatenate(self.cells)
+        following = np.arange(1, len(a) + 1)
+        following[starts + sizes - 1] = starts
+        b = a[following]
+        cell = np.repeat(np.arange(len(self.cells)), sizes)
+        key = np.minimum(a, b) * len(self.vertices) + np.maximum(a, b)
+        order = np.argsort(key, kind="stable")
+        new = np.r_[True, key[order][1:] != key[order][:-1]]
+        group = np.cumsum(new) - 1
+        occurrence = np.arange(len(a)) - np.flatnonzero(new)[group]
+        first = order[new]
+        # The error found first along the traversal wins, as in a cell-by-cell walk.
+        third = order[occurrence == 2]
+        second = order[occurrence == 1]
+        same_way = second[a[second] != b[first[group[occurrence == 1]]]]
+        bad = [(edges.min(), message) for edges, message in (
+            (third, "face incidence: edge {} belongs to more than two cells"),
+            (same_way, "face conformity: edge {} traversed twice in the same direction"))
+            if len(edges)]
+        if bad:
+            e, message = min(bad)
+            raise MeshInvalidError(message.format((int(min(a[e], b[e])), int(max(a[e], b[e])))))
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        face = np.empty(len(a), dtype=np.int64)
+        face[order] = rank[group]
+        owner_edge = np.sort(first)
+        self.faces = np.column_stack((a[owner_edge], b[owner_edge]))
+        self.face_owner = cell[owner_edge]
+        self.face_neighbor = np.full(len(first), -1, dtype=np.int64)
+        self.face_neighbor[face[second]] = cell[second]
+        signs = np.empty(len(a), dtype=np.int64)
+        signs[order] = np.where(occurrence == 0, 1, -1)
+        self.cell_faces = np.split(face, starts[1:])
+        self.cell_face_signs = np.split(signs, starts[1:])
+
+    def _compute_face_geometry(self):
         p0 = self.vertices[self.faces[:, 0]]
         p1 = self.vertices[self.faces[:, 1]]
         self.face_midpoints = 0.5 * (p0 + p1)

@@ -33,7 +33,15 @@ MAX_FACE_DEGREE = 41
 
 
 class QuadratureError(Exception):
-    """A quadrature rule could not be built for the given geometry."""
+    """A quadrature rule could not be built for the given geometry.
+
+    ``index`` is the position of the offending polygon when a stack of
+    polygons was passed, otherwise None.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class UnsupportedDegreeError(QuadratureError):
@@ -86,46 +94,46 @@ def triangle_rule(degree):
     return QuadratureRule(pts, wts, degree)
 
 
-def _map_rule(ref_pts, ref_wts, v0, v1, v2):
-    """Affine map of a reference-triangle rule onto the triangle (v0, v1, v2)."""
-    e1 = v1 - v0
-    e2 = v2 - v0
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    pts = v0 + np.outer(ref_pts[:, 0], e1) + np.outer(ref_pts[:, 1], e2)
-    return pts, ref_wts * det
-
-
 def cell_quadrature(vertices, degree):
     """Rule over the polygon with counterclockwise corners ``vertices``.
 
-    Triangles are mapped directly; larger polygons are fan-triangulated from
-    the area centroid, which must see every edge positively (star-shaped
-    cell), otherwise a :class:`QuadratureError` is raised.
+    ``vertices`` is one polygon (nv, 2) or a stack of polygons with equal
+    corner counts (m, nv, 2); the rule's points and weights then carry the
+    same leading axis, (m, nq, 2) and (m, nq).  Triangles are mapped
+    directly; larger polygons are fan-triangulated from the area centroid,
+    which must see every edge positively (star-shaped cell), otherwise a
+    :class:`QuadratureError` is raised whose ``index`` locates the polygon
+    in a stack.
     """
     if not 0 <= degree <= MAX_TRIANGLE_DEGREE:
         raise UnsupportedDegreeError(
             f"cell rules support degrees 0..{MAX_TRIANGLE_DEGREE}, got {degree}")
     v = np.asarray(vertices, dtype=float)
+    stack = v if v.ndim == 3 else v[None]
     ref_pts, ref_wts = _reference_triangle(degree)
-    if len(v) == 3:
-        pts, wts = _map_rule(ref_pts, ref_wts, v[0], v[1], v[2])
-        if wts[0] <= 0.0:
-            raise QuadratureError("triangle is degenerate or clockwise")
-        return QuadratureRule(pts, wts, degree)
-    c = polygon_centroid(v)
-    all_pts = []
-    all_wts = []
-    for i in range(len(v)):
-        a, b = v[i], v[(i + 1) % len(v)]
-        det = (a[0] - c[0]) * (b[1] - c[1]) - (a[1] - c[1]) * (b[0] - c[0])
-        if det <= 0.0:
-            raise QuadratureError(
-                "cell is not star-shaped with respect to its centroid "
-                f"(edge {i} subtends a nonpositive triangle)")
-        pts, wts = _map_rule(ref_pts, ref_wts, c, a, b)
-        all_pts.append(pts)
-        all_wts.append(wts)
-    return QuadratureRule(np.vstack(all_pts), np.concatenate(all_wts), degree)
+    # Fan triangles (apex, a, b), shape (m, ntri, 2) each.
+    if stack.shape[1] == 3:
+        apex, a, b = stack[:, :1], stack[:, 1:2], stack[:, 2:]
+    else:
+        apex = polygon_centroid(stack)[:, None]
+        a, b = stack, np.roll(stack, -1, axis=1)
+    e1, e2 = a - apex, b - apex
+    det = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+    bad = np.argwhere(~(det > 0.0))
+    if len(bad):
+        cell, edge = (int(i) for i in bad[0])
+        message = ("triangle is degenerate or clockwise" if stack.shape[1] == 3 else
+                   "cell is not star-shaped with respect to its centroid "
+                   f"(edge {edge} subtends a nonpositive triangle)")
+        raise QuadratureError(message, index=cell if v.ndim == 3 else None)
+    pts = (apex[:, :, None] + ref_pts[:, :1] * e1[:, :, None]
+           + ref_pts[:, 1:] * e2[:, :, None])
+    wts = ref_wts * det[:, :, None]
+    m = len(stack)
+    pts, wts = pts.reshape(m, -1, 2), wts.reshape(m, -1)
+    if v.ndim == 2:
+        pts, wts = pts[0], wts[0]
+    return QuadratureRule(pts, wts, degree)
 
 
 def face_quadrature(endpoints, degree):

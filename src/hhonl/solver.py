@@ -1,8 +1,8 @@
 """Nonlinear problem plumbing: assembly, static condensation, Newton iteration.
 
 The discrete nonlinear form and its fully discrete linearization are
-assembled cell by cell; congruent cells are processed in vectorized
-batches.  Global solves eliminate the cell blocks per cell (static
+assembled cell by cell, in vectorized chunks of cells with one face count
+whose local operators are gathered from the space's operator stacks.  Global solves eliminate the cell blocks per cell (static
 condensation) and factor the remaining interior-face system directly.
 
 The face system is permuted into the mesh's nested-dissection order of
@@ -246,15 +246,15 @@ def _call(problem, attr, x, y, z, cells):
     return out
 
 
-def _assemble(space, problem, w, need_jacobian, fields=None, restrict=False, chunk=4096):
+def _assemble(space, problem, w, need_jacobian, fields=None, restrict=False):
     """Residual (and optionally Jacobian) of the discrete nonlinear form at ``w``.
 
     With ``fields=(u, grad_u)`` the Jacobian coefficients are evaluated at the
     given fields instead of the discrete iterate (semi-discrete linearization).
     With ``restrict`` the output lives on the free dofs (cells plus interior
-    faces) in condensation-ready layout.
+    faces) in condensation-ready layout.  Cells are processed in chunks of
+    one face count, each gathering its cells' operators from the space.
     """
-    space._ensure_classes()
     Nk = space.Nk
     if restrict:
         fmap = _free_map(space)
@@ -264,84 +264,79 @@ def _assemble(space, problem, w, need_jacobian, fields=None, restrict=False, chu
     res = np.zeros(ndofs)
     rows_all, cols_all, data_all = [], [], []
 
-    for cls in space._classes:
-        Gx, Gy = cls.G[:Nk], cls.G[Nk:]
-        G2 = cls.G.reshape(2, Nk, cls.nloc)
-        phi_k = cls.phi[:, :Nk]
-        wq = cls.weights
-        nq = len(wq)
-        for lo in range(0, len(cls.cells), chunk):
-            ids = cls.cell_ids[lo:lo + chunk]
-            m = len(ids)
-            gidx = cls.gidx[lo:lo + chunk]
-            loc = np.empty((m, cls.nloc))
-            loc[:, :Nk] = w.cell_blocks[ids]
-            loc[:, Nk:] = w.face_blocks[cls.face_ids[lo:lo + chunk]].reshape(m, -1)
-            pts = space.mesh.cell_centroids[ids][:, None, :] + cls.offsets[None]
-            flat = pts.reshape(-1, 2)
-            q = loc @ cls.G.T
-            zq = np.empty((m * nq, 2))
-            zq[:, 0] = (q[:, :Nk] @ phi_k.T).ravel()
-            zq[:, 1] = (q[:, Nk:] @ phi_k.T).ravel()
-            yq = (loc[:, :Nk] @ phi_k.T).ravel()
-            if fields is None:
-                y_c, z_c = yq, zq
-            else:
-                y_c = np.asarray(fields[0](flat), dtype=float)
-                z_c = np.asarray(fields[1](flat), dtype=float)
+    for g, sl in space._chunks():
+        ids, op = g.cells[sl], g.op[sl]
+        m, nloc = len(ids), g.gidx.shape[1]
+        G = g.G[op]                                   # (m, 2 Nk, nloc)
+        phi = g.phi[op, :, :Nk]                       # (m, nq, Nk)
+        phiT = np.swapaxes(phi, 1, 2)
+        wq = g.weights[op]
+        loc = space._local_values(g, sl, w)
+        flat = (space.mesh.cell_centroids[ids][:, None, :] + g.offsets[op]).reshape(-1, 2)
 
-            aval = _call(problem, "a", flat, yq, zq, ids).reshape(m, nq, 2)
-            fval = _call(problem, "f", flat, yq, zq, ids).reshape(m, nq)
-            aw = aval * wq[None, :, None]
-            r_loc = (aw[:, :, 0] @ phi_k) @ Gx + (aw[:, :, 1] @ phi_k) @ Gy
-            r_loc += loc @ cls.S
-            r_loc[:, :Nk] += (fval * wq) @ phi_k
+        # grad_x, grad_y of G_T w and w_T at every quadrature point.
+        q = (G @ loc[..., None]).reshape(m, 2, Nk)
+        vals = phi @ np.concatenate((q, loc[:, None, :Nk]), axis=1).transpose(0, 2, 1)
+        zq = vals[..., :2].reshape(-1, 2)
+        yq = vals[..., 2].ravel()
+        if fields is None:
+            y_c, z_c = yq, zq
+        else:
+            y_c = np.asarray(fields[0](flat), dtype=float)
+            z_c = np.asarray(fields[1](flat), dtype=float)
 
-            if restrict:
-                ridx = fmap[gidx]
-                keep = ridx >= 0
-                res += np.bincount(ridx[keep], weights=r_loc[keep], minlength=ndofs)
-            else:
-                res += np.bincount(gidx.ravel(), weights=r_loc.ravel(), minlength=ndofs)
+        aval = _call(problem, "a", flat, yq, zq, ids).reshape(m, -1, 2)
+        fval = _call(problem, "f", flat, yq, zq, ids).reshape(m, -1, 1)
+        mom = phiT @ (np.concatenate((aval, fval), axis=2) * wq[..., None])  # (m, Nk, 3)
+        r_loc = (np.swapaxes(G, 1, 2) @ mom[:, :, :2].transpose(0, 2, 1).reshape(m, -1, 1)
+                 + g.S[op] @ loc[..., None])[..., 0]
+        r_loc[:, :Nk] += mom[:, :, 2]
 
-            if not need_jacobian:
-                continue
-            az = _call(problem, "a_z", flat, y_c, z_c, ids).reshape(m, nq, 2, 2)
-            azw = az * wq[None, :, None, None]
-            M = np.einsum("mqab,qi,qj->mabij", azw, phi_k, phi_k, optimize=True)
-            tmp = np.einsum("mabij,bjn->main", M, G2, optimize=True)
-            J_loc = np.einsum("aip,main->mpn", G2, tmp, optimize=True)
-            J_loc += cls.S
+        gidx = g.gidx[sl]
+        if restrict:
+            gidx = fmap[gidx]
+            keep = gidx >= 0
+            res += np.bincount(gidx[keep], weights=r_loc[keep], minlength=ndofs)
+        else:
+            res += np.bincount(gidx.ravel(), weights=r_loc.ravel(), minlength=ndofs)
 
-            ay = _call(problem, "a_y", flat, y_c, z_c, ids)
-            if np.any(ay):
-                ayw = ay.reshape(m, nq, 2) * wq[None, :, None]
-                W = np.einsum("mqa,qi,qj->maij", ayw, phi_k, phi_k, optimize=True)
-                J_loc[:, :, :Nk] += np.einsum("aip,maij->mpj", G2, W, optimize=True)
-            fz = _call(problem, "f_z", flat, y_c, z_c, ids)
-            if np.any(fz):
-                fzw = fz.reshape(m, nq, 2) * wq[None, :, None]
-                W = np.einsum("mqa,qi,qj->maij", fzw, phi_k, phi_k, optimize=True)
-                J_loc[:, :Nk, :] += np.einsum("maij,ajn->min", W, G2, optimize=True)
-            fy = _call(problem, "f_y", flat, y_c, z_c, ids)
-            if np.any(fy):
-                fyw = fy.reshape(m, nq) * wq
-                J_loc[:, :Nk, :Nk] += np.einsum("mq,qi,qj->mij", fyw, phi_k, phi_k,
-                                                optimize=True)
+        if not need_jacobian:
+            continue
 
-            if restrict:
-                sidx = ridx
-            else:
-                sidx = gidx
-            rows = np.repeat(sidx, cls.nloc, axis=1).ravel()
-            cols = np.tile(sidx, (1, cls.nloc)).ravel()
-            data = J_loc.reshape(-1)
-            if restrict:
-                keep = (rows >= 0) & (cols >= 0)
-                rows, cols, data = rows[keep], cols[keep], data[keep]
-            rows_all.append(rows.astype(np.int32, copy=False))
-            cols_all.append(cols.astype(np.int32, copy=False))
-            data_all.append(data)
+        def mass(weights):
+            """phi^T diag(weights) phi per cell, (m, Nk, Nk)."""
+            return phiT @ (weights[..., None] * phi)
+
+        az = _call(problem, "a_z", flat, y_c, z_c, ids).reshape(m, -1, 2, 2) * wq[..., None, None]
+        M = np.empty((m, 2 * Nk, 2 * Nk))
+        for a in range(2):
+            for b in range(2):
+                M[:, a * Nk:(a + 1) * Nk, b * Nk:(b + 1) * Nk] = mass(az[..., a, b])
+        J_loc = np.swapaxes(G, 1, 2) @ (M @ G) + g.S[op]
+
+        ay = _call(problem, "a_y", flat, y_c, z_c, ids)
+        if np.any(ay):
+            ayw = ay.reshape(m, -1, 2) * wq[..., None]
+            W = np.concatenate((mass(ayw[..., 0]), mass(ayw[..., 1])), axis=1)
+            J_loc[:, :, :Nk] += np.swapaxes(G, 1, 2) @ W
+        fz = _call(problem, "f_z", flat, y_c, z_c, ids)
+        if np.any(fz):
+            fzw = fz.reshape(m, -1, 2) * wq[..., None]
+            W = np.concatenate((mass(fzw[..., 0]), mass(fzw[..., 1])), axis=2)
+            J_loc[:, :Nk, :] += W @ G
+        fy = _call(problem, "f_y", flat, y_c, z_c, ids)
+        if np.any(fy):
+            J_loc[:, :Nk, :Nk] += mass(fy.reshape(m, -1) * wq)
+
+        rows = np.repeat(gidx, nloc, axis=1).ravel()
+        cols = np.tile(gidx, (1, nloc)).ravel()
+        data = J_loc.reshape(-1)
+        if restrict:
+            keep = (rows >= 0) & (cols >= 0)
+            rows, cols, data = rows[keep], cols[keep], data[keep]
+        rows_all.append(rows.astype(np.int32, copy=False))
+        cols_all.append(cols.astype(np.int32, copy=False))
+        data_all.append(data)
 
     if not need_jacobian:
         return res, None

@@ -91,16 +91,16 @@ def _projection_floor(space, *fields):
     den = 0.0
     nk = space.Nk
     for ids, pts, w, phi in space.quadrature_batches(chunk=2048):
-        pk = phi[:, :nk]
-        mass = (pk * w[:, None]).T @ pk
+        pk = phi[..., :nk]
+        wpk = np.swapaxes(pk * w[..., None], 1, 2)
+        mass = wpk @ pk
         for i, field in enumerate(fields):
-            g = field(pts.reshape(-1, 2)).reshape(len(ids), len(w), 2)
-            rhs = np.einsum("qn,mqc->mnc", pk * w[:, None], g)
-            coef = np.linalg.solve(mass, rhs)
-            resid = g - np.einsum("qn,mnc->mqc", pk, coef)
-            num[i] += float(np.einsum("q,mqc,mqc->", w, resid, resid))
+            g = field(pts.reshape(-1, 2)).reshape(w.shape + (2,))
+            coef = np.linalg.solve(mass, wpk @ g)
+            resid = g - pk @ coef
+            num[i] += float(np.einsum("mq,mqc,mqc->", w, resid, resid))
             if i == 0:
-                den += float(np.einsum("q,mqc,mqc->", w, g, g))
+                den += float(np.einsum("mq,mqc,mqc->", w, g, g))
     return tuple(np.sqrt(num / den))
 
 
@@ -284,10 +284,10 @@ def test_operator_polynomial_exactness():
             grd = space.reconstruct_gradient_global(v)
             for ids, pts, w, phi in space.quadrature_batches():
                 flat_pts = pts.reshape(-1, 2)
-                pv = value(flat_pts).reshape(len(ids), len(w))
-                pg = grad(flat_pts).reshape(len(ids), len(w), 2)
-                rv = pot.coefficients[ids] @ phi.T
-                gv = np.einsum("qn,mcn->mqc", phi[:, :space.Nk],
+                pv = value(flat_pts).reshape(w.shape)
+                pg = grad(flat_pts).reshape(w.shape + (2,))
+                rv = np.einsum("mqn,mn->mq", phi, pot.coefficients[ids])
+                gv = np.einsum("mqn,mcn->mqc", phi[..., :space.Nk],
                                grd.coefficients[ids])
                 worst["potential"] = max(
                     worst["potential"],
@@ -332,18 +332,19 @@ def test_reconstruction_approximation_orders():
             acc = np.zeros(3)
             for ids, pts, w, phi in space.quadrature_batches(chunk=2048):
                 flat_pts = pts.reshape(-1, 2)
-                vv = value(flat_pts).reshape(len(ids), len(w))
-                gv = grad(flat_pts).reshape(len(ids), len(w), 2)
+                vv = value(flat_pts).reshape(w.shape)
+                gv = grad(flat_pts).reshape(w.shape + (2,))
                 rc = pot.coefficients[ids]
-                rv = rc @ phi.T
-                # congruent cells share basis derivatives at their own points
-                gphi = space.cell_basis(int(ids[0]), k + 1).gradient(pts[0])
-                rg = np.einsum("mn,qnc->mqc", rc, gphi)
-                gg = np.einsum("qn,mcn->mqc", phi[:, :space.Nk],
+                rv = np.einsum("mqn,mn->mq", phi, rc)
+                # basis derivatives of each cell at its own points
+                gphi = np.stack([space.cell_basis(int(ci), k + 1).gradient(p)
+                                 for ci, p in zip(ids, pts)])
+                rg = np.einsum("mn,mqnc->mqc", rc, gphi)
+                gg = np.einsum("mqn,mcn->mqc", phi[..., :space.Nk],
                                grd.coefficients[ids])
-                acc[0] += float(np.einsum("q,mq->", w, (vv - rv) ** 2))
-                acc[1] += float(np.einsum("q,mqc->", w, (gv - rg) ** 2))
-                acc[2] += float(np.einsum("q,mqc->", w, (gv - gg) ** 2))
+                acc[0] += float(np.einsum("mq,mq->", w, (vv - rv) ** 2))
+                acc[1] += float(np.einsum("mq,mqc->", w, (gv - rg) ** 2))
+                acc[2] += float(np.einsum("mq,mqc->", w, (gv - gg) ** 2))
             errors[i] = np.sqrt(acc)
         hs = 1.0 / np.asarray(sizes, dtype=float)
         labels = ("|v - R I v|", "|grad(v - R I v)|", "|grad v - G I v|")

@@ -5,19 +5,24 @@ defining variational equations with quadrature assembled from scratch,
 independent of the cached operator matrices.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
-from hhonl.basis import CellBasis, FaceBasis, graded_lex_exponents, l2_project_cell
+from hhonl.basis import CellBasis, cell_mass_matrix, graded_lex_exponents, l2_project_cell
+from hhonl.harness import build_mesh
 from hhonl.hho import (
     HHOSpace,
     HybridVector,
+    OperatorBuildError,
     discrete_norm_1h,
     discrete_norm_1ph,
     interpolate,
 )
 from hhonl.mesh import PolytopalMesh, generate_cartesian, generate_triangular
-from hhonl.quadrature import cell_quadrature, face_quadrature
+from hhonl.quadrature import QuadratureError, cell_quadrature, face_quadrature
+from hhonl.solver import mean_curvature_problem, newton_solve
 
 
 def pentagon_mesh():
@@ -26,6 +31,14 @@ def pentagon_mesh():
              [0.4, 1.0], [0.0, 1.0], [0.7, 0.5]]
     cells = [[0, 1, 6, 4, 5], [1, 2, 3, 4, 6]]
     return PolytopalMesh(verts, cells)
+
+
+def operator_meshes():
+    """Meshes for the defining-equation checks: two pentagons, one Kershaw level
+    with a class per distorted cell, and hexagonal level 1 with 4-, 5- and
+    6-gons in one space."""
+    return (pentagon_mesh(), build_mesh("kershaw-files", 1),
+            build_mesh("hexagonal-files", 1))
 
 
 def local_block(space, ci, v):
@@ -60,35 +73,35 @@ def test_gradient_reconstruction_defining_equation(k):
     # (G v, tau)_T = (grad v_T, tau)_T + sum_F (v_F - v_T, tau . n_TF)_F
     # for every tau in P_k(T)^2, checked with freshly built quadrature.
     rng = np.random.default_rng(100 + k)
-    mesh = pentagon_mesh()
-    space = HHOSpace(mesh, k)
-    for ci in range(mesh.num_cells):
-        G = space.build_gradient_reconstruction(ci)
-        vloc = rng.standard_normal(G.shape[1])
-        q = G @ vloc
-        cb = space.cell_basis(ci)
-        rule = cell_quadrature(mesh.cell_vertices(ci), 2 * (k + 1))
-        phi = cb.evaluate(rule.points)[:, :space.Nk]
-        gphi = cb.gradient(rule.points)[:, :space.Nk, :]
-        vT = vloc[:space.Nk]
-        lhs_x = phi.T @ (rule.weights * (phi @ q[:space.Nk]))
-        lhs_y = phi.T @ (rule.weights * (phi @ q[space.Nk:]))
-        grad_vT = np.einsum("i,qid->qd", vT, gphi)
-        rhs_x = phi.T @ (rule.weights * grad_vT[:, 0])
-        rhs_y = phi.T @ (rule.weights * grad_vT[:, 1])
-        for slot, fi in enumerate(mesh.cell_faces[ci]):
-            fb = space.face_basis(fi)
-            frule = face_quadrature((fb.start, fb.end), 2 * (k + 1))
-            nvec = mesh.outward_normal(ci, fi)
-            vF = vloc[space.Nk + slot * space.nF:space.Nk + (slot + 1) * space.nF]
-            jump = fb.evaluate(frule.points) @ vF \
-                - cb.evaluate(frule.points)[:, :space.Nk] @ vT
-            trace = cb.evaluate(frule.points)[:, :space.Nk]
-            rhs_x += nvec[0] * trace.T @ (frule.weights * jump)
-            rhs_y += nvec[1] * trace.T @ (frule.weights * jump)
-        scale = np.abs(vloc).max()
-        np.testing.assert_allclose(lhs_x, rhs_x, atol=1e-12 * scale)
-        np.testing.assert_allclose(lhs_y, rhs_y, atol=1e-12 * scale)
+    for mesh in operator_meshes():
+        space = HHOSpace(mesh, k)
+        for ci in range(mesh.num_cells):
+            G = space.build_gradient_reconstruction(ci)
+            vloc = rng.standard_normal(G.shape[1])
+            q = G @ vloc
+            cb = space.cell_basis(ci)
+            rule = cell_quadrature(mesh.cell_vertices(ci), 2 * (k + 1))
+            phi = cb.evaluate(rule.points)[:, :space.Nk]
+            gphi = cb.gradient(rule.points)[:, :space.Nk, :]
+            vT = vloc[:space.Nk]
+            lhs_x = phi.T @ (rule.weights * (phi @ q[:space.Nk]))
+            lhs_y = phi.T @ (rule.weights * (phi @ q[space.Nk:]))
+            grad_vT = np.einsum("i,qid->qd", vT, gphi)
+            rhs_x = phi.T @ (rule.weights * grad_vT[:, 0])
+            rhs_y = phi.T @ (rule.weights * grad_vT[:, 1])
+            for slot, fi in enumerate(mesh.cell_faces[ci]):
+                fb = space.face_basis(fi)
+                frule = face_quadrature((fb.start, fb.end), 2 * (k + 1))
+                nvec = mesh.outward_normal(ci, fi)
+                vF = vloc[space.Nk + slot * space.nF:space.Nk + (slot + 1) * space.nF]
+                jump = fb.evaluate(frule.points) @ vF \
+                    - cb.evaluate(frule.points)[:, :space.Nk] @ vT
+                trace = cb.evaluate(frule.points)[:, :space.Nk]
+                rhs_x += nvec[0] * trace.T @ (frule.weights * jump)
+                rhs_y += nvec[1] * trace.T @ (frule.weights * jump)
+            scale = np.abs(vloc).max()
+            np.testing.assert_allclose(lhs_x, rhs_x, atol=1e-12 * scale)
+            np.testing.assert_allclose(lhs_y, rhs_y, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -96,34 +109,34 @@ def test_potential_reconstruction_defining_equation(k):
     # (grad R v, grad q)_T = (grad v_T, grad q)_T + sum_F (v_F - v_T, grad q . n)_F
     # for every q in P_{k+1}(T), plus the mean constraint (R v, 1) = (v_T, 1).
     rng = np.random.default_rng(200 + k)
-    mesh = pentagon_mesh()
-    space = HHOSpace(mesh, k)
-    for ci in range(mesh.num_cells):
-        R = space.build_potential_reconstruction(ci)
-        vloc = rng.standard_normal(R.shape[1])
-        r = R @ vloc
-        cb = space.cell_basis(ci)
-        rule = cell_quadrature(mesh.cell_vertices(ci), 2 * (k + 1))
-        gphi = cb.gradient(rule.points)
-        vT = vloc[:space.Nk]
-        grad_r = np.einsum("i,qid->qd", r, gphi)
-        grad_vT = np.einsum("i,qid->qd", vT, gphi[:, :space.Nk, :])
-        lhs = np.einsum("qid,q,qd->i", gphi, rule.weights, grad_r)
-        rhs = np.einsum("qid,q,qd->i", gphi, rule.weights, grad_vT)
-        for slot, fi in enumerate(mesh.cell_faces[ci]):
-            fb = space.face_basis(fi)
-            frule = face_quadrature((fb.start, fb.end), 2 * (k + 1))
-            nvec = mesh.outward_normal(ci, fi)
-            vF = vloc[space.Nk + slot * space.nF:space.Nk + (slot + 1) * space.nF]
-            jump = fb.evaluate(frule.points) @ vF \
-                - cb.evaluate(frule.points)[:, :space.Nk] @ vT
-            gn = cb.gradient(frule.points) @ nvec
-            rhs += gn.T @ (frule.weights * jump)
-        scale = max(np.abs(vloc).max(), 1.0)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-11 * scale)
-        mean_r = rule.weights @ (cb.evaluate(rule.points) @ r)
-        mean_v = rule.weights @ (cb.evaluate(rule.points)[:, :space.Nk] @ vT)
-        assert mean_r == pytest.approx(mean_v, abs=1e-13 * scale)
+    for mesh in operator_meshes():
+        space = HHOSpace(mesh, k)
+        for ci in range(mesh.num_cells):
+            R = space.build_potential_reconstruction(ci)
+            vloc = rng.standard_normal(R.shape[1])
+            r = R @ vloc
+            cb = space.cell_basis(ci)
+            rule = cell_quadrature(mesh.cell_vertices(ci), 2 * (k + 1))
+            gphi = cb.gradient(rule.points)
+            vT = vloc[:space.Nk]
+            grad_r = np.einsum("i,qid->qd", r, gphi)
+            grad_vT = np.einsum("i,qid->qd", vT, gphi[:, :space.Nk, :])
+            lhs = np.einsum("qid,q,qd->i", gphi, rule.weights, grad_r)
+            rhs = np.einsum("qid,q,qd->i", gphi, rule.weights, grad_vT)
+            for slot, fi in enumerate(mesh.cell_faces[ci]):
+                fb = space.face_basis(fi)
+                frule = face_quadrature((fb.start, fb.end), 2 * (k + 1))
+                nvec = mesh.outward_normal(ci, fi)
+                vF = vloc[space.Nk + slot * space.nF:space.Nk + (slot + 1) * space.nF]
+                jump = fb.evaluate(frule.points) @ vF \
+                    - cb.evaluate(frule.points)[:, :space.Nk] @ vT
+                gn = cb.gradient(frule.points) @ nvec
+                rhs += gn.T @ (frule.weights * jump)
+            scale = max(np.abs(vloc).max(), 1.0)
+            np.testing.assert_allclose(lhs, rhs, atol=1e-11 * scale)
+            mean_r = rule.weights @ (cb.evaluate(rule.points) @ r)
+            mean_v = rule.weights @ (cb.evaluate(rule.points)[:, :space.Nk] @ vT)
+            assert mean_r == pytest.approx(mean_v, abs=1e-13 * scale)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -160,27 +173,97 @@ def _point_in(mesh, ci, p):
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_stabilization_is_spsd_and_kills_interpolants(k):
     rng = np.random.default_rng(400 + k)
-    mesh = pentagon_mesh()
-    space = HHOSpace(mesh, k)
-    value, _ = random_polynomial(rng, k + 1)
-    v = space.interpolate(value)
-    for ci in range(mesh.num_cells):
-        S = space.build_stabilization(ci)
-        np.testing.assert_allclose(S, S.T, atol=1e-13 * np.abs(S).max())
-        eigs = np.linalg.eigvalsh(S)
-        assert eigs.min() >= -1e-11 * max(eigs.max(), 1.0)
-        vloc = local_block(space, ci, v)
-        energy = vloc @ S @ vloc
-        scale = max(vloc @ vloc, 1.0)
-        assert abs(energy) <= 1e-11 * scale, (ci, energy)
+    for mesh in operator_meshes():
+        space = HHOSpace(mesh, k)
+        value, _ = random_polynomial(rng, k + 1)
+        v = space.interpolate(value)
+        for ci in range(mesh.num_cells):
+            S = space.build_stabilization(ci)
+            np.testing.assert_allclose(S, S.T, atol=1e-13 * np.abs(S).max())
+            eigs = np.linalg.eigvalsh(S)
+            assert eigs.min() >= -1e-11 * max(eigs.max(), 1.0)
+            vloc = local_block(space, ci, v)
+            energy = vloc @ S @ vloc
+            scale = max(vloc @ vloc, 1.0)
+            assert abs(energy) <= 1e-11 * scale, (ci, energy)
 
 
 def test_congruent_cells_share_operator_matrices():
     # Cells 5 and 10 of the 4x4 grid are translates with the same face
-    # ownership pattern, so they must reuse one set of cached matrices.
+    # ownership pattern, so they must share one class and one row of the
+    # cached operator stacks.
     space = HHOSpace(generate_cartesian(4), 1)
-    assert space.build_gradient_reconstruction(5) is space.build_gradient_reconstruction(10)
-    assert space.build_stabilization(5) is space.build_stabilization(10)
+    G5, G10 = space.build_gradient_reconstruction(5), space.build_gradient_reconstruction(10)
+    S5, S10 = space.build_stabilization(5), space.build_stabilization(10)
+    assert space._cell_class[5] == space._cell_class[10]
+    assert np.shares_memory(G5, G10) and G5.shape == G10.shape
+    assert np.shares_memory(S5, S10) and S5.shape == S10.shape
+    np.testing.assert_array_equal(G5, G10)
+    np.testing.assert_array_equal(S5, S10)
+    # Cell 0 owns all its faces, so it has a class and a stack row of its own.
+    assert not np.shares_memory(space.build_gradient_reconstruction(0), G5)
+
+
+@pytest.mark.parametrize("generate, n", [(generate_cartesian, 96),
+                                         (generate_triangular, 100)])
+def test_congruence_key_absorbs_round_off(generate, n):
+    # A grid spacing that is not a power of two leaves round-off in the
+    # centroid-relative corners; the cells still fall into the four classes
+    # of their face-ownership patterns.
+    space = HHOSpace(generate(n), 0)
+    space._ensure_classes()
+    assert len(space._classes) == 4
+
+
+def test_a_perturbed_cell_gets_a_class_of_its_own():
+    # Moving the grid vertex (4, 4) of the 8x8 grid by 1e-6 h changes the
+    # four interior cells around it: each gets a class of its own.  A
+    # round-off-sized move changes no class.
+    ref = generate_cartesian(8)
+    around = [3 * 8 + 3, 3 * 8 + 4, 4 * 8 + 3, 4 * 8 + 4]
+
+    def classes_after(shift):
+        verts = ref.vertices.copy()
+        verts[4 * 9 + 4] += shift * ref.cell_diameters[0] * np.array([0.6, 0.8])
+        space = HHOSpace(PolytopalMesh(verts, ref.cells), 1)
+        space._ensure_classes()
+        return space, np.bincount(space._cell_class)[space._cell_class[around]]
+
+    space, sizes = classes_after(1e-6)
+    assert len(space._classes) == 4 + 4
+    assert sizes.tolist() == [1, 1, 1, 1]
+    space, sizes = classes_after(1e-12)
+    assert len(space._classes) == 4
+    assert sizes.tolist() == [7 * 7] * 4
+
+
+def test_operator_build_logs_groups_and_classes_at_debug(caplog):
+    caplog.set_level(logging.DEBUG, logger="hhonl")
+    space = HHOSpace(build_mesh("hexagonal-files", 1), 1)
+    space._ensure_classes()
+    space._ensure_classes()
+    built = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("operators of")]
+    assert len(built) == 1
+    assert built[0].startswith(
+        f"operators of 68 cells in 3 face-count groups, {len(space._classes)} "
+        "distinct classes, built in ")
+
+
+def u_shaped_mesh():
+    """Unit square split into a U-shaped cell and the square notch it holds."""
+    verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2 / 3, 1.0], [2 / 3, 0.5],
+             [1 / 3, 0.5], [1 / 3, 1.0], [0.0, 1.0]]
+    return PolytopalMesh(verts, [[0, 1, 2, 3, 4, 5, 6, 7], [5, 4, 3, 6]])
+
+
+def test_non_star_shaped_cell_fails_by_name():
+    # The mesh accepts the U; the centroid-fan quadrature cannot, and the
+    # operator build says which cell it is.
+    mesh = u_shaped_mesh()
+    with pytest.raises(OperatorBuildError, match="cell 0: cell is not star-shaped") as info:
+        newton_solve(mean_curvature_problem(), mesh, 1)
+    assert isinstance(info.value.__cause__, QuadratureError)
 
 
 def test_interpolation_matches_blockwise_projection():
@@ -273,9 +356,10 @@ def test_quadrature_batches_cover_the_domain():
     area = 0.0
     for ids, pts, weights, phi in space.quadrature_batches():
         seen.extend(ids.tolist())
-        area += len(ids) * weights.sum()
-        assert pts.shape == (len(ids), len(weights), 2)
-        assert phi.shape[0] == len(weights)
+        area += weights.sum()
+        assert weights.shape[0] == len(ids)
+        assert pts.shape == weights.shape + (2,)
+        assert phi.shape == weights.shape + (space.Nk1,)
     assert sorted(seen) == list(range(mesh.num_cells))
     assert area == pytest.approx(1.0, abs=1e-13)
 
@@ -315,12 +399,15 @@ def test_trace_constant_is_scale_invariant():
             space = HHOSpace(mesh, 2)
             worst = 0.0
             for ci in {0, mesh.num_cells - 1}:
-                cls = space._class_of(ci)
-                Minv = np.linalg.inv(cls.Mk)
-                for fd in cls.faces:
-                    TF = fd.TC1[:space.Nk, :space.Nk]
+                cb = space.cell_basis(ci, space.k)
+                Minv = np.linalg.inv(cell_mass_matrix(cb))
+                for fi in mesh.cell_faces[ci]:
+                    fb = space.face_basis(fi)
+                    rule = face_quadrature((fb.start, fb.end), 2 * space.k)
+                    trace = cb.evaluate(rule.points)
+                    TF = trace.T @ (rule.weights[:, None] * trace)
                     lam = np.linalg.eigvalsh(Minv @ TF).max()
-                    worst = max(worst, np.sqrt(lam * cls.h))
+                    worst = max(worst, np.sqrt(lam * mesh.cell_diameters[ci]))
             consts.append(worst)
         consts = np.asarray(consts)
         assert consts.max() < 100.0

@@ -307,3 +307,36 @@ def test_read_mesh_path_and_format_errors(tmp_path):
         read_mesh(odd)
     with pytest.raises(MeshFormatError, match="unknown mesh format"):
         read_mesh(odd, format="vtk")
+
+
+def test_cell_geometry_matches_polygon_helpers_per_cell():
+    # hexagonal level 1 mixes 4-, 5- and 6-gons, so each vertex-count stack
+    # of the batched geometry is checked against the one-polygon helpers.
+    mesh = build_mesh("hexagonal-files", 1)
+    assert sorted({len(c) for c in mesh.cells}) == [4, 5, 6]
+    for ci in range(mesh.num_cells):
+        v = mesh.cell_vertices(ci)
+        assert abs(mesh.cell_areas[ci] - polygon_area(v)) <= 1e-14
+        np.testing.assert_allclose(mesh.cell_centroids[ci], polygon_centroid(v),
+                                   rtol=0, atol=1e-14)
+        assert abs(mesh.cell_diameters[ci] - polygon_diameter(v)) <= 1e-14
+
+
+def test_polygon_helpers_take_stacks():
+    stack = np.stack((SQUARE, 2.0 * SQUARE[::-1] + 1.0))
+    np.testing.assert_allclose(polygon_area(stack), [1.0, -4.0])
+    np.testing.assert_allclose(polygon_centroid(stack), [[0.5, 0.5], [2.0, 2.0]])
+    np.testing.assert_allclose(polygon_diameter(stack), [np.sqrt(2.0), 2.0 * np.sqrt(2.0)])
+
+
+def test_invalid_cells_are_named_across_vertex_counts():
+    # Cells of different vertex counts are validated in separate stacks; the
+    # error still names the offending cell by its index in the input.
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+             [2.0, 0.0], [3.0, 0.0], [4.0, 0.0], [5.0, 0.0]]
+    with pytest.raises(MeshInvalidError, match="cell 2 is degenerate"):
+        PolytopalMesh(verts, [[0, 1, 2], [0, 1, 3, 2], [4, 5, 6, 7]])
+    bowtie = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 0.0], [6.0, 2.0],
+              [6.0, 0.0], [3.0, 1.0]]
+    with pytest.raises(MeshInvalidError, match="cell 1 self-intersects"):
+        PolytopalMesh(bowtie, [[0, 1, 2], [3, 4, 5, 6]])

@@ -221,3 +221,42 @@ def test_integrate_callback():
     rule = cell_quadrature(UNIT_SQUARE, 4)
     val = rule.integrate(lambda pts: pts[:, 0] ** 2 * pts[:, 1])
     assert val == pytest.approx(1.0 / 6.0, rel=1e-13)
+
+
+def test_stacked_polygons_match_one_at_a_time():
+    # One call on a stack (m, nv, 2) gives each polygon the rule a call on
+    # that polygon alone gives, for triangles and for centroid fans.
+    rng = np.random.default_rng(2410)
+    for nv in (3, 4, 6):
+        angles = (rng.uniform(0.0, 2.0 * np.pi, (5, 1))
+                  + np.linspace(0.0, 2.0 * np.pi, nv, endpoint=False)
+                  + 0.2 * rng.uniform(-1.0, 1.0, (5, nv)))
+        stack = rng.uniform(-2.0, 2.0, (5, 1, 2)) + rng.uniform(0.5, 1.0, (5, nv, 1)) \
+            * np.stack((np.cos(angles), np.sin(angles)), axis=2)
+        rule = cell_quadrature(stack, 7)
+        assert rule.points.shape[:2] == rule.weights.shape
+        for i, verts in enumerate(stack):
+            one = cell_quadrature(verts, 7)
+            np.testing.assert_allclose(rule.points[i], one.points, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(rule.weights[i], one.weights, rtol=1e-14, atol=0)
+
+
+def test_stack_error_locates_the_polygon():
+    ushape = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0],
+                       [2.0, 1.0], [1.0, 1.0], [1.0, 3.0], [0.0, 3.0]])
+    # The square with extra corners on two sides is star-shaped; the first
+    # of the two U-shapes behind it is the first failure.
+    square = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 1.0], [3.0, 2.0],
+                       [3.0, 3.0], [2.0, 3.0], [1.0, 3.0], [0.0, 3.0]])
+    stack = np.stack((square, ushape, ushape + 5.0))
+    with pytest.raises(QuadratureError, match="star-shaped") as info:
+        cell_quadrature(stack, 2)
+    assert info.value.index == 1
+    triangles = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                          [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]])
+    with pytest.raises(QuadratureError, match="degenerate") as info:
+        cell_quadrature(triangles, 1)
+    assert info.value.index == 1
+    with pytest.raises(QuadratureError) as info:
+        cell_quadrature(ushape, 2)
+    assert info.value.index is None
