@@ -18,8 +18,7 @@ from .harness import (ConvergenceRecord, StudyConfig, StudyResult,
                       run_study, shipped_mesh_files, write_csv)
 from .hho import (HHOSpace, HybridVector, LocalOperators, discrete_norm_1h,
                   discrete_norm_1ph, interpolate)
-from .mesh import (CellGeometry, FaceGeometry, MeshError, MeshFormatError,
-                   MeshInvalidError, PolytopalMesh, compute_geometry,
+from .mesh import (MeshError, MeshFormatError, MeshInvalidError, PolytopalMesh,
                    generate_cartesian, generate_triangular, mesh_regularity,
                    mesh_size, quasi_uniformity, read_mesh, write_mesh)
 from .quadrature import (QuadratureRule, UnsupportedDegreeError,
@@ -43,8 +42,7 @@ __all__ = [
     "write_csv",
     "HHOSpace", "HybridVector", "LocalOperators", "discrete_norm_1h",
     "discrete_norm_1ph", "interpolate",
-    "CellGeometry", "FaceGeometry", "MeshError", "MeshFormatError",
-    "MeshInvalidError", "PolytopalMesh", "compute_geometry",
+    "MeshError", "MeshFormatError", "MeshInvalidError", "PolytopalMesh",
     "generate_cartesian", "generate_triangular", "mesh_regularity",
     "mesh_size", "quasi_uniformity", "read_mesh", "write_mesh",
     "QuadratureRule", "UnsupportedDegreeError", "cell_quadrature",

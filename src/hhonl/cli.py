@@ -8,8 +8,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .mesh import (MeshError, compute_geometry, mesh_regularity, mesh_size,
-                   quasi_uniformity, read_mesh)
+from .mesh import MeshError, mesh_regularity, mesh_size, quasi_uniformity, read_mesh
 from .solver import SolverError, get_problem, newton_solve, problem_names
 
 
@@ -133,7 +132,6 @@ def cmd_mesh_info(args):
         print(f"error: mesh file not found: {path}", file=sys.stderr)
         raise SystemExit(2)
     mesh = read_mesh(path, format=args.format)
-    cells, faces = compute_geometry(mesh)
     print(f"file: {path}")
     print(f"vertices: {mesh.num_vertices}")
     print(f"cells: {mesh.num_cells}")
@@ -142,7 +140,7 @@ def cmd_mesh_info(args):
     print(f"mesh size h: {mesh_size(mesh):.6e}")
     print(f"quasi-uniformity h_max/h_min: {quasi_uniformity(mesh):.4f}")
     print(f"regularity min sqrt(h_F/h_T): {mesh_regularity(mesh):.4f}")
-    print(f"total area: {sum(c.area for c in cells):.12f}")
+    print(f"total area: {mesh.cell_areas.sum():.12f}")
     print(f"orientation repairs: {mesh.orientation_repairs}")
     return 0
 

@@ -215,8 +215,8 @@ def _step(floats_per_row):
     return max(1, _CHUNK_BYTES // (8 * floats_per_row))
 
 
-def _solve(A, B, cells, what):
-    """Stacked ``np.linalg.solve``; a singular system names the cell it belongs to."""
+def _solve(A, B, cells, what, error=OperatorBuildError):
+    """Stacked ``np.linalg.solve``; a singular system raises ``error`` naming its cell."""
     try:
         return np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
@@ -224,7 +224,7 @@ def _solve(A, B, cells, what):
             try:
                 np.linalg.solve(A[i], B[i])
             except np.linalg.LinAlgError as exc:
-                raise OperatorBuildError(f"cell {cells[i]}: singular {what}") from exc
+                raise error(f"cell {cells[i]}: singular {what}") from exc
         raise
 
 
@@ -276,6 +276,7 @@ class HHOSpace:
         self._cell_class = None   # class of each cell
         self._groups = None       # one _Group per face count
         self._free_dofs = None
+        self._face_rows = None
 
     # -- bases --------------------------------------------------------------
 
@@ -594,6 +595,21 @@ class HHOSpace:
             self._free_dofs = np.concatenate(
                 (np.arange(self.num_cell_dofs), fdofs))
         return self._free_dofs
+
+    def face_rows(self):
+        """Row of each global dof in the condensed face system, -1 off that system.
+
+        Cell dofs and boundary face dofs map to -1.  Interior faces follow
+        the mesh's nested-dissection order (``interior_face_order``), each
+        face's k+1 dofs in consecutive rows.
+        """
+        if self._face_rows is None:
+            faces = self.mesh.interior_faces[self.mesh.interior_face_order]
+            fdofs = self.num_cell_dofs + faces[:, None] * self.nF + np.arange(self.nF)
+            rows = np.full(self.num_dofs, -1, dtype=np.int64)
+            rows[fdofs.ravel()] = np.arange(fdofs.size)
+            self._face_rows = rows
+        return self._face_rows
 
     def vector_from_flat(self, x):
         """Rebuild a HybridVector from the flat global layout."""

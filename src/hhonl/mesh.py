@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +20,6 @@ __all__ = [
     "MeshError",
     "MeshFormatError",
     "MeshInvalidError",
-    "CellGeometry",
-    "FaceGeometry",
     "PolytopalMesh",
     "polygon_area",
     "polygon_centroid",
@@ -31,7 +28,6 @@ __all__ = [
     "generate_triangular",
     "read_mesh",
     "write_mesh",
-    "compute_geometry",
     "mesh_size",
     "quasi_uniformity",
     "mesh_regularity",
@@ -117,24 +113,6 @@ def _edges_cross(v):
             if _segments_intersect(*edges[i], *edges[j]):
                 return True
     return False
-
-
-@dataclass(frozen=True)
-class CellGeometry:
-    """Derived per-cell quantities: area centroid, area, diameter h_T."""
-
-    centroid: np.ndarray
-    area: float
-    diameter: float
-
-
-@dataclass(frozen=True)
-class FaceGeometry:
-    """Derived per-face quantities, with one outward unit normal per incident cell."""
-
-    midpoint: np.ndarray
-    length: float
-    normals: dict
 
 
 class PolytopalMesh:
@@ -424,26 +402,6 @@ def _nested_dissection(points, graph):
         return np.concatenate((order(left), order(right), separator))
 
     return order(np.arange(len(points)))
-
-
-def compute_geometry(mesh):
-    """Per-cell and per-face geometry of ``mesh``.
-
-    Returns
-    -------
-    (list of CellGeometry, list of FaceGeometry)
-    """
-    cells = [CellGeometry(mesh.cell_centroids[i].copy(), float(mesh.cell_areas[i]),
-                          float(mesh.cell_diameters[i]))
-             for i in range(mesh.num_cells)]
-    faces = []
-    for fi in range(mesh.num_faces):
-        normals = {int(mesh.face_owner[fi]): mesh.face_normals[fi].copy()}
-        if mesh.face_neighbor[fi] != -1:
-            normals[int(mesh.face_neighbor[fi])] = -mesh.face_normals[fi]
-        faces.append(FaceGeometry(mesh.face_midpoints[fi].copy(),
-                                  float(mesh.face_lengths[fi]), normals))
-    return cells, faces
 
 
 def mesh_size(mesh):

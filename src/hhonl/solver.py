@@ -1,30 +1,36 @@
 """Nonlinear problem plumbing: assembly, static condensation, Newton iteration.
 
 The discrete nonlinear form and its fully discrete linearization are
-assembled cell by cell, in vectorized chunks of cells with one face count
-whose local operators are gathered from the space's operator stacks.  Global solves eliminate the cell blocks per cell (static
-condensation) and factor the remaining interior-face system directly.
+evaluated as stacks of local residuals and Jacobians, in vectorized
+chunks of cells with one face count whose local operators are gathered
+from the space's operator stacks.  No global matrix holds cell unknowns.
 
-The face system is permuted into the mesh's nested-dissection order of
-the interior faces (``PolytopalMesh.interior_face_order``, built once
-per mesh), each face's ``k+1`` dofs kept together, and factored by
-SuperLU without a column reordering of its own (``NATURAL``) in
+The cell unknowns couple only within their own cell, so a solve
+eliminates them cell by cell (static condensation): one stacked dense
+solve per chunk gives the local Schur complements on the cell's faces,
+scattered straight into the interior-face system in the mesh's
+nested-dissection order (``PolytopalMesh.interior_face_order``, built
+once per mesh), each face's ``k+1`` dofs together.  SuperLU factors that
+system without a column reordering of its own (``NATURAL``) in
 symmetric mode: the diagonal pivot is kept unless it is below 0.1 times
 the largest entry of its column.  Full partial pivoting would swap rows
 freely and destroy the ordering's fill savings; the threshold still
-pivots a nonsymmetric Jacobian where it must.
+pivots a nonsymmetric Jacobian where it must.  Each cell's unknowns are
+then recovered from its own stored block.  ``residual`` and ``jacobian``
+scatter the same local stacks into the full layout for verification.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .hho import HHOSpace, HybridVector
+from .hho import HHOSpace, HybridVector, _solve
 
 __all__ = [
     "SolverError",
@@ -246,27 +252,28 @@ def _call(problem, attr, x, y, z, cells):
     return out
 
 
-def _assemble(space, problem, w, need_jacobian, fields=None, restrict=False):
-    """Residual (and optionally Jacobian) of the discrete nonlinear form at ``w``.
+class _Local(NamedTuple):
+    """Local residuals and Jacobians of one chunk of cells with one face count."""
+
+    ids: np.ndarray    # (m,) cell ids
+    gidx: np.ndarray   # (m, nloc) global dofs of each local block, cell dofs first
+    r: np.ndarray      # (m, nloc)
+    J: np.ndarray      # (m, nloc, nloc), None when no Jacobian was asked for
+
+
+def _assemble(space, problem, w, need_jacobian, fields=None):
+    """Local residual (and optionally Jacobian) stacks of the discrete form at ``w``.
 
     With ``fields=(u, grad_u)`` the Jacobian coefficients are evaluated at the
     given fields instead of the discrete iterate (semi-discrete linearization).
-    With ``restrict`` the output lives on the free dofs (cells plus interior
-    faces) in condensation-ready layout.  Cells are processed in chunks of
-    one face count, each gathering its cells' operators from the space.
+    Cells are processed in chunks of one face count, each gathering its
+    cells' operators from the space; returns one :class:`_Local` per chunk.
     """
     Nk = space.Nk
-    if restrict:
-        fmap = _free_map(space)
-        ndofs = len(space.free_dofs())
-    else:
-        ndofs = space.num_dofs
-    res = np.zeros(ndofs)
-    rows_all, cols_all, data_all = [], [], []
-
+    out = []
     for g, sl in space._chunks():
         ids, op = g.cells[sl], g.op[sl]
-        m, nloc = len(ids), g.gidx.shape[1]
+        m = len(ids)
         G = g.G[op]                                   # (m, 2 Nk, nloc)
         phi = g.phi[op, :, :Nk]                       # (m, nq, Nk)
         phiT = np.swapaxes(phi, 1, 2)
@@ -292,15 +299,8 @@ def _assemble(space, problem, w, need_jacobian, fields=None, restrict=False):
                  + g.S[op] @ loc[..., None])[..., 0]
         r_loc[:, :Nk] += mom[:, :, 2]
 
-        gidx = g.gidx[sl]
-        if restrict:
-            gidx = fmap[gidx]
-            keep = gidx >= 0
-            res += np.bincount(gidx[keep], weights=r_loc[keep], minlength=ndofs)
-        else:
-            res += np.bincount(gidx.ravel(), weights=r_loc.ravel(), minlength=ndofs)
-
         if not need_jacobian:
+            out.append(_Local(ids, g.gidx[sl], r_loc, None))
             continue
 
         def mass(weights):
@@ -327,39 +327,49 @@ def _assemble(space, problem, w, need_jacobian, fields=None, restrict=False):
         fy = _call(problem, "f_y", flat, y_c, z_c, ids)
         if np.any(fy):
             J_loc[:, :Nk, :Nk] += mass(fy.reshape(m, -1) * wq)
-
-        rows = np.repeat(gidx, nloc, axis=1).ravel()
-        cols = np.tile(gidx, (1, nloc)).ravel()
-        data = J_loc.reshape(-1)
-        if restrict:
-            keep = (rows >= 0) & (cols >= 0)
-            rows, cols, data = rows[keep], cols[keep], data[keep]
-        rows_all.append(rows.astype(np.int32, copy=False))
-        cols_all.append(cols.astype(np.int32, copy=False))
-        data_all.append(data)
-
-    if not need_jacobian:
-        return res, None
-    J = sparse.coo_matrix(
-        (np.concatenate(data_all),
-         (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(ndofs, ndofs)).tocsr()
-    return res, J
+        out.append(_Local(ids, g.gidx[sl], r_loc, J_loc))
+    return out
 
 
-def _free_map(space):
-    if getattr(space, "_free_map_cache", None) is None:
-        fmap = np.full(space.num_dofs, -1, dtype=np.int64)
-        free = space.free_dofs()
-        fmap[free] = np.arange(len(free))
-        space._free_map_cache = fmap
-    return space._free_map_cache
+def _scatter_vector(blocks, n):
+    """Sum of local vectors ``(index (m, b), values (m, b))`` in a length-``n`` vector.
+
+    An index of -1 drops its entry.
+    """
+    out = np.zeros(n)
+    for idx, v in blocks:
+        keep = idx >= 0
+        out += np.bincount(idx[keep], weights=v[keep], minlength=n)
+    return out
+
+
+def _scatter_matrix(blocks, n):
+    """Sum of local matrices ``(index (m, b), values (m, b, b))`` as an (n, n) COO matrix.
+
+    An index of -1 drops its row and column.
+    """
+    rows_all, cols_all, data_all = [], [], []
+    for idx, A in blocks:
+        b = idx.shape[1]
+        rows = np.repeat(idx, b, axis=1).ravel()
+        cols = np.tile(idx, (1, b)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        rows_all.append(rows[keep].astype(np.int32))
+        cols_all.append(cols[keep].astype(np.int32))
+        data_all.append(A.reshape(-1)[keep])
+    return sparse.coo_matrix(
+        (np.concatenate(data_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
+        shape=(n, n))
+
+
+def _residual(space, local):
+    """Full-layout residual vector from the stacks of :func:`_assemble`."""
+    return _scatter_vector(((c.gidx, c.r) for c in local), space.num_dofs)
 
 
 def residual(problem, w):
     """Vector of the discrete nonlinear form at ``w`` against every test dof."""
-    res, _ = _assemble(w.space, problem, w, need_jacobian=False)
-    return res
+    return _residual(w.space, _assemble(w.space, problem, w, need_jacobian=False))
 
 
 def jacobian(problem, w, fields=None):
@@ -367,80 +377,68 @@ def jacobian(problem, w, fields=None):
 
     ``fields=(u, grad_u)`` freezes the linearization coefficients at the
     given fields instead of ``w`` (the semi-discrete variant used in
-    verification studies); the solve path never sets it.
+    verification studies).  The solve path never builds this matrix: it
+    condenses the local Jacobians cell by cell (:func:`static_condense`).
     """
-    _, J = _assemble(w.space, problem, w, need_jacobian=True, fields=fields)
-    return J
+    local = _assemble(w.space, problem, w, need_jacobian=True, fields=fields)
+    return _scatter_matrix(((c.gidx, c.J) for c in local), w.space.num_dofs).tocsr()
 
 
 # -- linear algebra ----------------------------------------------------------
 
 
-def static_condense(J, r, num_cells, block_size):
-    """Eliminate the leading per-cell blocks of the system ``J x = r``.
+def static_condense(space, local):
+    """Eliminate each cell's unknowns from its own block of ``J x = r``.
 
-    ``J`` must carry the cell dofs first, coupled only within each cell.
-    Returns the Schur system ``(S, g)`` on the remaining dofs plus a
-    ``recover`` callback mapping a face solution to the cell dof values.
+    ``local`` holds the stacks of :func:`_assemble`, whose residuals act as
+    the right-hand side.  Per chunk one stacked solve gives
+    ``X = J_TT^{-1} [J_TF | r_T]``; the local Schur complements
+    ``J_FF - J_FT X_F`` and reduced right-hand sides ``r_F - J_FT X_r`` are
+    scattered straight into the interior-face system, whose rows follow
+    :meth:`HHOSpace.face_rows`; boundary face dofs are dropped, their values
+    being zero.  Returns ``(S, g, recover)``: the face system (CSC), its
+    right-hand side, and a callback mapping a face solution to the
+    full-layout solution ``x``, zero on boundary faces.
     """
-    ncd = num_cells * block_size
-    J = sparse.csr_matrix(J)
-    A = J[:ncd, :ncd].tobsr(blocksize=(block_size, block_size))
-    A.sort_indices()
-    if not (np.array_equal(A.indptr, np.arange(num_cells + 1))
-            and np.array_equal(A.indices, np.arange(num_cells))):
-        raise CondensationError("cell-cell coupling is not block diagonal")
-    try:
-        inv = np.linalg.inv(A.data)
-    except np.linalg.LinAlgError:
-        for ci in range(num_cells):
-            try:
-                np.linalg.inv(A.data[ci])
-            except np.linalg.LinAlgError:
-                raise CondensationError(f"cell {ci}: singular cell block") from None
-        raise
-    Ainv = sparse.bsr_matrix((inv, A.indices, A.indptr), shape=(ncd, ncd)).tocsr()
-    B = J[:ncd, ncd:].tocsr()
-    C = J[ncd:, :ncd].tocsr()
-    D = J[ncd:, ncd:].tocsr()
-    AinvB = Ainv @ B
-    S = (D - C @ AinvB).tocsc()
-    rc, rf = r[:ncd], r[ncd:]
-    Ainv_rc = Ainv @ rc
-    g = rf - C @ Ainv_rc
+    Nk = space.Nk
+    rows = space.face_rows()
+    n = len(space.mesh.interior_faces) * space.nF
+    kept, blocks = [], []
+    for c in local:
+        J_FT = c.J[:, Nk:, :Nk]
+        rhs = np.concatenate((c.J[:, :Nk, Nk:], c.r[:, :Nk, None]), axis=2)
+        X = _solve(c.J[:, :Nk, :Nk], rhs, c.ids, "cell block", CondensationError)
+        blocks.append((rows[c.gidx[:, Nk:]], c.J[:, Nk:, Nk:] - J_FT @ X[..., :-1],
+                       c.r[:, Nk:] - (J_FT @ X[..., -1:])[..., 0]))
+        kept.append((c.gidx, X))
+    S = _scatter_matrix(((f, A) for f, A, _ in blocks), n).tocsc()
+    g = _scatter_vector(((f, b) for f, _, b in blocks), n)
 
     def recover(uf):
-        return Ainv_rc - AinvB @ uf
+        x = np.zeros(space.num_dofs)
+        face = rows >= 0
+        x[face] = uf[rows[face]]
+        for gidx, X in kept:
+            x[gidx[:, :Nk]] = X[..., -1] - (X[..., :-1] @ x[gidx[:, Nk:], None])[..., 0]
+        return x
 
     return S, g, recover
 
 
-def _face_dof_order(space):
-    """Face-system dofs in the mesh's interior-face order, each face's dofs together."""
-    order = space.mesh.interior_face_order
-    return (order[:, None] * space.nF + np.arange(space.nF)).ravel()
+def _increment(space, local):
+    """The ``d`` with ``J d = -r`` on the free dofs, from the stacks of :func:`_assemble`.
 
-
-def _solve_restricted(space, J, rhs):
-    """Solve the free-dof system by condensation plus a sparse direct factor.
-
-    The face system is factored in the mesh's nested-dissection order,
-    each face's dofs kept together, with symmetric-mode threshold pivoting.
+    The condensed face system, already in the mesh's nested-dissection
+    order, is factored with symmetric-mode threshold pivoting.
     """
-    S, g, recover = static_condense(J, rhs, space.mesh.num_cells, space.Nk)
+    S, g, recover = static_condense(space, local)
     log.debug("face system: %d rows, %d nonzeros", S.shape[0], S.nnz)
-    p = _face_dof_order(space)
     try:
-        lu = splu(S[p][:, p], permc_spec="NATURAL", diag_pivot_thresh=0.1,
+        lu = splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.1,
                   options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"condensed face system is singular: {exc}") from exc
-    uf = np.empty_like(g)
-    uf[p] = lu.solve(g[p])
-    uc = recover(uf)
-    x = np.zeros(space.num_dofs)
-    x[space.free_dofs()] = np.concatenate((uc, uf))
-    return space.vector_from_flat(x)
+    return space.vector_from_flat(-recover(lu.solve(g)))
 
 
 def solve_linear_hho(space, source, diffusion=None):
@@ -463,9 +461,7 @@ def solve_linear_hho(space, source, diffusion=None):
         f=lambda x, y, z: -np.asarray(source(x), dtype=float),
         f_z=lambda x, y, z: np.zeros((len(x), 2)),
         f_y=lambda x, y, z: np.zeros(len(x)))
-    zero = HybridVector(space)
-    r, J = _assemble(space, lin, zero, need_jacobian=True, restrict=True)
-    return _solve_restricted(space, J, -r)
+    return _increment(space, _assemble(space, lin, HybridVector(space), need_jacobian=True))
 
 
 def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, quad_degree=None,
@@ -499,16 +495,16 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, quad_degree=None,
     else:
         u = initial_guess.with_zero_boundary()
 
+    free = space.free_dofs()
     increments = []
     for it in range(1, max_iter + 1):
-        r, J = _assemble(space, problem, u, need_jacobian=True, restrict=True)
-        delta = _solve_restricted(space, J, -r)
+        local = _assemble(space, problem, u, need_jacobian=True)
+        delta = _increment(space, local)
         if line_search:
-            rnorm = np.linalg.norm(r)
+            rnorm = np.linalg.norm(_residual(space, local)[free])
             alpha = 1.0
             while alpha > 1.0 / 256.0:
-                trial, _ = _assemble(space, problem, u + alpha * delta,
-                                     need_jacobian=False, restrict=True)
+                trial = residual(problem, u + alpha * delta)[free]
                 if np.linalg.norm(trial) <= (1.0 - 0.25 * alpha) * rnorm:
                     break
                 alpha *= 0.5

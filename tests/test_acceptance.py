@@ -487,8 +487,9 @@ def test_condensed_solve_of_a_nonsymmetric_jacobian():
     jac = jacobian(problem, state)[np.ix_(free, free)].tocsr()
     rhs = residual(problem, state)[free]
     asym = abs(jac - jac.T).max() / abs(jac).max()
-    condensed = solver_mod._solve_restricted(space, jac, rhs).to_flat()[free]
-    direct = spsolve(jac.tocsc(), rhs)
+    local = solver_mod._assemble(space, problem, state, need_jacobian=True)
+    condensed = solver_mod._increment(space, local).to_flat()[free]
+    direct = spsolve(jac.tocsc(), -rhs)
     rel = np.abs(condensed - direct).max() / np.abs(direct).max()
     _verdict("condensed and direct solves agree on a nonsymmetric Jacobian",
              [(asym > 1e-6, f"relative asymmetry {asym:.2e} > 1e-6"),

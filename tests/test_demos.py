@@ -1,0 +1,17 @@
+"""Every script under demos/ runs to completion against the current library."""
+
+import runpy
+import tempfile
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(path, tmp_path, monkeypatch, capsys):
+    # Demos that write artifacts put them in a temporary directory.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

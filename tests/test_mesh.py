@@ -9,7 +9,6 @@ from hhonl.mesh import (
     MeshFormatError,
     MeshInvalidError,
     PolytopalMesh,
-    compute_geometry,
     generate_cartesian,
     generate_triangular,
     mesh_regularity,
@@ -177,23 +176,6 @@ def test_quality_metrics_on_uniform_meshes():
     tri = generate_triangular(4)
     assert quasi_uniformity(tri) == pytest.approx(1.0)
     assert mesh_regularity(tri) == pytest.approx(2.0 ** -0.25, rel=1e-12)
-
-
-def test_compute_geometry_matches_mesh_arrays():
-    mesh = generate_triangular(2)
-    cells, faces = compute_geometry(mesh)
-    assert len(cells) == mesh.num_cells
-    assert len(faces) == mesh.num_faces
-    for ci, cg in enumerate(cells):
-        np.testing.assert_allclose(cg.centroid, mesh.cell_centroids[ci])
-        assert cg.area == pytest.approx(mesh.cell_areas[ci])
-        assert cg.diameter == pytest.approx(mesh.cell_diameters[ci])
-    for fi, fg in enumerate(faces):
-        owner = int(mesh.face_owner[fi])
-        np.testing.assert_allclose(fg.normals[owner], mesh.face_normals[fi])
-        if mesh.face_neighbor[fi] != -1:
-            np.testing.assert_allclose(
-                fg.normals[int(mesh.face_neighbor[fi])], -mesh.face_normals[fi])
 
 
 ORDERED_MESHES = {

@@ -4,7 +4,6 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu, spsolve
 
 import hhonl.mesh as mesh_mod
@@ -245,29 +244,24 @@ def test_condensed_and_direct_solves_agree():
     free = space.free_dofs()
     J = jacobian(problem, w)[np.ix_(free, free)].tocsr()
     r = residual(problem, w)[free]
-    S, g, recover = static_condense(J, r, mesh.num_cells, space.Nk)
-    uf = spsolve(S, g)
-    x_schur = np.concatenate((recover(uf), uf))
+    S, g, recover = static_condense(
+        space, solver_mod._assemble(space, problem, w, need_jacobian=True))
+    x_schur = recover(spsolve(S, g))[free]
     x_direct = spsolve(J.tocsc(), r)
     scale = np.abs(x_direct).max()
     assert np.abs(x_schur - x_direct).max() <= 1e-10 * scale
 
 
-def test_static_condense_rejects_coupled_cell_blocks():
-    J = csr_matrix(np.array([[1.0, 0.5, 0.0],
-                             [0.5, 1.0, 0.0],
-                             [0.0, 0.0, 1.0]]))
-    with pytest.raises(CondensationError, match="block diagonal"):
-        static_condense(J, np.ones(3), num_cells=2, block_size=1)
-
-
 def test_static_condense_rejects_singular_cell_block():
-    J = csr_matrix(np.array([[1.0, 1.0, 0.0, 0.0],
-                             [1.0, 1.0, 0.0, 0.0],
-                             [0.0, 0.0, 1.0, 0.0],
-                             [0.0, 0.0, 0.0, 1.0]]))
-    with pytest.raises(CondensationError, match="cell 0"):
-        static_condense(J, np.ones(4), num_cells=1, block_size=2)
+    problem = mean_curvature_problem()
+    space = HHOSpace(generate_cartesian(4), 1)
+    w = space.interpolate(problem.exact_solution, zero_boundary=True)
+    local = solver_mod._assemble(space, problem, w, need_jacobian=True)
+    chunk = local[-1]
+    chunk.J[len(chunk.ids) // 2, :space.Nk, :space.Nk] = 0.0
+    cell = chunk.ids[len(chunk.ids) // 2]
+    with pytest.raises(CondensationError, match=rf"^cell {cell}: singular cell block$"):
+        static_condense(space, local)
 
 
 def test_callback_failures_carry_cell_context():
@@ -317,16 +311,19 @@ def test_check_rejects_non_finite_flux_derivative():
         problem.check()
 
 
-def test_face_dof_order_is_a_permutation_in_face_blocks():
+def test_face_rows_put_each_interior_face_in_one_block():
     mesh = generate_cartesian(12)
     for k in range(4):
         space = HHOSpace(mesh, k)
-        p = solver_mod._face_dof_order(space)
-        assert np.array_equal(np.sort(p), np.arange(len(mesh.interior_faces) * space.nF))
-        blocks = p.reshape(-1, space.nF)
-        assert np.array_equal(blocks - blocks[:, :1], np.broadcast_to(
-            np.arange(space.nF), blocks.shape))
-        assert np.array_equal(blocks[:, 0] // space.nF, mesh.interior_face_order)
+        rows = space.face_rows()
+        assert space.face_rows() is rows
+        assert np.all(rows[:space.num_cell_dofs] == -1)
+        per_face = rows[space.num_cell_dofs:].reshape(mesh.num_faces, space.nF)
+        assert np.all(per_face[mesh.boundary_faces] == -1)
+        # The face at position j of the nested-dissection order owns rows
+        # j (k+1) ... j (k+1) + k.
+        ordered = per_face[mesh.interior_faces[mesh.interior_face_order]]
+        assert np.array_equal(ordered, np.arange(ordered.size).reshape(-1, space.nF))
 
 
 def test_face_order_is_built_once_per_newton_solve(monkeypatch):
@@ -379,8 +376,7 @@ def test_nested_dissection_factor_fill_is_under_half_of_colamd(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "static_condense", capture_condense)
     monkeypatch.setattr(solver_mod, "splu", capture_factor)
-    r, J = solver_mod._assemble(space, problem, w, need_jacobian=True, restrict=True)
-    solver_mod._solve_restricted(space, J, -r)
+    solver_mod._increment(space, solver_mod._assemble(space, problem, w, need_jacobian=True))
     nested = seen["lu"].L.nnz + seen["lu"].U.nnz
     colamd = splu(seen["S"])
     assert nested < 0.5 * (colamd.L.nnz + colamd.U.nnz)
@@ -399,3 +395,22 @@ def test_solve_logs_face_system_and_ordering_at_debug(caplog):
     nnz = mesh._interior_face_graph().nnz * 4
     assert systems[0] == f"face system: {264 * 2} rows, {nnz} nonzeros"
     assert len([m for m in messages if m.startswith("nested-dissection order")]) == 1
+
+
+def test_solve_builds_no_sparse_matrix_but_the_face_system(monkeypatch):
+    # The cell unknowns are eliminated from each cell's own block, so the
+    # only sparse matrices of a solve are the condensed face systems.
+    shapes = []
+    coo = solver_mod.sparse.coo_matrix
+
+    def recording_coo(*args, **kwargs):
+        A = coo(*args, **kwargs)
+        shapes.append(A.shape)
+        return A
+
+    monkeypatch.setattr(solver_mod.sparse, "coo_matrix", recording_coo)
+    mesh = generate_cartesian(8)
+    _, report = newton_solve(mean_curvature_problem(), mesh, 2)
+    face_dofs = len(mesh.interior_faces) * 3
+    assert len(shapes) == report.iterations + 1  # bootstrap plus each step
+    assert set(shapes) == {(face_dofs, face_dofs)}
