@@ -39,8 +39,8 @@ for ids, pts, w, phi in space.quadrature_batches():
     flat = pts.reshape(-1, 2)
     pv = p(flat).reshape(w.shape)
     pg = grad_p(flat).reshape(w.shape + (2,))
-    rv = np.einsum("mqn,mn->mq", phi, pot.coefficients[ids])
-    gv = np.einsum("mqn,mcn->mqc", phi[..., :space.Nk], grd.coefficients[ids])
+    rv = np.einsum("mqn,mn->mq", phi, pot[ids])
+    gv = np.einsum("mqn,mcn->mqc", phi[..., :space.Nk], grd[ids])
     worst_pot = max(worst_pot, np.abs(rv - pv).max())
     worst_grd = max(worst_grd, np.abs(gv - pg).max())
 
@@ -68,8 +68,7 @@ for n in (4, 8, 16, 32):
     err2 = 0.0
     for ids, pts, w, phi in space.quadrature_batches():
         gv = g_fn(pts.reshape(-1, 2)).reshape(w.shape + (2,))
-        gg = np.einsum("mqn,mcn->mqc", phi[..., :space.Nk],
-                       grd.coefficients[ids])
+        gg = np.einsum("mqn,mcn->mqc", phi[..., :space.Nk], grd[ids])
         err2 += float(np.einsum("mq,mqc->", w, (gv - gg) ** 2))
     err = np.sqrt(err2)
     rate = "" if previous is None else f"   rate {np.log2(previous / err):.3f}"

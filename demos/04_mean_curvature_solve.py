@@ -43,6 +43,6 @@ print(f"warm restart from the solution: {report2.iterations} iteration(s), "
 center = np.array([[0.5, 0.5]])
 ci = int(np.argmin(np.linalg.norm(space.mesh.cell_centroids - center, axis=1)))
 pot = space.reconstruct_potential_global(solution)
-value = pot.evaluate(ci, center)[0]
+value = (space.cell_basis(ci).evaluate(center) @ pot[ci])[0]
 print(f"\nu_h at the domain center   {value:.8f}")
 print(f"exact u at the center      {problem.exact_solution(center)[0]:.8f}")

@@ -12,22 +12,24 @@ from pathlib import Path
 
 from hhonl.harness import StudyConfig, format_table, read_csv, run_study
 
-out = Path(tempfile.mkdtemp(prefix="hho-study-"))
-config = StudyConfig(family="cartesian", levels=[4, 8, 16, 32],
-                     degrees=[1, 2], out_dir=out)
-result = run_study(config)
+with tempfile.TemporaryDirectory(prefix="hho-study-") as tmp:
+    out = Path(tmp)
+    config = StudyConfig(family="cartesian", levels=[4, 8, 16, 32],
+                         degrees=[1, 2], out_dir=out)
+    result = run_study(config)
 
-print(format_table(result.records))
-print(f"\nelapsed: {result.elapsed:.1f}s")
+    print(format_table(result.records))
+    print(f"\nelapsed: {result.elapsed:.1f}s")
 
-# Everything the table shows is persisted for post-processing.
-print(f"\nartifacts in {out}:")
-for path in sorted(out.iterdir()):
-    print(f"  {path.name}")
+    # Everything the table shows is persisted for post-processing.
+    print(f"\nartifacts in {out}:")
+    for path in sorted(out.iterdir()):
+        print(f"  {path.name}")
 
-# The CSV round-trips through the reader, so downstream scripts can
-# reload a finished study without rerunning it.
-records = read_csv(result.csv_path)
+    # The CSV round-trips through the reader, so downstream scripts can
+    # reload a finished study without rerunning it.
+    records = read_csv(result.csv_path)
+
 finest = [r for r in records if r.k == 2][-1]
 print(f"\nfinest k=2 record from CSV: h = {finest.h:.4e}, "
       f"error = {finest.error:.4e}, rate = {finest.rate:.3f}")

@@ -16,8 +16,7 @@ from .basis import (BasisDegenerateError, BasisError, CellBasis, FaceBasis,
 from .harness import (ConvergenceRecord, StudyConfig, StudyResult,
                       convergence_rate, data_directory, gradient_error,
                       run_study, shipped_mesh_files, write_csv)
-from .hho import (HHOSpace, HybridVector, LocalOperators, discrete_norm_1h,
-                  discrete_norm_1ph, interpolate)
+from .hho import HHOSpace, HybridVector
 from .mesh import (MeshError, MeshFormatError, MeshInvalidError, PolytopalMesh,
                    generate_cartesian, generate_triangular, mesh_regularity,
                    mesh_size, quasi_uniformity, read_mesh, write_mesh)
@@ -40,8 +39,7 @@ __all__ = [
     "ConvergenceRecord", "StudyConfig", "StudyResult", "convergence_rate",
     "data_directory", "gradient_error", "run_study", "shipped_mesh_files",
     "write_csv",
-    "HHOSpace", "HybridVector", "LocalOperators", "discrete_norm_1h",
-    "discrete_norm_1ph", "interpolate",
+    "HHOSpace", "HybridVector",
     "MeshError", "MeshFormatError", "MeshInvalidError", "PolytopalMesh",
     "generate_cartesian", "generate_triangular", "mesh_regularity",
     "mesh_size", "quasi_uniformity", "read_mesh", "write_mesh",

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .mesh import polygon_centroid, polygon_diameter
 from .quadrature import cell_quadrature, face_quadrature
@@ -88,14 +87,9 @@ class CellBasis:
     degree : int
     center, diameter : optional
         Scaling data; default to the area centroid and the cell diameter.
-    orthonormalize : bool
-        Apply a Gram-Schmidt (Cholesky) transform so the functions are
-        L^2(T)-orthonormal.  Off by default; monomial conditioning is fine
-        for the degrees used here.
     """
 
-    def __init__(self, vertices, degree, center=None, diameter=None,
-                 cell_index=None, orthonormalize=False):
+    def __init__(self, vertices, degree, center=None, diameter=None, cell_index=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.degree = int(degree)
         self.center = (polygon_centroid(self.vertices) if center is None
@@ -105,34 +99,17 @@ class CellBasis:
         self.cell_index = cell_index
         self.exponents = graded_lex_exponents(self.degree)
         self.dimension = len(self.exponents)
-        self._transform = None
-        if orthonormalize:
-            mono = cell_mass_matrix(self, degree=2 * self.degree)
-            try:
-                chol = np.linalg.cholesky(mono)
-            except np.linalg.LinAlgError as exc:
-                raise BasisDegenerateError(
-                    f"monomial mass matrix of cell {cell_index} is not positive definite"
-                ) from exc
-            self._transform = solve_triangular(
-                chol, np.eye(self.dimension), lower=True).T
 
     def evaluate(self, points):
         """Basis values, shape (npoints, dimension)."""
         p = np.asarray(points, dtype=float).reshape(-1, 2)
-        vals = scaled_monomials((p - self.center) / self.diameter, self.degree)
-        if self._transform is not None:
-            vals = vals @ self._transform
-        return vals
+        return scaled_monomials((p - self.center) / self.diameter, self.degree)
 
     def gradient(self, points):
         """Basis gradients, shape (npoints, dimension, 2)."""
         p = np.asarray(points, dtype=float).reshape(-1, 2)
-        grads = scaled_monomials((p - self.center) / self.diameter, self.degree,
-                                 gradient=True) / self.diameter
-        if self._transform is not None:
-            grads = np.einsum("qid,ij->qjd", grads, self._transform)
-        return grads
+        return scaled_monomials((p - self.center) / self.diameter, self.degree,
+                                gradient=True) / self.diameter
 
 
 class FaceBasis:

@@ -159,7 +159,7 @@ def report_h(family, level, mesh):
 def gradient_error(u_h, exact_gradient):
     """Relative gradient error |grad u - G_h u_h| / |grad u| in broken L^2."""
     space = u_h.space
-    coeffs = space.reconstruct_gradient_global(u_h).coefficients
+    coeffs = space.reconstruct_gradient_global(u_h)
     num = 0.0
     den = 0.0
     for ids, pts, weights, phi in space.quadrature_batches():

@@ -29,14 +29,8 @@ from .quadrature import QuadratureError, cell_quadrature, face_quadrature, trian
 __all__ = [
     "HHOError",
     "OperatorBuildError",
-    "LocalOperators",
     "HybridVector",
     "HHOSpace",
-    "PiecewisePolynomial",
-    "PiecewiseVectorPolynomial",
-    "interpolate",
-    "discrete_norm_1h",
-    "discrete_norm_1ph",
 ]
 
 log = logging.getLogger(__name__)
@@ -59,20 +53,6 @@ class OperatorBuildError(HHOError):
 
     Its quadrature rule failed, or one of its local systems is singular.
     """
-
-
-@dataclass(frozen=True)
-class LocalOperators:
-    """Per-cell operator matrices acting on the local block (v_T, v_F1, ...).
-
-    ``G`` stacks the x and y coefficient maps of the gradient reconstruction,
-    ``R`` maps into the degree-(k+1) cell basis, and ``S`` is the symmetric
-    positive semidefinite stabilization bilinear form.
-    """
-
-    G: np.ndarray
-    R: np.ndarray
-    S: np.ndarray
 
 
 @dataclass
@@ -115,10 +95,6 @@ class HybridVector:
         if self.face_blocks.shape != (space.mesh.num_faces, space.k + 1):
             raise ValueError("face block array has the wrong shape")
 
-    @property
-    def k(self):
-        return self.space.k
-
     def copy(self):
         return HybridVector(self.space, self.cell_blocks.copy(), self.face_blocks.copy())
 
@@ -148,34 +124,6 @@ class HybridVector:
         return HybridVector(self.space, self.cell_blocks * scalar, self.face_blocks * scalar)
 
     __rmul__ = __mul__
-
-
-class PiecewisePolynomial:
-    """Cellwise scalar polynomial field (coefficients per cell)."""
-
-    def __init__(self, space, degree, coefficients):
-        self.space = space
-        self.degree = degree
-        self.coefficients = coefficients
-
-    def evaluate(self, cell_index, points):
-        basis = self.space.cell_basis(cell_index, self.degree)
-        return basis.evaluate(points) @ self.coefficients[cell_index]
-
-
-class PiecewiseVectorPolynomial:
-    """Cellwise vector polynomial field, coefficients shaped (ncells, 2, dim)."""
-
-    def __init__(self, space, degree, coefficients):
-        self.space = space
-        self.degree = degree
-        self.coefficients = coefficients
-
-    def evaluate(self, cell_index, points):
-        basis = self.space.cell_basis(cell_index, self.degree)
-        vals = basis.evaluate(points)
-        return np.stack((vals @ self.coefficients[cell_index, 0],
-                         vals @ self.coefficients[cell_index, 1]), axis=1)
 
 
 def _derivative_matrices(degree):
@@ -439,11 +387,11 @@ class HHOSpace:
         g = self._groups[np.searchsorted(firsts, cls, side="right") - 1]
         return g, cls - g.first
 
-    def _chunks(self, limit=None):
+    def _chunks(self):
         """(group, slice of its cells) pairs covering every cell once."""
         self._ensure_classes()
         for g in self._groups:
-            yield from ((g, sl) for sl in _slices(len(g.cells), min(g.step, limit or g.step)))
+            yield from ((g, sl) for sl in _slices(len(g.cells), g.step))
 
     def _local_values(self, g, sl, v):
         """Local dof blocks of ``v`` for the cells ``g.cells[sl]``, (m, nloc)."""
@@ -452,11 +400,6 @@ class HHOSpace:
                           v.face_blocks[g.face_ids[sl]].reshape(len(ids), -1)))
 
     # -- public operator access ---------------------------------------------
-
-    def local_operators(self, ci):
-        """Cached (G_T, R_T, S_T) for cell ``ci``."""
-        g, row = self._locate(ci)
-        return LocalOperators(G=g.G[row], R=g.R[row], S=g.S[row])
 
     def build_gradient_reconstruction(self, ci):
         """Matrix of G_T: local dof block to P_k(T)^2 coefficients (x block, then y)."""
@@ -558,30 +501,33 @@ class HHOSpace:
         return float((total + self._face_jumps(v, p)) ** (1.0 / p))
 
     def reconstruct_gradient_global(self, v):
-        """Cellwise G_T v as a piecewise vector polynomial of degree k."""
+        """Coefficients of G_T v in every cell's degree-k basis, (num_cells, 2, Nk).
+
+        Row ``[ci, 0]`` holds the x component, ``[ci, 1]`` the y component.
+        """
         coeffs = np.empty((self.mesh.num_cells, 2, self.Nk))
         for g, sl in self._chunks():
             q = g.G[g.op[sl]] @ self._local_values(g, sl, v)[..., None]
             coeffs[g.cells[sl]] = q.reshape(-1, 2, self.Nk)
-        return PiecewiseVectorPolynomial(self, self.k, coeffs)
+        return coeffs
 
     def reconstruct_potential_global(self, v):
-        """Cellwise R_T v as a piecewise polynomial of degree k+1."""
+        """Coefficients of R_T v in every cell's degree-(k+1) basis, (num_cells, Nk1)."""
         coeffs = np.empty((self.mesh.num_cells, self.Nk1))
         for g, sl in self._chunks():
             r = g.R[g.op[sl]] @ self._local_values(g, sl, v)[..., None]
             coeffs[g.cells[sl]] = r[..., 0]
-        return PiecewisePolynomial(self, self.k + 1, coeffs)
+        return coeffs
 
     # -- iteration helpers ----------------------------------------------------
 
-    def quadrature_batches(self, chunk=None):
+    def quadrature_batches(self):
         """Yield (cell ids, points, weights, degree-(k+1) basis values) batches.
 
-        Shapes are (m,), (m, nq, 2), (m, nq) and (m, nq, Nk1), with m at
-        most ``chunk`` when given; the cells of one batch share a face count.
+        Shapes are (m,), (m, nq, 2), (m, nq) and (m, nq, Nk1); the cells of
+        one batch share a face count.
         """
-        for g, sl in self._chunks(chunk):
+        for g, sl in self._chunks():
             ids, op = g.cells[sl], g.op[sl]
             pts = self.mesh.cell_centroids[ids][:, None, :] + g.offsets[op]
             yield ids, pts, g.weights[op], g.phi[op]
@@ -617,22 +563,3 @@ class HHOSpace:
         cells = x[:self.num_cell_dofs].reshape(self.mesh.num_cells, self.Nk)
         faces = x[self.num_cell_dofs:].reshape(self.mesh.num_faces, self.nF)
         return HybridVector(self, cells, faces)
-
-
-def interpolate(v, mesh, k, zero_boundary=False):
-    """Interpolate the field ``v`` on a fresh degree-k space over ``mesh``.
-
-    Convenience wrapper; reuse an :class:`HHOSpace` when interpolating more
-    than once on the same mesh.
-    """
-    return HHOSpace(mesh, k).interpolate(v, zero_boundary=zero_boundary)
-
-
-def discrete_norm_1h(v):
-    """Discrete H^1-like norm of a hybrid vector (gradient + scaled jumps)."""
-    return v.space.discrete_norm_1h(v)
-
-
-def discrete_norm_1ph(v, p):
-    """Discrete W^{1,p}-like norm of a hybrid vector for 1 < p < inf."""
-    return v.space.discrete_norm_1ph(v, p)

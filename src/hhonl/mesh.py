@@ -264,10 +264,7 @@ class PolytopalMesh:
         self.face_owner = cell[owner_edge]
         self.face_neighbor = np.full(len(first), -1, dtype=np.int64)
         self.face_neighbor[face[second]] = cell[second]
-        signs = np.empty(len(a), dtype=np.int64)
-        signs[order] = np.where(occurrence == 0, 1, -1)
         self.cell_faces = np.split(face, starts[1:])
-        self.cell_face_signs = np.split(signs, starts[1:])
 
     def _compute_face_geometry(self):
         p0 = self.vertices[self.faces[:, 0]]

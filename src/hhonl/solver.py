@@ -307,11 +307,14 @@ def _assemble(space, problem, w, need_jacobian, fields=None):
             """phi^T diag(weights) phi per cell, (m, Nk, Nk)."""
             return phiT @ (weights[..., None] * phi)
 
+        # a_z is symmetric (the NonlinearProblem contract), so the (1, 0)
+        # block equals the (0, 1) block, itself a symmetric mass matrix.
         az = _call(problem, "a_z", flat, y_c, z_c, ids).reshape(m, -1, 2, 2) * wq[..., None, None]
         M = np.empty((m, 2 * Nk, 2 * Nk))
-        for a in range(2):
-            for b in range(2):
-                M[:, a * Nk:(a + 1) * Nk, b * Nk:(b + 1) * Nk] = mass(az[..., a, b])
+        M[:, :Nk, :Nk] = mass(az[..., 0, 0])
+        M[:, :Nk, Nk:] = mass(az[..., 0, 1])
+        M[:, Nk:, :Nk] = M[:, :Nk, Nk:]
+        M[:, Nk:, Nk:] = mass(az[..., 1, 1])
         J_loc = np.swapaxes(G, 1, 2) @ (M @ G) + g.S[op]
 
         ay = _call(problem, "a_y", flat, y_c, z_c, ids)
@@ -445,10 +448,14 @@ def solve_linear_hho(space, source, diffusion=None):
     """HHO solution of -div(A grad u) = source with zero Dirichlet data.
 
     ``diffusion`` is an optional constant SPD 2x2 matrix A (identity by
-    default, the Poisson bootstrap).  The discretization (reconstructions
-    and stabilization) is the same one the nonlinear solve uses.
+    default, the Poisson bootstrap); a matrix that is not symmetric, to the
+    tolerance of :meth:`NonlinearProblem.check`, raises ``ValueError``.
+    The discretization (reconstructions and stabilization) is the same one
+    the nonlinear solve uses.
     """
     A = np.eye(2) if diffusion is None else np.asarray(diffusion, dtype=float)
+    if A.shape != (2, 2) or not np.abs(A - A.T).max() <= 1e-9 * (1.0 + np.abs(A).max()):
+        raise ValueError("diffusion must be a symmetric 2x2 matrix")
 
     def lin_a(x, y, z):
         return z @ A.T

@@ -90,7 +90,7 @@ def _projection_floor(space, *fields):
     num = np.zeros(len(fields))
     den = 0.0
     nk = space.Nk
-    for ids, pts, w, phi in space.quadrature_batches(chunk=2048):
+    for ids, pts, w, phi in space.quadrature_batches():
         pk = phi[..., :nk]
         wpk = np.swapaxes(pk * w[..., None], 1, 2)
         mass = wpk @ pk
@@ -286,9 +286,8 @@ def test_operator_polynomial_exactness():
                 flat_pts = pts.reshape(-1, 2)
                 pv = value(flat_pts).reshape(w.shape)
                 pg = grad(flat_pts).reshape(w.shape + (2,))
-                rv = np.einsum("mqn,mn->mq", phi, pot.coefficients[ids])
-                gv = np.einsum("mqn,mcn->mqc", phi[..., :space.Nk],
-                               grd.coefficients[ids])
+                rv = np.einsum("mqn,mn->mq", phi, pot[ids])
+                gv = np.einsum("mqn,mcn->mqc", phi[..., :space.Nk], grd[ids])
                 worst["potential"] = max(
                     worst["potential"],
                     float(np.abs(rv - pv).max()) / max(1.0, np.abs(pv).max()))
@@ -330,18 +329,17 @@ def test_reconstruction_approximation_orders():
             pot = space.reconstruct_potential_global(v)
             grd = space.reconstruct_gradient_global(v)
             acc = np.zeros(3)
-            for ids, pts, w, phi in space.quadrature_batches(chunk=2048):
+            for ids, pts, w, phi in space.quadrature_batches():
                 flat_pts = pts.reshape(-1, 2)
                 vv = value(flat_pts).reshape(w.shape)
                 gv = grad(flat_pts).reshape(w.shape + (2,))
-                rc = pot.coefficients[ids]
+                rc = pot[ids]
                 rv = np.einsum("mqn,mn->mq", phi, rc)
                 # basis derivatives of each cell at its own points
                 gphi = np.stack([space.cell_basis(int(ci), k + 1).gradient(p)
                                  for ci, p in zip(ids, pts)])
                 rg = np.einsum("mn,mqnc->mqc", rc, gphi)
-                gg = np.einsum("mqn,mcn->mqc", phi[..., :space.Nk],
-                               grd.coefficients[ids])
+                gg = np.einsum("mqn,mcn->mqc", phi[..., :space.Nk], grd[ids])
                 acc[0] += float(np.einsum("mq,mq->", w, (vv - rv) ** 2))
                 acc[1] += float(np.einsum("mq,mqc->", w, (gv - rg) ** 2))
                 acc[2] += float(np.einsum("mq,mqc->", w, (gv - gg) ** 2))

@@ -64,12 +64,6 @@ def test_gradient_matches_finite_differences():
         np.testing.assert_allclose(grad[:, :, d], fd, atol=5e-9)
 
 
-def test_orthonormalized_basis_has_identity_gram():
-    basis = CellBasis(PENTAGON, 3, orthonormalize=True)
-    gram = cell_mass_matrix(basis, degree=6)
-    np.testing.assert_allclose(gram, np.eye(basis.dimension), atol=1e-12)
-
-
 def test_cell_projection_reproduces_polynomials():
     rng = np.random.default_rng(88)
     probe = rng.uniform(0.2, 1.0, (30, 2))

@@ -11,7 +11,9 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(path, tmp_path, monkeypatch, capsys):
-    # Demos that write artifacts put them in a temporary directory.
+    # Demos that write artifacts put them in a temporary directory and
+    # remove it before they finish.
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+    assert not any(tmp_path.iterdir()), sorted(p.name for p in tmp_path.iterdir())

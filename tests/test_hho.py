@@ -16,9 +16,6 @@ from hhonl.hho import (
     HHOSpace,
     HybridVector,
     OperatorBuildError,
-    discrete_norm_1h,
-    discrete_norm_1ph,
-    interpolate,
 )
 from hhonl.mesh import PolytopalMesh, generate_cartesian, generate_triangular
 from hhonl.quadrature import QuadratureError, cell_quadrature, face_quadrature
@@ -154,10 +151,10 @@ def test_reconstructions_are_exact_on_interpolated_polynomials(k):
             inside = probe[np.array([_point_in(mesh, ci, p) for p in probe])]
             if not len(inside):
                 continue
-            np.testing.assert_allclose(pot.evaluate(ci, inside), value(inside),
-                                       atol=1e-11 * scale)
-            np.testing.assert_allclose(gx.evaluate(ci, inside), grad(inside),
-                                       atol=1e-10 * scale)
+            np.testing.assert_allclose(space.cell_basis(ci).evaluate(inside) @ pot[ci],
+                                       value(inside), atol=1e-11 * scale)
+            np.testing.assert_allclose(space.cell_basis(ci, k).evaluate(inside) @ gx[ci].T,
+                                       grad(inside), atol=1e-10 * scale)
 
 
 def _point_in(mesh, ci, p):
@@ -369,24 +366,23 @@ def test_discrete_norms():
     mesh = generate_triangular(3)
     space = HHOSpace(mesh, 1)
     v = space.vector_from_flat(rng.standard_normal(space.num_dofs))
-    n1 = discrete_norm_1h(v)
+    n1 = space.discrete_norm_1h(v)
     assert n1 > 0.0
     # Absolute homogeneity.
-    assert discrete_norm_1h(-3.0 * v) == pytest.approx(3.0 * n1, rel=1e-12)
+    assert space.discrete_norm_1h(-3.0 * v) == pytest.approx(3.0 * n1, rel=1e-12)
     # The jump terms make the norm dominate the gradient seminorm.
     assert n1 >= space.gradient_norm(v) - 1e-12
     # Interpolated constants have zero energy.
     const = space.interpolate(lambda p: np.full(len(p), 4.2))
-    assert discrete_norm_1h(const) <= 1e-11
+    assert space.discrete_norm_1h(const) <= 1e-11
     # p = 2 variant is an equivalent norm built from broken cell gradients.
-    n2 = discrete_norm_1ph(v, 2.0)
-    assert n2 == pytest.approx(space.discrete_norm_1ph(v, 2.0))
+    n2 = space.discrete_norm_1ph(v, 2.0)
     assert 0.05 * n1 <= n2 <= 20.0 * n1
-    assert discrete_norm_1ph(const, 2.0) <= 1e-11
+    assert space.discrete_norm_1ph(const, 2.0) <= 1e-11
     # Other exponents run; p below 1 is rejected.
-    assert discrete_norm_1ph(v, 1.5) > 0.0
+    assert space.discrete_norm_1ph(v, 1.5) > 0.0
     with pytest.raises(ValueError):
-        discrete_norm_1ph(v, 0.5)
+        space.discrete_norm_1ph(v, 0.5)
 
 
 def test_trace_constant_is_scale_invariant():
@@ -412,10 +408,3 @@ def test_trace_constant_is_scale_invariant():
         consts = np.asarray(consts)
         assert consts.max() < 100.0
         assert consts.max() / consts.min() < 1.0 + 1e-9, consts
-
-
-def test_interpolate_convenience_wrapper():
-    mesh = generate_cartesian(2)
-    v = interpolate(lambda p: p[:, 0] + p[:, 1], mesh, 1)
-    assert v.k == 1
-    assert v.space.mesh is mesh

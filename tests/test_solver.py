@@ -235,6 +235,15 @@ def test_linear_solve_with_anisotropic_diffusion():
     assert rel < 5e-3
 
 
+def test_linear_solve_rejects_nonsymmetric_diffusion():
+    # The local Jacobian reuses the (0, 1) entry of a_z for (1, 0), so a
+    # nonsymmetric matrix must be refused rather than silently symmetrized.
+    space = HHOSpace(generate_cartesian(2), 1)
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_linear_hho(space, lambda x: np.ones(len(x)),
+                         diffusion=np.array([[2.0, 0.3], [0.1, 1.0]]))
+
+
 def test_condensed_and_direct_solves_agree():
     problem = mean_curvature_problem()
     mesh = generate_cartesian(4)
