@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -71,12 +72,16 @@ def build_parser():
     return parser
 
 
+def _usage_error(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load_mesh(args):
     if args.mesh is not None:
         path = Path(args.mesh)
         if not path.exists():
-            print(f"error: mesh file not found: {path}", file=sys.stderr)
-            raise SystemExit(2)
+            _usage_error(f"mesh file not found: {path}")
         return read_mesh(path)
     return harness.build_mesh(args.family, args.level)
 
@@ -97,21 +102,31 @@ def cmd_solve(args):
     return 0
 
 
+def _read_config(path):
+    if not path.exists():
+        _usage_error(f"config file not found: {path}")
+    fields = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(fields, dict):
+        _usage_error(f"config {path} must be a JSON object, not {type(fields).__name__}")
+    known = dataclasses.fields(harness.StudyConfig)
+    unknown = sorted(set(fields) - {f.name for f in known})
+    if unknown:
+        _usage_error(f"config {path}: unknown field {', '.join(unknown)}")
+    missing = [f.name for f in known if f.default is dataclasses.MISSING and f.name not in fields]
+    if missing:
+        _usage_error(f"config {path}: missing field {', '.join(missing)}")
+    return harness.StudyConfig(**fields)
+
+
 def cmd_study(args):
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            print(f"error: config file not found: {path}", file=sys.stderr)
-            raise SystemExit(2)
-        fields = json.loads(path.read_text(encoding="utf-8"))
-        config = harness.StudyConfig(**fields)
+        config = _read_config(Path(args.config))
     else:
         missing = [name for name, value in
                    (("--family", args.family), ("--k", args.k), ("--levels", args.levels))
                    if value is None]
         if missing:
-            print(f"error: study needs {', '.join(missing)} (or --config)", file=sys.stderr)
-            raise SystemExit(2)
+            _usage_error(f"study needs {', '.join(missing)} (or --config)")
         config = harness.StudyConfig(family=args.family, levels=args.levels,
                                      degrees=args.k, problem=args.problem,
                                      tol=args.tol, out_dir=args.out)
@@ -129,8 +144,7 @@ def cmd_study(args):
 def cmd_mesh_info(args):
     path = Path(args.path)
     if not path.exists():
-        print(f"error: mesh file not found: {path}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"mesh file not found: {path}")
     mesh = read_mesh(path, format=args.format)
     print(f"file: {path}")
     print(f"vertices: {mesh.num_vertices}")

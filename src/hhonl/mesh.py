@@ -14,7 +14,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "MeshError",
@@ -34,10 +33,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# Nested dissection leaves blocks of at most this many interior faces in
-# their natural order.
-_ND_LEAF = 64
 
 
 class MeshError(Exception):
@@ -322,32 +317,21 @@ class PolytopalMesh:
     def interior_face_order(self):
         """Nested-dissection order of the interior faces, built on first use.
 
-        Entry ``i`` is a position in :attr:`interior_faces`.  The order
+        Entry ``i`` is a position in :attr:`interior_faces`; the order comes
+        from a bisection tree of the cells (:func:`_cell_tree_order`).  It
         depends only on the mesh, so every linear solve on it reuses it.
         """
         if self._interior_face_order is None:
             start = time.perf_counter()
-            order = _nested_dissection(self.face_midpoints[self.interior_faces],
-                                       self._interior_face_graph())
+            interior = self.interior_faces
+            order, depth, top = _cell_tree_order(
+                self.cell_centroids, self.face_owner[interior], self.face_neighbor[interior])
             order.setflags(write=False)
             self._interior_face_order = order
-            log.debug("nested-dissection order of %d interior faces built in %.3f s",
-                      len(order), time.perf_counter() - start)
+            log.debug("nested-dissection order of %d interior faces: cell tree depth %d, "
+                      "top separator %d faces, built in %.3f s",
+                      len(order), depth, top, time.perf_counter() - start)
         return self._interior_face_order
-
-    def _interior_face_graph(self):
-        """CSR adjacency of the interior faces that share a cell, diagonal included."""
-        interior = self.interior_faces
-        position = np.full(self.num_faces, -1, dtype=np.int64)
-        position[interior] = np.arange(len(interior))
-        sizes = np.fromiter(map(len, self.cell_faces), dtype=np.int64, count=self.num_cells)
-        cols = position[np.concatenate(self.cell_faces)]
-        rows = np.repeat(np.arange(self.num_cells), sizes)
-        keep = cols >= 0
-        incidence = sparse.csr_matrix(
-            (np.ones(int(keep.sum())), (rows[keep], cols[keep])),
-            shape=(self.num_cells, len(interior)))
-        return (incidence.T @ incidence).tocsr()
 
     def cell_vertices(self, ci):
         """Coordinates of cell ``ci``'s corners, counterclockwise."""
@@ -362,43 +346,45 @@ class PolytopalMesh:
         raise ValueError(f"face {fi} is not incident to cell {ci}")
 
 
-def _bisect(points, graph, idx):
-    """Split the faces ``idx`` at the median of their longer extent.
+def _cell_tree_order(centroids, owner, neighbor):
+    """Nested dissection (George, SIAM J. Numer. Anal. 1973) on a bisection tree of the cells.
 
-    Returns ``(left, right, separator)``.  The separator holds the
-    lower-half faces that share a cell with an upper-half face, so no edge
-    of ``graph`` joins ``left`` and ``right``.  Each part keeps the order
-    of ``idx``.
+    Each node splits its cells at the rank median of their centroids along
+    the longer side of their bounding box (ties kept in order), down to
+    single cells.  Face ``i``, between ``owner[i]`` and ``neighbor[i]``, is
+    in the separator of the deepest node holding both; faces come in
+    post-order of their nodes, so both halves are eliminated before their
+    separator.  Returns ``(order, depth, top)``: the face order, the number
+    of levels and the size of the root's separator.
     """
-    pts = points[idx]
-    axis = np.argmax(np.ptp(pts, axis=0))
-    coord = pts[:, axis]
-    median = np.median(coord)
-    low = coord <= median
-    if low.all():
-        low = coord < median
-    lower, right = idx[low], idx[~low]
-    rows = graph[lower]
-    crossing = np.isin(rows.indices, right)
-    touches = np.zeros(len(lower), dtype=bool)
-    touches[np.repeat(np.arange(len(lower)), np.diff(rows.indptr))[crossing]] = True
-    return lower[~touches], right, lower[touches]
-
-
-def _nested_dissection(points, graph):
-    """Face order by recursive coordinate bisection (George, SIAM J. Numer. Anal. 1973).
-
-    Each block is ordered left half, right half, then the separator, so
-    eliminating the halves creates no fill between them.
-    """
-
-    def order(idx):
-        if len(idx) <= _ND_LEAF:
-            return idx
-        left, right, separator = _bisect(points, graph, idx)
-        return np.concatenate((order(left), order(right), separator))
-
-    return order(np.arange(len(points)))
+    n = len(centroids)
+    perm = np.arange(n)  # cells in tree order; every node is a contiguous range
+    sizes = np.array([n])
+    below = np.empty(n, dtype=np.int64)  # end of the range of each cell's child node
+    level = np.full(len(owner), -1)
+    end = np.zeros(len(owner), dtype=np.int64)  # end of the range of each face's node
+    depth = 0
+    while sizes.max() > 1:
+        starts = np.cumsum(sizes) - sizes
+        node = np.repeat(np.arange(len(sizes)), sizes)
+        pts = centroids[perm]
+        extent = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
+        coord = np.where(extent[node, 1] > extent[node, 0], pts[:, 1], pts[:, 0])
+        perm = perm[np.lexsort((coord, node))]
+        half = sizes // 2
+        right = np.arange(n) - starts[node] >= half[node]
+        below[perm] = np.where(right, (starts + sizes)[node], (starts + half)[node])
+        # Range ends name the nodes of a level; a right child ends with its parent.
+        a, b = below[owner], below[neighbor]
+        split = (level < 0) & (a != b)
+        level[split] = depth
+        end[split] = np.maximum(a, b)[split]
+        sizes = np.column_stack((half, sizes - half)).ravel()
+        sizes = sizes[sizes > 0]
+        depth += 1
+    # Post-order: by range end (a node ends with its last child), deeper first.
+    order = np.lexsort((-level, end))
+    return order, depth, int(np.count_nonzero(level == 0))
 
 
 def mesh_size(mesh):

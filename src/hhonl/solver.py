@@ -8,11 +8,11 @@ from the space's operator stacks.  No global matrix holds cell unknowns.
 The cell unknowns couple only within their own cell, so a solve
 eliminates them cell by cell (static condensation): one stacked dense
 solve per chunk gives the local Schur complements on the cell's faces,
-scattered straight into the interior-face system in the mesh's
-nested-dissection order (``PolytopalMesh.interior_face_order``, built
-once per mesh), each face's ``k+1`` dofs together.  SuperLU factors that
-system without a column reordering of its own (``NATURAL``) in
-symmetric mode: the diagonal pivot is kept unless it is below 0.1 times
+scattered straight into the interior-face system, each face's ``k+1`` dofs
+together, in the post-order of a median-bisection tree of the cells
+(``PolytopalMesh.interior_face_order``, built once per mesh).  SuperLU
+factors that system without a column reordering of its own (``NATURAL``)
+in symmetric mode: the diagonal pivot is kept unless it is below 0.1 times
 the largest entry of its column.  Full partial pivoting would swap rows
 freely and destroy the ordering's fill savings; the threshold still
 pivots a nonsymmetric Jacobian where it must.  Each cell's unknowns are

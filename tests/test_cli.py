@@ -104,6 +104,22 @@ def test_study_from_config_file(tmp_path, capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("fields, problem", [
+    ({"family": "cartesian", "levels": [2, 4], "degrees": [0], "bogus": 1},
+     "unknown field bogus"),
+    ({"family": "cartesian", "levels": [2, 4]}, "missing field degrees"),
+    ([1, 2], "must be a JSON object, not list"),
+], ids=["unknown-field", "missing-field", "not-an-object"])
+def test_study_rejects_a_malformed_config(tmp_path, capsys, fields, problem):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps(fields), encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main(["study", "--config", str(cfg)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err
+
+
 def test_study_failures_exit_nonzero(capsys):
     code = main(["study", "--family", "hexagonal-files", "--k", "0",
                  "--levels", "1,2,9"])

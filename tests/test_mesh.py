@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import hhonl.mesh as mesh_mod
 from hhonl.harness import build_mesh
 from hhonl.mesh import (
     MeshFormatError,
@@ -185,23 +184,19 @@ ORDERED_MESHES = {
 }
 
 
-def test_interior_face_graph_joins_faces_of_a_cell():
-    mesh = generate_triangular(3)
-    interior = mesh.interior_faces
-    position = {int(f): i for i, f in enumerate(interior)}
-    expected = set()
-    for faces in mesh.cell_faces:
-        inner = [position[int(f)] for f in faces if int(f) in position]
-        expected.update((a, b) for a in inner for b in inner)
-    graph = mesh._interior_face_graph().tocoo()
-    assert set(zip(graph.row.tolist(), graph.col.tolist())) == expected
+def _median_split(mesh, cells):
+    """The two halves of a cell-tree node: rank median along the longer centroid extent."""
+    pts = mesh.cell_centroids[cells]
+    axis = int(np.ptp(pts[:, 1]) > np.ptp(pts[:, 0]))
+    ranked = cells[np.argsort(pts[:, axis], kind="stable")]
+    return ranked[:len(cells) // 2], ranked[len(cells) // 2:], axis
 
 
 @pytest.mark.parametrize("family", sorted(ORDERED_MESHES))
 def test_interior_face_order_is_a_cached_permutation(family):
     mesh = ORDERED_MESHES[family]()
     order = mesh.interior_face_order
-    assert len(order) > mesh_mod._ND_LEAF
+    assert not np.array_equal(order, np.arange(len(mesh.interior_faces)))
     assert np.array_equal(np.sort(order), np.arange(len(mesh.interior_faces)))
     assert mesh.interior_face_order is order
     assert not order.flags.writeable
@@ -210,19 +205,44 @@ def test_interior_face_order_is_a_cached_permutation(family):
 @pytest.mark.parametrize("family", sorted(ORDERED_MESHES))
 def test_nested_dissection_top_level_separates_the_halves(family):
     mesh = ORDERED_MESHES[family]()
-    points = mesh.face_midpoints[mesh.interior_faces]
-    graph = mesh._interior_face_graph()
-    n = len(points)
-    left, right, separator = mesh_mod._bisect(points, graph, np.arange(n))
-    assert min(len(left), len(right)) > n // 4
-    assert np.array_equal(np.sort(np.concatenate((left, right, separator))), np.arange(n))
-    assert graph[left][:, right].nnz == 0
-    # Every separator face shares a cell with the other half.
-    assert np.all(graph[separator][:, right].getnnz(axis=1) > 0)
-    # The order eliminates both halves before the separator.
+    left, right, axis = _median_split(mesh, np.arange(mesh.num_cells))
+    assert min(len(left), len(right)) > mesh.num_cells / 4
+    assert mesh.cell_centroids[left, axis].max() <= mesh.cell_centroids[right, axis].min()
+    interior = mesh.interior_faces
+    crossing = np.flatnonzero(np.isin(mesh.face_owner[interior], left)
+                              != np.isin(mesh.face_neighbor[interior], left))
+    assert len(crossing) > 0
+    # The order eliminates both halves before the faces between them.
     order = mesh.interior_face_order
-    assert np.array_equal(order[n - len(separator):], separator)
-    assert set(order[:len(left)].tolist()) == set(left.tolist())
+    assert np.array_equal(np.sort(order[len(order) - len(crossing):]), crossing)
+
+
+@pytest.mark.parametrize("family", sorted(ORDERED_MESHES))
+def test_each_face_follows_the_faces_inside_the_halves_of_its_node(family):
+    mesh = ORDERED_MESHES[family]()
+    interior = mesh.interior_faces
+    owner, neighbor = mesh.face_owner[interior], mesh.face_neighbor[interior]
+    position = np.empty(len(interior), dtype=np.int64)
+    position[mesh.interior_face_order] = np.arange(len(interior))
+    separated = []
+
+    def visit(cells, faces):
+        # ``faces`` holds the interior faces with both cells in ``cells``.
+        if len(cells) == 1:
+            assert len(faces) == 0
+            return
+        left, right, _ = _median_split(mesh, cells)
+        a, b = np.isin(owner[faces], left), np.isin(neighbor[faces], left)
+        inner, separator = faces[a == b], faces[a != b]
+        if len(inner) and len(separator):
+            assert position[separator].min() > position[inner].max()
+        separated.append(separator)
+        visit(left, faces[a & b])
+        visit(right, faces[~a & ~b])
+
+    visit(np.arange(mesh.num_cells), np.arange(len(interior)))
+    # Each face is in the separator of exactly one node.
+    assert np.array_equal(np.sort(np.concatenate(separated)), np.arange(len(interior)))
 
 
 def test_json_round_trip(tmp_path):

@@ -337,7 +337,7 @@ def test_face_rows_put_each_interior_face_in_one_block():
 
 def test_face_order_is_built_once_per_newton_solve(monkeypatch):
     builds, factors = [], []
-    build, factor = mesh_mod._nested_dissection, solver_mod.splu
+    build, factor = mesh_mod._cell_tree_order, solver_mod.splu
 
     def counting_build(*args):
         builds.append(1)
@@ -347,28 +347,28 @@ def test_face_order_is_built_once_per_newton_solve(monkeypatch):
         factors.append(1)
         return factor(*args, **kwargs)
 
-    monkeypatch.setattr(mesh_mod, "_nested_dissection", counting_build)
+    monkeypatch.setattr(mesh_mod, "_cell_tree_order", counting_build)
     monkeypatch.setattr(solver_mod, "splu", counting_factor)
-    mesh = generate_cartesian(12)  # 264 interior faces, more than one block
+    mesh = generate_cartesian(12)  # 264 interior faces
     _, report = newton_solve(mean_curvature_problem(), mesh, 1)
     assert len(factors) == report.iterations + 1 >= 3  # bootstrap plus each step
     assert len(builds) == 1
 
 
 @pytest.mark.parametrize("mesh", [
-    generate_cartesian(4),  # 24 interior faces: a single block
+    generate_cartesian(4),  # 24 interior faces
     PolytopalMesh([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [[0, 1, 2, 3]]),
 ], ids=["one-block", "one-cell"])
 def test_meshes_with_one_face_block_solve(mesh):
-    assert np.array_equal(mesh.interior_face_order, np.arange(len(mesh.interior_faces)))
+    order = mesh.interior_face_order
+    assert np.array_equal(np.sort(order), np.arange(len(mesh.interior_faces)))
     u, report = newton_solve(mean_curvature_problem(), mesh, 2)
     assert report.converged
     assert np.all(np.isfinite(u.to_flat()))
 
 
-def test_nested_dissection_factor_fill_is_under_half_of_colamd(monkeypatch):
-    # Guards the ordering against a silent fill regression: on this system
-    # the factor holds 1.28 M entries against 3.07 M with COLAMD.
+def _cartesian_32_k3_factor(monkeypatch):
+    """The face system of one Newton step on ``cartesian`` 32, k=3, and its factor."""
     problem = mean_curvature_problem()
     space = HHOSpace(generate_cartesian(32), 3)
     w = space.interpolate(problem.exact_solution, zero_boundary=True)
@@ -386,9 +386,22 @@ def test_nested_dissection_factor_fill_is_under_half_of_colamd(monkeypatch):
     monkeypatch.setattr(solver_mod, "static_condense", capture_condense)
     monkeypatch.setattr(solver_mod, "splu", capture_factor)
     solver_mod._increment(space, solver_mod._assemble(space, problem, w, need_jacobian=True))
-    nested = seen["lu"].L.nnz + seen["lu"].U.nnz
-    colamd = splu(seen["S"])
-    assert nested < 0.5 * (colamd.L.nnz + colamd.U.nnz)
+    return seen["S"], seen["lu"]
+
+
+def test_nested_dissection_factor_fill_is_under_half_of_colamd(monkeypatch):
+    # Guards the ordering against a silent fill regression: on this system
+    # the factor holds 0.90 M entries against 3.07 M with COLAMD.
+    S, lu = _cartesian_32_k3_factor(monkeypatch)
+    colamd = splu(S)
+    assert lu.L.nnz + lu.U.nnz < 0.5 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_cell_tree_factor_of_cartesian_32_k3_holds_under_a_million_entries(monkeypatch):
+    # 0.90 M entries; an order that stops at 64-face leaves gives 1.28 M.
+    _, lu = _cartesian_32_k3_factor(monkeypatch)
+    assert lu.L.nnz + lu.U.nnz < 1_000_000
+    assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))  # no row swapped
 
 
 def test_solve_logs_face_system_and_ordering_at_debug(caplog):
@@ -401,9 +414,18 @@ def test_solve_logs_face_system_and_ordering_at_debug(caplog):
     systems = [m for m in messages if m.startswith("face system:")]
     assert len(systems) == report.iterations + 1
     # Two dofs per face, coupled to every face of the cells around it.
-    nnz = mesh._interior_face_graph().nnz * 4
+    interior = set(mesh.interior_faces.tolist())
+    coupled = set()
+    for faces in mesh.cell_faces:
+        inner = [f for f in faces.tolist() if f in interior]
+        coupled.update((a, b) for a in inner for b in inner)
+    nnz = len(coupled) * 4
     assert systems[0] == f"face system: {264 * 2} rows, {nnz} nonzeros"
-    assert len([m for m in messages if m.startswith("nested-dissection order")]) == 1
+    orders = [m for m in messages if m.startswith("nested-dissection order")]
+    assert len(orders) == 1
+    # 144 cells take 8 levels of halving; the top split is the middle grid line.
+    assert orders[0].startswith("nested-dissection order of 264 interior faces: "
+                                "cell tree depth 8, top separator 12 faces, built in ")
 
 
 def test_solve_builds_no_sparse_matrix_but_the_face_system(monkeypatch):
