@@ -105,7 +105,10 @@ def cmd_solve(args):
 def _read_config(path):
     if not path.exists():
         _usage_error(f"config file not found: {path}")
-    fields = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        fields = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        _usage_error(f"config {path}: invalid JSON: {exc}")
     if not isinstance(fields, dict):
         _usage_error(f"config {path} must be a JSON object, not {type(fields).__name__}")
     known = dataclasses.fields(harness.StudyConfig)
@@ -115,7 +118,10 @@ def _read_config(path):
     missing = [f.name for f in known if f.default is dataclasses.MISSING and f.name not in fields]
     if missing:
         _usage_error(f"config {path}: missing field {', '.join(missing)}")
-    return harness.StudyConfig(**fields)
+    try:
+        return harness.StudyConfig(**fields)
+    except harness.StudyConfigError as exc:
+        _usage_error(f"config {path}: {exc}")
 
 
 def cmd_study(args):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -71,12 +72,21 @@ class StudyConfig:
         if self.family not in FAMILIES:
             raise StudyConfigError(
                 f"unknown family {self.family!r}; choose from {FAMILIES}")
+        for name in ("levels", "degrees"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise StudyConfigError(f"{name} must be a list, not {getattr(self, name)!r}")
         if len(self.levels) < 2:
             raise StudyConfigError("a study needs at least 2 refinement levels")
-        self.degrees = [int(k) for k in self.degrees]
+        try:
+            self.degrees = [int(k) for k in self.degrees]
+        except (TypeError, ValueError) as exc:
+            raise StudyConfigError(f"degrees must be integers, not {self.degrees!r}") from exc
         for k in self.degrees:
             if not 0 <= k <= 3:
                 raise StudyConfigError(f"degree k={k} outside the supported range 0..3")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) \
+                or not self.tol > 0:
+            raise StudyConfigError(f"tol must be a positive number, not {self.tol!r}")
 
 
 @dataclass

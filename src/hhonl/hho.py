@@ -5,10 +5,11 @@ the layer builds the gradient reconstruction G_T into P_k(T)^2, the
 potential reconstruction R_T into P_{k+1}(T), and the stabilization S_T
 penalizing the face/cell mismatch left after reconstruction.
 
-Cells are grouped by face count.  A group's operators are built on
-stacked arrays (one batched quadrature, one batched basis evaluation and
-stacked solves per stage), and every loop over cells, in assembly, norms
-and interpolation, runs over the groups in chunks of bounded size.
+Cells are grouped by face count.  Each group has one cell rule of degree
+2k+4 and one batched basis evaluation at its points, which serve the
+operator build (stacked solves per stage), assembly, interpolation, norms
+and errors.  Every loop over cells runs over the groups in chunks of
+bounded size.
 Congruence only deduplicates: cells with the same shape, size and face
 ownership share one row of their group's operator stacks, so uniform
 meshes store a handful of operator sets.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .basis import (CellBasis, FaceBasis, _powers, _unit_face_mass, graded_lex_exponents,
                     scaled_monomials, space_dimension)
-from .quadrature import QuadratureError, cell_quadrature, face_quadrature, triangle_rule
+from .quadrature import QuadratureError, cell_quadrature, face_quadrature
 
 __all__ = [
     "HHOError",
@@ -203,17 +204,19 @@ class HHOSpace:
     k : int
         Polynomial degree of the cell and face unknowns, 0 to 3 supported
         by the shipped studies (higher degrees work but are untested).
-    quad_degree : int, optional
-        Quadrature exactness used when integrating nonlinear coefficients;
-        defaults to 2(k+1)+2.
+
+    ``quad_degree`` is 2k+4.  Each face-count group of cells has one cell
+    rule of that degree, and faces use the Gauss rule of that degree.
+    The rule serves the operator build, whose integrands have degree at
+    most 2(k+1), as well as assembly, interpolation, norms and errors.
     """
 
-    def __init__(self, mesh, k, quad_degree=None):
+    def __init__(self, mesh, k):
         if k < 0:
             raise ValueError("k must be nonnegative")
         self.mesh = mesh
         self.k = int(k)
-        self.quad_degree = 2 * (self.k + 1) + 2 if quad_degree is None else int(quad_degree)
+        self.quad_degree = 2 * self.k + 4
         self.Nk = space_dimension(self.k)
         self.Nk1 = space_dimension(self.k + 1)
         self.nF = self.k + 1
@@ -279,47 +282,41 @@ class HHOSpace:
                   "built in %.3f s", mesh.num_cells, len(groups), len(self._classes),
                   time.perf_counter() - start)
 
-    def _cell_rule(self, verts, degree, cells):
-        """Batched cell rule; a cell the rule cannot handle is named in the error."""
-        try:
-            return cell_quadrature(verts, degree)
-        except QuadratureError as exc:
-            raise OperatorBuildError(f"cell {cells[exc.index]}: {exc}") from exc
-
     def _build_stacks(self, verts, h, signs, cells):
-        """Operator stacks of the cells ``cells``, built a chunk of cells at a time.
+        """Operator stacks and quadrature of the cells ``cells``.
 
         ``verts`` holds their centroid-relative corners (c, nf, 2), ``h``
         their diameters and ``signs`` +1 where the cell owns the face of a
-        slot, -1 where its neighbor does.
+        slot, -1 where its neighbor does.  One rule serves the operator
+        build, a chunk of cells at a time, and is kept for assembly.
         """
-        c, nf = verts.shape[:2]
-        nq = len(triangle_rule(self.quad_degree).weights) * (1 if nf == 3 else nf)
+        try:
+            rule = cell_quadrature(verts, self.quad_degree)
+        except QuadratureError as exc:
+            raise OperatorBuildError(f"cell {cells[exc.index]}: {exc}") from exc
+        phi = scaled_monomials(rule.points / h[:, None, None], self.k + 1)   # (c, nq, Nk1)
+        c, nq = rule.weights.shape
         stacks = None
         for sl in _slices(c, _step(2 * nq * self.Nk1)):
-            part = self._build_operators(verts[sl], h[sl], signs[sl], cells[sl])
+            part = self._build_operators(verts[sl], h[sl], signs[sl], cells[sl],
+                                         rule.points[sl], rule.weights[sl], phi[sl])
             if stacks is None:
                 stacks = [np.empty((c,) + a.shape[1:]) for a in part]
             for whole, a in zip(stacks, part):
                 whole[sl] = a
-        return stacks
+        return stacks + [rule.points, rule.weights, phi]
 
-    def _build_operators(self, verts, h, signs, cells):
-        """Mk, G, R, S and the assembly quadrature of a stack of cells (see _build_stacks)."""
+    def _build_operators(self, verts, h, signs, cells, points, weights, phi):
+        """Mk, G, R and S of a stack of cells from their cell rule (see _build_stacks)."""
         k, Nk, Nk1, nF = self.k, self.Nk, self.Nk1, self.nF
         c, nf = verts.shape[:2]
         nloc = Nk + nf * nF
-        deg = 2 * (k + 1)
         hh = h[:, None, None]
 
-        rule = self._cell_rule(verts, deg, cells)
-        phi = scaled_monomials(rule.points / hh, k + 1)                    # (c, q, Nk1)
-        wphi = phi * rule.weights[..., None]
-        M1 = _sym(np.swapaxes(wphi, 1, 2) @ phi)
-        grad = scaled_monomials(rule.points / hh, k + 1, gradient=True) / hh[..., None]
+        M1 = _sym(np.swapaxes(phi * weights[..., None], 1, 2) @ phi)
+        grad = scaled_monomials(points / hh, k + 1, gradient=True) / hh[..., None]
         grad = np.swapaxes(grad, 2, 3).reshape(c, -1, Nk1)                 # (c, 2q, Nk1)
-        K1 = _sym(np.swapaxes(grad * np.repeat(rule.weights, 2, axis=1)[..., None], 1, 2)
-                  @ grad)
+        K1 = _sym(np.swapaxes(grad * np.repeat(weights, 2, axis=1)[..., None], 1, 2) @ grad)
         Mk = M1[:, :Nk, :Nk]
 
         # Face slots in the cell's counterclockwise order: the outward normal
@@ -332,7 +329,7 @@ class HHOSpace:
         normal = np.stack((edge[..., 1], -edge[..., 0]), axis=-1) / length[..., None]
         own = (signs > 0)[..., None]
         fstart = np.where(own, a, b)
-        t, wt = _gauss(deg)
+        t, wt = _gauss(self.quad_degree)
         fpts = fstart[:, :, None] + t[:, None] * np.where(own, edge, -edge)[:, :, None]
         phiF = scaled_monomials(fpts / hh[..., None], k + 1)               # (c, nf, qF, Nk1)
         wphiF = np.swapaxes(phiF * (wt * length[..., None])[..., None], -1, -2)
@@ -374,10 +371,7 @@ class HHOSpace:
         slot = np.arange(nf)[:, None]
         delta[:, slot, np.arange(nF), Nk + slot * nF + np.arange(nF)] += 1.0
         S = _sym((np.swapaxes(delta, -1, -2) @ MF @ delta).sum(axis=1) / hh)
-
-        rule = self._cell_rule(verts, self.quad_degree, cells)
-        return (Mk, G, R, S, rule.points, rule.weights,
-                scaled_monomials(rule.points / hh, k + 1))
+        return Mk, G, R, S
 
     def _locate(self, ci):
         """Group of cell ``ci`` and its class's row in the group's stacks."""
@@ -423,11 +417,10 @@ class HHOSpace:
 
     # -- interpolation -------------------------------------------------------
 
-    def interpolate(self, v, zero_boundary=False):
+    def interpolate(self, v):
         """Blockwise L^2 projection of the field ``v`` onto the hybrid space.
 
-        ``v`` takes an (n, 2) array of points and returns n values.  With
-        ``zero_boundary`` the boundary face blocks are forced to zero.
+        ``v`` takes an (n, 2) array of points and returns n values.
         """
         mesh = self.mesh
         cell_blocks = np.empty((mesh.num_cells, self.Nk))
@@ -446,8 +439,6 @@ class HHOSpace:
         vals = np.asarray(v(pts.reshape(-1, 2)), dtype=float).reshape(mesh.num_faces, len(t))
         rhs = (vals * wt) @ _powers(t - 0.5, self.k)
         face_blocks = np.linalg.solve(_unit_face_mass(self.nF), rhs.T).T
-        if zero_boundary:
-            face_blocks[mesh.boundary_faces] = 0.0
         return HybridVector(self, cell_blocks, face_blocks)
 
     # -- norms and reconstructions -------------------------------------------

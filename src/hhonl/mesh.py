@@ -472,6 +472,8 @@ def _read_native_json(path):
         raise MeshFormatError(f"{path}: 'vertices' is not a numeric (nv, 2) array") from exc
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshFormatError(f"{path}: 'vertices' is not a numeric (nv, 2) array")
+    if not isinstance(payload["cells"], list):
+        raise MeshFormatError(f"{path}: 'cells' is not a list of index lists")
     cells = []
     for ci, rec in enumerate(payload["cells"]):
         try:

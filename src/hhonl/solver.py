@@ -471,15 +471,17 @@ def solve_linear_hho(space, source, diffusion=None):
     return _increment(space, _assemble(space, lin, HybridVector(space), need_jacobian=True))
 
 
-def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, quad_degree=None,
-                 initial_guess=None, line_search=False):
+def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
+                 line_search=False):
     """Newton iteration for the discrete nonlinear problem on ``mesh``.
 
     Starts from ``initial_guess`` or the Poisson bootstrap (the linear HHO
     solve with the problem's source).  Each step solves the condensed
     linearized system for an increment; the iteration stops once the
     reconstructed-gradient norm of the increment, relative to the new
-    iterate, drops to ``tol``.
+    iterate, drops to ``tol``.  The nonlinear coefficients are integrated
+    by the space's quadrature: one rule of degree 2k+4 per face-count
+    group, the same one its operators are built with.
 
     Returns ``(solution, NewtonReport)``; raises
     :class:`NewtonDivergedError` after ``max_iter`` steps without
@@ -490,7 +492,7 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, quad_degree=None,
         if space.mesh is not mesh or space.k != k:
             raise ValueError("initial guess must live on the same mesh and degree")
     else:
-        space = HHOSpace(mesh, k, quad_degree)
+        space = HHOSpace(mesh, k)
     if not problem._checked:
         problem.check()
     if initial_guess is None:

@@ -109,10 +109,16 @@ def test_study_from_config_file(tmp_path, capsys):
      "unknown field bogus"),
     ({"family": "cartesian", "levels": [2, 4]}, "missing field degrees"),
     ([1, 2], "must be a JSON object, not list"),
-], ids=["unknown-field", "missing-field", "not-an-object"])
+    ({"family": "cartesian", "levels": 5, "degrees": [0]}, "levels must be a list"),
+    ({"family": "cartesian", "levels": [2, 4], "degrees": [0], "tol": "x"},
+     "tol must be a positive number"),
+    ('{"family": "cartesian",', "invalid JSON"),
+], ids=["unknown-field", "missing-field", "not-an-object", "levels-not-a-list",
+        "tol-not-a-number", "invalid-json"])
 def test_study_rejects_a_malformed_config(tmp_path, capsys, fields, problem):
     cfg = tmp_path / "study.json"
-    cfg.write_text(json.dumps(fields), encoding="utf-8")
+    text = fields if isinstance(fields, str) else json.dumps(fields)
+    cfg.write_text(text, encoding="utf-8")
     with pytest.raises(SystemExit) as info:
         main(["study", "--config", str(cfg)])
     assert info.value.code == 2

@@ -10,6 +10,7 @@ import logging
 import numpy as np
 import pytest
 
+from hhonl import hho
 from hhonl.basis import CellBasis, cell_mass_matrix, graded_lex_exponents, l2_project_cell
 from hhonl.harness import build_mesh
 from hhonl.hho import (
@@ -247,6 +248,24 @@ def test_operator_build_logs_groups_and_classes_at_debug(caplog):
         "distinct classes, built in ")
 
 
+def test_one_cell_rule_per_face_count_group_serves_operators_and_assembly(monkeypatch):
+    degrees = []
+
+    def counted(verts, degree):
+        degrees.append(degree)
+        return cell_quadrature(verts, degree)
+
+    monkeypatch.setattr(hho, "cell_quadrature", counted)
+    space = HHOSpace(build_mesh("hexagonal-files", 1), 1)
+    space._ensure_classes()
+    # 4-, 5- and 6-gons: three groups, each with one rule of degree 2k+4.
+    assert degrees == [space.quad_degree] * 3
+    for g in space._groups:
+        phi = g.phi[..., :space.Nk]
+        mass = np.swapaxes(phi * g.weights[..., None], 1, 2) @ phi
+        np.testing.assert_allclose(g.Mk, mass, rtol=0, atol=1e-13 * np.abs(mass).max())
+
+
 def u_shaped_mesh():
     """Unit square split into a U-shaped cell and the square notch it holds."""
     verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2 / 3, 1.0], [2 / 3, 0.5],
@@ -290,7 +309,7 @@ def test_interpolation_matches_blockwise_projection():
 def test_interpolate_zero_boundary():
     mesh = generate_cartesian(3)
     space = HHOSpace(mesh, 1)
-    v = space.interpolate(lambda p: 1.0 + p[:, 0], zero_boundary=True)
+    v = space.interpolate(lambda p: 1.0 + p[:, 0]).with_zero_boundary()
     np.testing.assert_array_equal(v.face_blocks[mesh.boundary_faces], 0.0)
     assert np.abs(v.face_blocks[mesh.interior_faces]).max() > 0.1
 

@@ -287,6 +287,10 @@ def test_json_format_errors(tmp_path):
     missing.write_text('{"vertices": [[0.0, 0.0]]}', encoding="utf-8")
     with pytest.raises(MeshFormatError, match="cells"):
         read_mesh(missing)
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text('{"vertices": [[0, 0], [1, 0], [0, 1]], "cells": 5}', encoding="utf-8")
+    with pytest.raises(MeshFormatError, match=r"scalar\.json: 'cells' is not a list"):
+        read_mesh(scalar)
 
 
 def test_typ2_format_errors(tmp_path):

@@ -264,7 +264,7 @@ def test_condensed_and_direct_solves_agree():
 def test_static_condense_rejects_singular_cell_block():
     problem = mean_curvature_problem()
     space = HHOSpace(generate_cartesian(4), 1)
-    w = space.interpolate(problem.exact_solution, zero_boundary=True)
+    w = space.interpolate(problem.exact_solution).with_zero_boundary()
     local = solver_mod._assemble(space, problem, w, need_jacobian=True)
     chunk = local[-1]
     chunk.J[len(chunk.ids) // 2, :space.Nk, :space.Nk] = 0.0
@@ -371,7 +371,7 @@ def _cartesian_32_k3_factor(monkeypatch):
     """The face system of one Newton step on ``cartesian`` 32, k=3, and its factor."""
     problem = mean_curvature_problem()
     space = HHOSpace(generate_cartesian(32), 3)
-    w = space.interpolate(problem.exact_solution, zero_boundary=True)
+    w = space.interpolate(problem.exact_solution).with_zero_boundary()
     seen = {}
     condense, factor = solver_mod.static_condense, solver_mod.splu
 

@@ -19,6 +19,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hhonl.mesh import PolytopalMesh, mesh_size, mesh_regularity, write_mesh
 
+# Brick rows (hexagonal) and cells per side (Kershaw) of levels 1 to 4.
+HEXAGONAL_LEVELS = (8, 16, 32, 64)
+KERSHAW_LEVELS = (12, 24, 48, 96)
+
 
 def hexagonal_mesh(n):
     """Hexagonal-dominant mesh of the unit square with n brick rows.
@@ -134,7 +138,7 @@ def write_typ2(mesh, path):
 def main():
     out = Path(__file__).resolve().parents[1] / "src" / "hhonl" / "data"
     out.mkdir(parents=True, exist_ok=True)
-    for level, n in enumerate((8, 16, 32, 64), start=1):
+    for level, n in enumerate(HEXAGONAL_LEVELS, start=1):
         mesh = hexagonal_mesh(n)
         assert abs(mesh.cell_areas.sum() - 1.0) < 1e-12, "hexagonal tiling leaks area"
         write_mesh(mesh, out / f"hexagonal_{level}.json")
@@ -142,7 +146,7 @@ def main():
               f"h={mesh_size(mesh):.4f} regularity={mesh_regularity(mesh):.3f}")
         if level == 1:
             write_typ2(mesh, out / "hexagonal_1.typ2")
-    for level, n in enumerate((12, 24, 48, 96), start=1):
+    for level, n in enumerate(KERSHAW_LEVELS, start=1):
         mesh = kershaw_mesh(n)
         assert abs(mesh.cell_areas.sum() - 1.0) < 1e-12, "Kershaw tiling leaks area"
         write_mesh(mesh, out / f"kershaw_{level}.json")
