@@ -133,9 +133,12 @@ def cmd_study(args):
                    if value is None]
         if missing:
             _usage_error(f"study needs {', '.join(missing)} (or --config)")
-        config = harness.StudyConfig(family=args.family, levels=args.levels,
-                                     degrees=args.k, problem=args.problem,
-                                     tol=args.tol, out_dir=args.out)
+        try:
+            config = harness.StudyConfig(family=args.family, levels=args.levels,
+                                         degrees=args.k, problem=args.problem,
+                                         tol=args.tol, out_dir=args.out)
+        except harness.StudyConfigError as exc:
+            _usage_error(str(exc))
     result = harness.run_study(config)
     print(harness.format_table(result.records))
     for failure in result.failures:

@@ -77,10 +77,13 @@ class StudyConfig:
                 raise StudyConfigError(f"{name} must be a list, not {getattr(self, name)!r}")
         if len(self.levels) < 2:
             raise StudyConfigError("a study needs at least 2 refinement levels")
-        try:
-            self.degrees = [int(k) for k in self.degrees]
-        except (TypeError, ValueError) as exc:
-            raise StudyConfigError(f"degrees must be integers, not {self.degrees!r}") from exc
+        # int() would truncate 1.7 to 1 and read True as 1; a whole float such as 2.0 is kept.
+        if any(isinstance(k, bool) or (not isinstance(k, numbers.Integral)
+                                       and not (isinstance(k, numbers.Real)
+                                                and float(k).is_integer()))
+               for k in self.degrees):
+            raise StudyConfigError(f"degrees must be integers, not {self.degrees!r}")
+        self.degrees = [int(k) for k in self.degrees]
         for k in self.degrees:
             if not 0 <= k <= 3:
                 raise StudyConfigError(f"degree k={k} outside the supported range 0..3")

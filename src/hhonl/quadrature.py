@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .mesh import polygon_centroid
 
@@ -61,6 +60,23 @@ class QuadratureRule:
         return self.weights @ np.asarray(f(self.points))
 
 
+def _gauss_jacobi_1_0(n):
+    """n-point Gauss rule on [-1, 1] for the weight 1 - x (Jacobi alpha=1, beta=0).
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the orthonormal polynomials, whose recurrence has diagonal
+    -1 / ((2i+1)(2i+3)) and off-diagonal sqrt(i (i+1)) / (2i+1); the weights
+    are the weight's total mass 2 times the squared first eigenvector
+    components.
+    """
+    i = np.arange(n)
+    j = i[1:]
+    off = np.sqrt(j * (j + 1.0)) / (2 * j + 1)
+    T = np.diag(-1.0 / ((2 * i + 1) * (2 * i + 3))) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(T)
+    return nodes, 2.0 * vectors[0] ** 2
+
+
 @lru_cache(maxsize=None)
 def _reference_triangle(degree):
     """Conical-product rule on the triangle (0,0), (1,0), (0,1).
@@ -74,7 +90,7 @@ def _reference_triangle(degree):
     xg, wg = np.polynomial.legendre.leggauss(n)
     u = 0.5 * (xg + 1.0)
     wu = 0.5 * wg
-    xj, wj = roots_jacobi(n, 1.0, 0.0)
+    xj, wj = _gauss_jacobi_1_0(n)
     v = 0.5 * (xj + 1.0)
     wv = 0.25 * wj
     U, V = np.meshgrid(u, v, indexing="ij")

@@ -11,12 +11,17 @@ solve per chunk gives the local Schur complements on the cell's faces,
 scattered straight into the interior-face system, each face's ``k+1`` dofs
 together, in the post-order of a median-bisection tree of the cells
 (``PolytopalMesh.interior_face_order``, built once per mesh).  SuperLU
-factors that system without a column reordering of its own (``NATURAL``)
-in symmetric mode: the diagonal pivot is kept unless it is below 0.1 times
-the largest entry of its column.  Full partial pivoting would swap rows
-freely and destroy the ordering's fill savings; the threshold still
-pivots a nonsymmetric Jacobian where it must.  Each cell's unknowns are
-then recovered from its own stored block.  ``residual`` and ``jacobian``
+factors a float32 copy of that system without a column reordering of its
+own (``NATURAL``) in symmetric mode: the diagonal pivot is kept unless it
+is below 0.1 times the largest entry of its column.  Full partial pivoting
+would swap rows freely and destroy the ordering's fill savings; the
+threshold still pivots a nonsymmetric Jacobian where it must.  The face
+solution is then refined in float64 against the float64 system (mixed
+precision iterative refinement, Langou et al., SC'06; Carson & Higham,
+SIAM J. Sci. Comput. 2018), which reaches double-precision accuracy in a
+few back-solves; a system that float32 cannot hold, or whose refinement
+stalls, is factored again in float64.  Each cell's unknowns are then
+recovered from its own stored block.  ``residual`` and ``jacobian``
 scatter the same local stacks into the full layout for verification.
 """
 
@@ -428,20 +433,79 @@ def static_condense(space, local):
     return S, g, recover
 
 
+# Refinement stops once the estimated error left in the face solution,
+# |d_k|^2 / |d_{k-1}| for the last two corrections, is below this fraction
+# of the solution's norm.
+_REFINE_TOL = 1e-13
+
+
+def _solve_face_system(S, g):
+    """``S x = g`` to double precision from a single-precision factor.
+
+    ``S`` is factored in float32 and the solution refined in float64:
+    starting from ``x = 0``, each step solves ``LU d = g - S x`` with the
+    float64 residual and adds ``d``, until ``|d_k|^2 / |d_{k-1}|`` is below
+    ``_REFINE_TOL |x|``.  Each contraction estimate ``|d_k| / |d_{k-1}|``
+    is about the float32 round-off times the conditioning of ``S``.  If the
+    float32 factor fails, or a correction is non-finite or does not shrink
+    by half, the same loop factors ``S`` again in float64 and goes on from
+    the current ``x``.  Returns ``(x, dtype, steps, last)``: the factor's
+    dtype, the number of corrections made with it, and the last one's norm
+    relative to ``|x|``.
+    """
+    x = np.zeros_like(g)
+    r = g
+    for dtype in (np.float32, np.float64):
+        try:
+            with np.errstate(over="ignore"):  # entries beyond float32's range become inf
+                lu = splu(S.astype(dtype, copy=False), permc_spec="NATURAL",
+                          diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            if dtype is np.float64:
+                raise SolverError(f"condensed face system is singular: {exc}") from exc
+            log.debug("float32 factor of the face system failed (%s); refactoring in float64",
+                      exc)
+            continue
+        last, steps = np.inf, 0
+        while True:
+            # Scaled so that a single-precision right-hand side neither
+            # overflows nor falls into subnormals.
+            scale = max(np.abs(r).max(initial=0.0), np.finfo(float).tiny)
+            d = scale * lu.solve((r / scale).astype(dtype))
+            size = np.linalg.norm(d)
+            if not size <= 0.5 * last:  # non-finite, or not contracting
+                break
+            x += d
+            steps += 1
+            xnorm = np.linalg.norm(x) or 1.0
+            if steps > 1 and size * size <= _REFINE_TOL * xnorm * last:
+                return x, dtype, steps, size / xnorm
+            last = size
+            r = g - S @ x
+        if dtype is np.float32:
+            log.debug("float32 refinement stalled at step %d (correction %.1e after %.1e); "
+                      "refactoring in float64", steps + 1, size, last)
+        elif np.isfinite(size):
+            # Stalled at round-off: the correction after the last one did not shrink.
+            return x, dtype, steps, last / xnorm
+    raise SolverError("condensed face system is singular: "
+                      "non-finite correction from the float64 factor")
+
+
 def _increment(space, local):
     """The ``d`` with ``J d = -r`` on the free dofs, from the stacks of :func:`_assemble`.
 
     The condensed face system, already in the mesh's nested-dissection
-    order, is factored with symmetric-mode threshold pivoting.
+    order, is factored in single precision with symmetric-mode threshold
+    pivoting and its solution refined in double precision against the
+    float64 system; a float64 factor takes over if that refinement fails
+    (:func:`_solve_face_system`).
     """
     S, g, recover = static_condense(space, local)
-    log.debug("face system: %d rows, %d nonzeros", S.shape[0], S.nnz)
-    try:
-        lu = splu(S, permc_spec="NATURAL", diag_pivot_thresh=0.1,
-                  options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolverError(f"condensed face system is singular: {exc}") from exc
-    return space.vector_from_flat(-recover(lu.solve(g)))
+    uf, dtype, steps, last = _solve_face_system(S, g)
+    log.debug("face system: %d rows, %d nonzeros, %s factor, %d refinement steps, "
+              "last correction %.1e", S.shape[0], S.nnz, np.dtype(dtype).name, steps, last)
+    return space.vector_from_flat(-recover(uf))
 
 
 def solve_linear_hho(space, source, diffusion=None):

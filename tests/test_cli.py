@@ -113,8 +113,12 @@ def test_study_from_config_file(tmp_path, capsys):
     ({"family": "cartesian", "levels": [2, 4], "degrees": [0], "tol": "x"},
      "tol must be a positive number"),
     ('{"family": "cartesian",', "invalid JSON"),
+    ({"family": "cartesian", "levels": [2, 4], "degrees": [1.7]},
+     "degrees must be integers"),
+    ({"family": "cartesian", "levels": [2, 4], "degrees": [True]},
+     "degrees must be integers"),
 ], ids=["unknown-field", "missing-field", "not-an-object", "levels-not-a-list",
-        "tol-not-a-number", "invalid-json"])
+        "tol-not-a-number", "invalid-json", "fractional-degree", "boolean-degree"])
 def test_study_rejects_a_malformed_config(tmp_path, capsys, fields, problem):
     cfg = tmp_path / "study.json"
     text = fields if isinstance(fields, str) else json.dumps(fields)
@@ -124,6 +128,15 @@ def test_study_rejects_a_malformed_config(tmp_path, capsys, fields, problem):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and problem in err
+
+
+def test_study_flags_that_break_the_config_are_a_usage_error(capsys):
+    # The same checks as a --config file, with the same exit code.
+    with pytest.raises(SystemExit) as info:
+        main(["study", "--family", "cartesian", "--k", "5", "--levels", "2,4"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "outside the supported range 0..3" in err
 
 
 def test_study_failures_exit_nonzero(capsys):

@@ -17,6 +17,7 @@ from hhonl.quadrature import (
     MAX_TRIANGLE_DEGREE,
     QuadratureError,
     UnsupportedDegreeError,
+    _gauss_jacobi_1_0,
     cell_quadrature,
     face_quadrature,
     triangle_rule,
@@ -87,6 +88,18 @@ def test_reference_triangle_spot_values():
     x4 = float(rule.weights @ rule.points[:, 0] ** 4)
     assert xy == pytest.approx(1.0 / 24.0, rel=1e-14)
     assert x4 == pytest.approx(1.0 / 30.0, rel=1e-14)
+
+
+def test_gauss_jacobi_nodes_and_weights_match_scipy():
+    # The collapsed direction of the triangle rules, for every degree up to
+    # MAX_TRIANGLE_DEGREE (n = 1..11 points).
+    roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
+    for n in range(1, (MAX_TRIANGLE_DEGREE + 2) // 2 + 1):
+        nodes, weights = _gauss_jacobi_1_0(n)
+        ref_nodes, ref_weights = roots_jacobi(n, 1.0, 0.0)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=2e-15)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0,
+                                   atol=5e-14 * ref_weights.max())
 
 
 def test_lowest_order_triangle_rule_is_the_barycenter():

@@ -1,15 +1,18 @@
 """Nonlinear problem definitions, assembly, condensation, and Newton."""
 
 import logging
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import splu, spsolve
 
 import hhonl.mesh as mesh_mod
 import hhonl.solver as solver_mod
 from hhonl.hho import HHOSpace, HybridVector
-from hhonl.mesh import PolytopalMesh, generate_cartesian
+from hhonl.mesh import PolytopalMesh, generate_cartesian, generate_triangular
 from hhonl.solver import (
     CondensationError,
     EvaluationError,
@@ -367,41 +370,135 @@ def test_meshes_with_one_face_block_solve(mesh):
     assert np.all(np.isfinite(u.to_flat()))
 
 
-def _cartesian_32_k3_factor(monkeypatch):
-    """The face system of one Newton step on ``cartesian`` 32, k=3, and its factor."""
-    problem = mean_curvature_problem()
-    space = HHOSpace(generate_cartesian(32), 3)
-    w = space.interpolate(problem.exact_solution).with_zero_boundary()
-    seen = {}
+def _capture_solve(monkeypatch):
+    """Record the face systems, their right-hand sides and recoveries, and every factor."""
+    seen = {"systems": [], "factors": []}
     condense, factor = solver_mod.static_condense, solver_mod.splu
 
     def capture_condense(*args):
-        seen["S"], g, recover = condense(*args)
-        return seen["S"], g, recover
+        out = condense(*args)
+        seen["systems"].append(out)
+        return out
 
     def capture_factor(*args, **kwargs):
-        seen["lu"] = factor(*args, **kwargs)
-        return seen["lu"]
+        seen["factors"].append(factor(*args, **kwargs))
+        return seen["factors"][-1]
 
     monkeypatch.setattr(solver_mod, "static_condense", capture_condense)
     monkeypatch.setattr(solver_mod, "splu", capture_factor)
-    solver_mod._increment(space, solver_mod._assemble(space, problem, w, need_jacobian=True))
-    return seen["S"], seen["lu"]
+    return seen
+
+
+def _cartesian_32_k3_factor(monkeypatch):
+    """The face system of one Newton step on ``cartesian`` 32, k=3, its factor and increment."""
+    problem = mean_curvature_problem()
+    space = HHOSpace(generate_cartesian(32), 3)
+    w = space.interpolate(problem.exact_solution).with_zero_boundary()
+    seen = _capture_solve(monkeypatch)
+    d = solver_mod._increment(space, solver_mod._assemble(space, problem, w, need_jacobian=True))
+    (S, g, recover), = seen["systems"]
+    lu, = seen["factors"]
+    return S, lu, (g, recover, d)
 
 
 def test_nested_dissection_factor_fill_is_under_half_of_colamd(monkeypatch):
     # Guards the ordering against a silent fill regression: on this system
     # the factor holds 0.90 M entries against 3.07 M with COLAMD.
-    S, lu = _cartesian_32_k3_factor(monkeypatch)
+    S, lu, _ = _cartesian_32_k3_factor(monkeypatch)
     colamd = splu(S)
     assert lu.L.nnz + lu.U.nnz < 0.5 * (colamd.L.nnz + colamd.U.nnz)
 
 
 def test_cell_tree_factor_of_cartesian_32_k3_holds_under_a_million_entries(monkeypatch):
     # 0.90 M entries; an order that stops at 64-face leaves gives 1.28 M.
-    _, lu = _cartesian_32_k3_factor(monkeypatch)
+    _, lu, _ = _cartesian_32_k3_factor(monkeypatch)
     assert lu.L.nnz + lu.U.nnz < 1_000_000
     assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))  # no row swapped
+
+
+def test_single_precision_factor_refines_to_the_double_precision_solve(monkeypatch):
+    S, lu, (g, recover, d) = _cartesian_32_k3_factor(monkeypatch)
+    assert S.dtype == np.float64
+    assert lu.L.dtype == lu.U.dtype == np.float32
+    assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))  # no row swapped
+    reference = -recover(spsolve(S, g))
+    assert np.abs(d.to_flat() - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_face_system_beyond_single_precision_falls_back_to_a_double_factor(monkeypatch):
+    # Entries of about 1e39 overflow float32 (max 3.4e38), so the float32
+    # factor fails and the same loop factors the system in float64.  At k=0
+    # the cell blocks hold only the stabilization and stay well conditioned.
+    seen = _capture_solve(monkeypatch)
+    space = HHOSpace(generate_cartesian(8), 0)
+    u = solve_linear_hho(space, lambda x: np.ones(len(x)), diffusion=1e39 * np.eye(2))
+    (S, g, recover), = seen["systems"]
+    assert abs(S).max() > np.finfo(np.float32).max
+    lu, = seen["factors"]  # the float32 attempt raised before returning a factor
+    assert lu.L.dtype == np.float64
+    reference = recover(spsolve(S, g))
+    assert np.all(np.isfinite(u.to_flat()))
+    assert np.abs(-u.to_flat() - reference).max() <= 1e-10 * np.abs(reference).max()
+
+
+def test_stalled_single_precision_refinement_falls_back_to_a_double_factor(monkeypatch, caplog):
+    # Condition number 1e9: float32 round-off times that is far above 1/2,
+    # so the float32 corrections stop halving and a float64 factor takes over.
+    rng = np.random.default_rng(3)
+    n = 60
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (U * np.logspace(0, -9, n)) @ U.T
+    S = sparse.csc_matrix(A)
+    g = rng.standard_normal(n)
+    seen = _capture_solve(monkeypatch)
+    caplog.set_level(logging.DEBUG, logger="hhonl")
+    x, dtype, steps, last = solver_mod._solve_face_system(S, g)
+    assert [lu.L.dtype for lu in seen["factors"]] == [np.float32, np.float64]
+    assert any("float32 refinement stalled" in rec.getMessage() for rec in caplog.records)
+    assert dtype is np.float64 and steps >= 1
+    # Backward stable, and as close to SuperLU's direct solve as the
+    # conditioning allows (1e9 times double round-off, about 2e-7).
+    assert np.linalg.norm(g - A @ x) <= 1e-15 * np.linalg.norm(A, 2) * np.linalg.norm(x)
+    reference = spsolve(S, g)
+    assert np.abs(x - reference).max() <= 1e-6 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("rho, dtype", [(0.4, np.float32), (0.6, np.float64)])
+def test_refinement_falls_back_when_a_correction_does_not_halve(monkeypatch, rho, dtype):
+    # A stand-in float32 factor whose solves are (1 - rho) S^-1 shrinks every
+    # correction by exactly rho: the loop keeps it while rho < 1/2.
+    rng = np.random.default_rng(4)
+    B = rng.standard_normal((12, 12))
+    S = sparse.csc_matrix(B @ B.T + 12 * np.eye(12))
+    g = rng.standard_normal(12)
+    kinds = []
+
+    def factor(A, **kwargs):
+        kinds.append(A.dtype)
+        lu = splu(A, **kwargs)
+        if A.dtype != np.float32:
+            return lu
+        exact = splu(S, **kwargs)
+        return SimpleNamespace(solve=lambda b: (1 - rho) * exact.solve(b.astype(float)))
+
+    monkeypatch.setattr(solver_mod, "splu", factor)
+    x, used, steps, _ = solver_mod._solve_face_system(S, g)
+    assert used is dtype
+    assert kinds == ([np.float32] if dtype is np.float32 else [np.float32, np.float64])
+    if dtype is np.float32:
+        assert steps > 20  # about log(1e-13) / log(rho) corrections
+    reference = spsolve(S, g)
+    assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_each_linear_solve_factors_its_face_system_once(monkeypatch):
+    seen = _capture_solve(monkeypatch)
+    space = HHOSpace(generate_triangular(6), 2)
+    solve_linear_hho(space, lambda x: np.ones(len(x)),
+                     diffusion=np.array([[2.0, 0.3], [0.3, 1.0]]))
+    _, report = newton_solve(mean_curvature_problem(), space.mesh, 2)
+    assert len(seen["factors"]) == len(seen["systems"]) == 1 + report.iterations + 1
+    assert all(lu.L.dtype == np.float32 for lu in seen["factors"])
 
 
 def test_solve_logs_face_system_and_ordering_at_debug(caplog):
@@ -420,7 +517,14 @@ def test_solve_logs_face_system_and_ordering_at_debug(caplog):
         inner = [f for f in faces.tolist() if f in interior]
         coupled.update((a, b) for a in inner for b in inner)
     nnz = len(coupled) * 4
-    assert systems[0] == f"face system: {264 * 2} rows, {nnz} nonzeros"
+    # Each system is factored in float32 and refined in a few float64 steps
+    # down to a correction far below float32 round-off.
+    for message in systems:
+        match = re.fullmatch(rf"face system: {264 * 2} rows, {nnz} nonzeros, float32 factor, "
+                             r"(\d+) refinement steps, last correction (\S+)", message)
+        assert match, message
+        assert 2 <= int(match[1]) <= 4
+        assert float(match[2]) < 1e-9
     orders = [m for m in messages if m.startswith("nested-dissection order")]
     assert len(orders) == 1
     # 144 cells take 8 levels of halving; the top split is the middle grid line.
