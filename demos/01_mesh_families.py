@@ -1,21 +1,20 @@
 """Tour of the four supported mesh families.
 
-Two families are generated on the fly (Cartesian and triangular meshes of
-the unit square), two are shipped as data files (hexagonal and Kershaw
-meshes).  All of them end up as the same PolytopalMesh structure: vertex
-coordinates, cells as counterclockwise vertex loops, and a face table with
-ownership and outward normals.
+All four are generated on the fly: Cartesian and triangular meshes of the
+unit square at any resolution, and four refinement levels each of the
+polygonal hexagonal and Kershaw families.  All of them end up as the same
+PolytopalMesh structure: vertex coordinates, cells as counterclockwise
+vertex loops, and a face table with ownership and outward normals.
 """
 
 import numpy as np
 
-from hhonl.harness import shipped_mesh_files
+from hhonl.harness import build_mesh
 from hhonl.mesh import (
     generate_cartesian,
     generate_triangular,
     mesh_regularity,
     mesh_size,
-    read_mesh,
 )
 
 
@@ -30,18 +29,17 @@ def describe(name, mesh):
     print(f"  total area {mesh.cell_areas.sum():.12f}")
 
 
-# Generated families: any resolution you like.
+# Cartesian and triangular: any resolution you like.
 describe("cartesian 8x8", generate_cartesian(8))
 describe("triangular 8x8 (two triangles per square)", generate_triangular(8))
 
-# File-backed families: four refinement levels each ship with the package.
+# Polygonal families: four refinement levels each, level 1 the coarsest.
 for family in ("hexagonal-files", "kershaw-files"):
-    paths = shipped_mesh_files(family)
-    print(f"\n{family}: {len(paths)} levels shipped")
-    describe(paths[0].name, read_mesh(paths[0]))
+    print()
+    describe(f"{family} level 1", build_mesh(family, 1))
 
 # The mesh is a plain data object.  Cell 0 of the coarse hexagonal mesh:
-mesh = read_mesh(shipped_mesh_files("hexagonal-files")[0])
+mesh = build_mesh("hexagonal-files", 1)
 cell = mesh.cells[0]
 print("\nfirst hexagonal cell:")
 print("  vertex ids ", cell)

@@ -14,12 +14,12 @@ from .basis import (BasisDegenerateError, BasisError, CellBasis, FaceBasis,
                     face_mass_matrix, graded_lex_exponents, l2_project_cell,
                     l2_project_face, space_dimension)
 from .harness import (ConvergenceRecord, StudyConfig, StudyResult,
-                      convergence_rate, data_directory, gradient_error,
-                      run_study, shipped_mesh_files, write_csv)
+                      convergence_rate, gradient_error, run_study, write_csv)
 from .hho import HHOSpace, HybridVector
 from .mesh import (MeshError, MeshFormatError, MeshInvalidError, PolytopalMesh,
-                   generate_cartesian, generate_triangular, mesh_regularity,
-                   mesh_size, quasi_uniformity, read_mesh, write_mesh)
+                   generate_cartesian, generate_hexagonal, generate_kershaw,
+                   generate_triangular, mesh_regularity, mesh_size,
+                   quasi_uniformity, read_mesh, write_mesh)
 from .quadrature import (QuadratureRule, UnsupportedDegreeError,
                          cell_quadrature, face_quadrature, triangle_rule)
 from .solver import (NewtonDivergedError, NewtonReport, NonlinearProblem,
@@ -37,11 +37,11 @@ __all__ = [
     "face_mass_matrix", "graded_lex_exponents", "l2_project_cell",
     "l2_project_face", "space_dimension",
     "ConvergenceRecord", "StudyConfig", "StudyResult", "convergence_rate",
-    "data_directory", "gradient_error", "run_study", "shipped_mesh_files",
-    "write_csv",
+    "gradient_error", "run_study", "write_csv",
     "HHOSpace", "HybridVector",
     "MeshError", "MeshFormatError", "MeshInvalidError", "PolytopalMesh",
-    "generate_cartesian", "generate_triangular", "mesh_regularity",
+    "generate_cartesian", "generate_hexagonal", "generate_kershaw",
+    "generate_triangular", "mesh_regularity",
     "mesh_size", "quasi_uniformity", "read_mesh", "write_mesh",
     "QuadratureRule", "UnsupportedDegreeError", "cell_quadrature",
     "face_quadrature", "triangle_rule",

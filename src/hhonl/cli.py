@@ -48,9 +48,10 @@ def build_parser():
     group = solve.add_mutually_exclusive_group(required=True)
     group.add_argument("--mesh", help="mesh file (native JSON or FVCA typ2)")
     group.add_argument("--family", choices=harness.FAMILIES,
-                       help="generated/shipped mesh family; combine with --level")
+                       help="generated mesh family; combine with --level")
     solve.add_argument("--level", type=int, default=8,
-                       help="cells per side (generated) or shipped-file index")
+                       help="cells per side (cartesian, triangular) or level 1..4 "
+                            "(hexagonal-files, kershaw-files)")
     solve.set_defaults(func=cmd_solve)
 
     study = sub.add_parser("study", help="run a convergence study")

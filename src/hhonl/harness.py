@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import numbers
-import os
 import time
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .mesh import generate_cartesian, generate_triangular, mesh_size, read_mesh
+from .mesh import (generate_cartesian, generate_hexagonal, generate_kershaw,
+                   generate_triangular, mesh_size, read_mesh)
 from .solver import get_problem, newton_solve
 
 __all__ = [
@@ -23,8 +22,6 @@ __all__ = [
     "ConvergenceRecord",
     "StudyFailure",
     "StudyResult",
-    "data_directory",
-    "shipped_mesh_files",
     "build_mesh",
     "report_h",
     "gradient_error",
@@ -37,7 +34,9 @@ __all__ = [
 ]
 
 FAMILIES = ("cartesian", "triangular", "hexagonal-files", "kershaw-files")
-_FILE_PREFIX = {"hexagonal-files": "hexagonal", "kershaw-files": "kershaw"}
+# The generator of each polygonal family and its argument at levels 1 to 4.
+_POLYGONAL_LEVELS = {"hexagonal-files": (generate_hexagonal, (8, 16, 32, 64)),
+                     "kershaw-files": (generate_kershaw, (12, 24, 48, 96))}
 
 
 class StudyConfigError(ValueError):
@@ -56,9 +55,10 @@ class DegenerateExactSolutionError(ValueError):
 class StudyConfig:
     """One convergence study: a family, refinement levels, and degrees.
 
-    ``levels`` holds cell counts per side for the generated families and
-    file paths (or 1-based indices into the shipped files) for the file
-    families.  At least two levels are required so rates can be formed.
+    ``levels`` holds cell counts per side for the Cartesian and triangular
+    families, and levels 1 to 4 or mesh-file paths for the hexagonal and
+    Kershaw families.  At least two levels are required so rates can be
+    formed.
     """
 
     family: str
@@ -124,41 +124,25 @@ class StudyResult:
     elapsed: float = 0.0
 
 
-def data_directory():
-    """Directory holding the shipped mesh files; HHO_DATA_DIR overrides it."""
-    override = os.environ.get("HHO_DATA_DIR")
-    if override:
-        return Path(override)
-    return Path(str(resources.files("hhonl") / "data"))
-
-
-def shipped_mesh_files(family):
-    """Sorted shipped mesh files of a file-backed family."""
-    prefix = _FILE_PREFIX.get(family)
-    if prefix is None:
-        raise StudyConfigError(f"{family!r} is not a file-backed family")
-    return sorted(data_directory().glob(f"{prefix}_*.json"))
-
-
 def build_mesh(family, level):
-    """Mesh for one study level: generated for grid families, read for file ones."""
+    """Mesh for one study level.
+
+    Every integer level is generated: ``n`` cells per side for the Cartesian
+    and triangular families, levels 1 to 4 for the hexagonal and Kershaw
+    ones.  Any other level of those two is a mesh-file path.
+    """
     if family == "cartesian":
         return generate_cartesian(int(level))
     if family == "triangular":
         return generate_triangular(int(level))
-    if family in _FILE_PREFIX:
-        if isinstance(level, (int, np.integer)):
-            files = shipped_mesh_files(family)
-            if not 1 <= level <= len(files):
-                raise StudyConfigError(
-                    f"{family} has {len(files)} shipped levels, requested {level}")
-            return read_mesh(files[level - 1])
-        path = Path(level)
-        if not path.exists() and not path.is_absolute():
-            candidate = data_directory() / path
-            if candidate.exists():
-                path = candidate
-        return read_mesh(path)
+    if family in _POLYGONAL_LEVELS:
+        if not isinstance(level, (int, np.integer)):
+            return read_mesh(level)
+        generate, sizes = _POLYGONAL_LEVELS[family]
+        if not 1 <= level <= len(sizes):
+            raise StudyConfigError(
+                f"{family} has {len(sizes)} shipped levels, requested {level}")
+        return generate(sizes[level - 1])
     raise StudyConfigError(f"unknown family {family!r}")
 
 

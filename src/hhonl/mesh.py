@@ -25,6 +25,8 @@ __all__ = [
     "polygon_diameter",
     "generate_cartesian",
     "generate_triangular",
+    "generate_hexagonal",
+    "generate_kershaw",
     "read_mesh",
     "write_mesh",
     "mesh_size",
@@ -399,11 +401,11 @@ def quasi_uniformity(mesh):
 
 def mesh_regularity(mesh):
     """Largest rho with rho^2 h_T <= h_F for every cell T and incident face F."""
-    ratios = []
-    for ci in range(mesh.num_cells):
-        hT = mesh.cell_diameters[ci]
-        ratios.append((mesh.face_lengths[mesh.cell_faces[ci]] / hT).min())
-    return float(np.sqrt(min(ratios)))
+    # Every (cell, face) incidence: each face with its owner, interior faces with their neighbor.
+    inner = mesh.face_neighbor >= 0
+    hF = np.concatenate((mesh.face_lengths, mesh.face_lengths[inner]))
+    hT = mesh.cell_diameters[np.concatenate((mesh.face_owner, mesh.face_neighbor[inner]))]
+    return float(np.sqrt((hF / hT).min()))
 
 
 # -- generators -------------------------------------------------------------
@@ -440,6 +442,112 @@ def generate_triangular(n):
             v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
             cells.append([v00, v10, v11])
             cells.append([v00, v11, v01])
+    return PolytopalMesh(verts, cells)
+
+
+def generate_hexagonal(n):
+    """Hexagonal-dominant mesh of the unit square with n brick rows.
+
+    Rows of width-1/n bricks are offset by half a brick every other row;
+    each interior brick junction is displaced vertically by 1/(4n), turning
+    the bricks into convex hexagons (with quads and pentagons where rows
+    meet the boundary).
+    """
+    w = 1.0 / n
+    delta = 0.25 * w
+
+    def walls(r):
+        off = 0.5 * (r % 2)
+        xs = [(i + off) * w for i in range(-1, n + 1)]
+        return [x for x in xs if 1e-12 < x < 1.0 - 1e-12]
+
+    # Stations per horizontal interface: wall ends of the rows below and
+    # above, displaced down/up respectively; boundary interfaces keep the
+    # wall ends of their single adjacent row but stay flat.
+    stations = []
+    for j in range(n + 1):
+        st = {0.0: 0.0, 1.0: 0.0}
+        if j > 0:
+            for x in walls(j - 1):
+                st[x] = -delta if j < n else 0.0
+        if j < n:
+            for x in walls(j):
+                st[x] = delta if j > 0 else 0.0
+        stations.append(sorted(st.items()))
+
+    vertex_index = {}
+    vertices = []
+
+    def vid(j, x, d):
+        key = (j, round(x, 12))
+        if key not in vertex_index:
+            vertex_index[key] = len(vertices)
+            vertices.append((x, j * w + d))
+        return vertex_index[key]
+
+    cells = []
+    for r in range(n):
+        cuts = [0.0] + walls(r) + [1.0]
+        for xl, xr in zip(cuts, cuts[1:]):
+            bottom = [(x, d) for x, d in stations[r] if xl - 1e-12 <= x <= xr + 1e-12]
+            top = [(x, d) for x, d in stations[r + 1] if xl - 1e-12 <= x <= xr + 1e-12]
+            poly = [vid(r, x, d) for x, d in bottom]
+            poly += [vid(r + 1, x, d) for x, d in reversed(top)]
+            cells.append(poly)
+    return PolytopalMesh(np.asarray(vertices), cells)
+
+
+# Distortion strength of the Kershaw profiles (1 would leave the grid undistorted).
+_KERSHAW_EPS = 0.75
+
+
+def _kershaw_right(y):
+    y = np.asarray(y, dtype=float)
+    return np.where(y <= 0.5, (2.0 - _KERSHAW_EPS) * y, 1.0 + _KERSHAW_EPS * (y - 1.0))
+
+
+def _kershaw_left(y):
+    return 1.0 - _kershaw_right(1.0 - np.asarray(y, dtype=float))
+
+
+def generate_kershaw(n):
+    """Kershaw distortion of an n-by-n grid (n divisible by 6).
+
+    The vertical coordinate blends between a left and a right zigzag
+    profile across six horizontal layers, producing the slanted layered
+    cells of the FVCA5 benchmark (Herbin & Hubert, 2008).
+    """
+    if n % 6 != 0:
+        raise ValueError("Kershaw construction needs n divisible by 6")
+    xs = np.linspace(0.0, 1.0, n + 1)
+    ys = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    layer = np.minimum((X * 6.0).astype(int), 5)
+    lam = X * 6.0 - layer
+    lft = _kershaw_left(Y)
+    rgt = _kershaw_right(Y)
+    Ynew = np.empty_like(Y)
+    for L in range(6):
+        m = layer == L
+        if L == 0:
+            Ynew[m] = lft[m]
+        elif L in (1, 4):
+            Ynew[m] = (1.0 - lam[m]) * lft[m] + lam[m] * rgt[m]
+        elif L == 2:
+            s = 0.5 * lam[m]
+            Ynew[m] = (1.0 - s) * rgt[m] + s * lft[m]
+        elif L == 3:
+            s = 0.5 * (1.0 + lam[m])
+            Ynew[m] = (1.0 - s) * rgt[m] + s * lft[m]
+        else:
+            Ynew[m] = rgt[m]
+    verts = np.column_stack((X.ravel(), Ynew.ravel()))
+
+    def gid(i, j):
+        return i * (n + 1) + j
+
+    cells = [[gid(i, j), gid(i + 1, j), gid(i + 1, j + 1), gid(i, j + 1)]
+             for i in range(n) for j in range(n)]
     return PolytopalMesh(verts, cells)
 
 

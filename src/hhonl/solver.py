@@ -370,14 +370,10 @@ def _scatter_matrix(blocks, n):
         shape=(n, n))
 
 
-def _residual(space, local):
-    """Full-layout residual vector from the stacks of :func:`_assemble`."""
-    return _scatter_vector(((c.gidx, c.r) for c in local), space.num_dofs)
-
-
 def residual(problem, w):
     """Vector of the discrete nonlinear form at ``w`` against every test dof."""
-    return _residual(w.space, _assemble(w.space, problem, w, need_jacobian=False))
+    local = _assemble(w.space, problem, w, need_jacobian=False)
+    return _scatter_vector(((c.gidx, c.r) for c in local), w.space.num_dofs)
 
 
 def jacobian(problem, w, fields=None):
@@ -492,16 +488,18 @@ def _solve_face_system(S, g):
                       "non-finite correction from the float64 factor")
 
 
-def _increment(space, local):
-    """The ``d`` with ``J d = -r`` on the free dofs, from the stacks of :func:`_assemble`.
+def _increment(space, problem, w):
+    """The Newton increment ``d`` with ``J(w) d = -r(w)`` on the free dofs.
 
+    The local residuals and Jacobians are assembled and condensed here, so
+    that the Jacobian stacks are freed before the face system is factored.
     The condensed face system, already in the mesh's nested-dissection
     order, is factored in single precision with symmetric-mode threshold
     pivoting and its solution refined in double precision against the
     float64 system; a float64 factor takes over if that refinement fails
     (:func:`_solve_face_system`).
     """
-    S, g, recover = static_condense(space, local)
+    S, g, recover = static_condense(space, _assemble(space, problem, w, need_jacobian=True))
     uf, dtype, steps, last = _solve_face_system(S, g)
     log.debug("face system: %d rows, %d nonzeros, %s factor, %d refinement steps, "
               "last correction %.1e", S.shape[0], S.nnz, np.dtype(dtype).name, steps, last)
@@ -513,13 +511,21 @@ def solve_linear_hho(space, source, diffusion=None):
 
     ``diffusion`` is an optional constant SPD 2x2 matrix A (identity by
     default, the Poisson bootstrap); a matrix that is not symmetric, to the
-    tolerance of :meth:`NonlinearProblem.check`, raises ``ValueError``.
-    The discretization (reconstructions and stabilization) is the same one
-    the nonlinear solve uses.
+    tolerance of :meth:`NonlinearProblem.check`, or not positive definite
+    raises ``ValueError``.  The discretization (reconstructions and
+    stabilization) is the same one the nonlinear solve uses.  Since the
+    stabilization does not scale with A, A and the source are divided by
+    A's largest eigenvalue first: the solution is the same, and the cell
+    blocks stay as well conditioned as for the identity, whatever A's size.
     """
     A = np.eye(2) if diffusion is None else np.asarray(diffusion, dtype=float)
     if A.shape != (2, 2) or not np.abs(A - A.T).max() <= 1e-9 * (1.0 + np.abs(A).max()):
         raise ValueError("diffusion must be a symmetric 2x2 matrix")
+    low, high = np.linalg.eigvalsh(A)
+    if not low > 0:
+        raise ValueError(f"diffusion must be positive definite, its eigenvalues are "
+                         f"{low:g} and {high:g}")
+    A = A / high
 
     def lin_a(x, y, z):
         return z @ A.T
@@ -529,10 +535,10 @@ def solve_linear_hho(space, source, diffusion=None):
 
     lin = NonlinearProblem(
         a=lin_a, a_z=lin_az, a_y=lambda x, y, z: np.zeros((len(x), 2)),
-        f=lambda x, y, z: -np.asarray(source(x), dtype=float),
+        f=lambda x, y, z: -np.asarray(source(x), dtype=float) / high,
         f_z=lambda x, y, z: np.zeros((len(x), 2)),
         f_y=lambda x, y, z: np.zeros(len(x)))
-    return _increment(space, _assemble(space, lin, HybridVector(space), need_jacobian=True))
+    return _increment(space, lin, HybridVector(space))
 
 
 def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
@@ -571,10 +577,9 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
     free = space.free_dofs()
     increments = []
     for it in range(1, max_iter + 1):
-        local = _assemble(space, problem, u, need_jacobian=True)
-        delta = _increment(space, local)
+        delta = _increment(space, problem, u)
         if line_search:
-            rnorm = np.linalg.norm(_residual(space, local)[free])
+            rnorm = np.linalg.norm(residual(problem, u)[free])
             alpha = 1.0
             while alpha > 1.0 / 256.0:
                 trial = residual(problem, u + alpha * delta)[free]

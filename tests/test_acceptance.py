@@ -20,9 +20,9 @@ from scipy.sparse.linalg import spsolve
 
 import hhonl.solver as solver_mod
 from hhonl.basis import graded_lex_exponents
-from hhonl.harness import StudyConfig, run_study, shipped_mesh_files
+from hhonl.harness import StudyConfig, build_mesh, run_study
 from hhonl.hho import HHOSpace, HybridVector
-from hhonl.mesh import generate_cartesian, generate_triangular, read_mesh
+from hhonl.mesh import generate_cartesian, generate_triangular
 from hhonl.quadrature import cell_quadrature
 from hhonl.solver import (
     NonlinearProblem,
@@ -216,7 +216,7 @@ def test_polygonal_file_mesh_rate_bands(hexagonal_study, kershaw_study):
                 clauses.append((lo <= rate <= hi,
                                 f"{family} k={k}: rate {rate:.3f} in "
                                 f"[{lo:.1f}, {hi:.1f}]"))
-    _verdict("shipped hexagonal/Kershaw meshes converge in the expected "
+    _verdict("hexagonal/Kershaw meshes converge in the expected "
              "rate bands", clauses)
 
 
@@ -266,8 +266,8 @@ def _family_sample_meshes():
     return [
         ("cartesian", generate_cartesian(3)),
         ("triangular", generate_triangular(3)),
-        ("hexagonal", read_mesh(shipped_mesh_files("hexagonal-files")[0])),
-        ("kershaw", read_mesh(shipped_mesh_files("kershaw-files")[0])),
+        ("hexagonal", build_mesh("hexagonal-files", 1)),
+        ("kershaw", build_mesh("kershaw-files", 1)),
     ]
 
 
@@ -485,8 +485,7 @@ def test_condensed_solve_of_a_nonsymmetric_jacobian():
     jac = jacobian(problem, state)[np.ix_(free, free)].tocsr()
     rhs = residual(problem, state)[free]
     asym = abs(jac - jac.T).max() / abs(jac).max()
-    local = solver_mod._assemble(space, problem, state, need_jacobian=True)
-    condensed = solver_mod._increment(space, local).to_flat()[free]
+    condensed = solver_mod._increment(space, problem, state).to_flat()[free]
     direct = spsolve(jac.tocsc(), -rhs)
     rel = np.abs(condensed - direct).max() / np.abs(direct).max()
     _verdict("condensed and direct solves agree on a nonsymmetric Jacobian",
@@ -525,8 +524,8 @@ def _polygon_monomial_integral(vertices, a, b):
 def test_quadrature_divergence_oracle():
     rng = np.random.default_rng(404)
     meshes = [generate_cartesian(5), generate_triangular(4),
-              read_mesh(shipped_mesh_files("hexagonal-files")[1]),
-              read_mesh(shipped_mesh_files("kershaw-files")[1])]
+              build_mesh("hexagonal-files", 2),
+              build_mesh("kershaw-files", 2)]
     pool = [(mi, ci) for mi, mesh in enumerate(meshes)
             for ci in range(mesh.num_cells)]
     picks = rng.choice(len(pool), size=100, replace=False)

@@ -1,4 +1,6 @@
-"""Study configuration, error metric, rate table, and file outputs."""
+"""Study configuration, mesh levels, error metric, rate table, and file outputs."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -14,18 +16,16 @@ from hhonl.harness import (
     StudyConfigError,
     build_mesh,
     convergence_rate,
-    data_directory,
     format_table,
     gradient_error,
     read_csv,
     report_h,
     run_study,
-    shipped_mesh_files,
     write_csv,
     write_plot_data,
 )
 from hhonl.hho import HHOSpace
-from hhonl.mesh import mesh_size
+from hhonl.mesh import mesh_size, write_mesh
 from hhonl.solver import NonlinearProblem, register_problem
 
 
@@ -96,39 +96,46 @@ def test_build_mesh_generated_families():
         build_mesh("random", 4)
 
 
-def test_shipped_mesh_files_and_indices():
+# SHA-256 of the native JSON (write_mesh) of every hexagonal and Kershaw
+# level: it pins every vertex and cell loop bit for bit.
+POLYGONAL_LEVEL_SHA256 = {
+    ("hexagonal-files", 1): "83f954fdac8382137d8a2c88fdbe3f549436e707688df123e9284d7c6fb1a419",
+    ("hexagonal-files", 2): "167b95c7df9fba4c1a5b1fffdce36df190def40faaaa6b760115fb03920c9bd8",
+    ("hexagonal-files", 3): "41bbd813c35b804a74365e3dee690b87464045543b9af24ab31c37f9bcf1b228",
+    ("hexagonal-files", 4): "c70a6a0722e4f0826f33c1c339fcfc8a8f07091a6c7e4c7375da152e5f1c8505",
+    ("kershaw-files", 1): "2c930980e324bea93d1194578288b9421fceaa3244882bdbd6923f053ff32f02",
+    ("kershaw-files", 2): "284fcb7e143b92108855ec17342c6372ecfb9f2d7c2c789958c763cc8c643489",
+    ("kershaw-files", 3): "7c3b503d9e79e8e368f58381fd47e9be8d516872fe655b9166b4fd5bb3971a0c",
+    ("kershaw-files", 4): "5a298e8fde00ed1251a82bfa4c856151a22b8585d73af45ebc0a66686d717c32",
+}
+
+
+@pytest.mark.parametrize("family, level", sorted(POLYGONAL_LEVEL_SHA256))
+def test_polygonal_levels_are_generated_bit_for_bit(family, level, tmp_path):
+    path = tmp_path / "mesh.json"
+    write_mesh(build_mesh(family, level), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        POLYGONAL_LEVEL_SHA256[family, level]
+
+
+def test_polygonal_levels():
     for family, cells_level1 in (("hexagonal-files", 68), ("kershaw-files", 144)):
-        files = shipped_mesh_files(family)
-        assert len(files) == 4
-        assert [f.name for f in files] == sorted(f.name for f in files)
         mesh = build_mesh(family, 1)
         assert mesh.num_cells == cells_level1
         assert mesh.cell_areas.sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(StudyConfigError, match="not a file-backed"):
-        shipped_mesh_files("cartesian")
-    with pytest.raises(StudyConfigError, match="shipped levels"):
-        build_mesh("hexagonal-files", 9)
+        for level in (0, 5, 9):
+            with pytest.raises(StudyConfigError,
+                               match=f"{family} has 4 shipped levels, requested {level}"):
+                build_mesh(family, level)
 
 
-def test_build_mesh_accepts_paths(tmp_path):
-    # A bare file name resolves against the data directory.
-    mesh = build_mesh("kershaw-files", "kershaw_2.json")
-    assert mesh.num_cells == 576
-    # Absolute paths are used as is.
-    src = data_directory() / "hexagonal_1.json"
-    target = tmp_path / "copy.json"
-    target.write_bytes(src.read_bytes())
-    assert build_mesh("hexagonal-files", target).num_cells == 68
-
-
-def test_data_directory_override(monkeypatch, tmp_path):
-    (tmp_path / "hexagonal_1.json").write_bytes(
-        (data_directory() / "hexagonal_1.json").read_bytes())
-    monkeypatch.setenv("HHO_DATA_DIR", str(tmp_path))
-    assert data_directory() == tmp_path
-    files = shipped_mesh_files("hexagonal-files")
-    assert files == [tmp_path / "hexagonal_1.json"]
-    assert shipped_mesh_files("kershaw-files") == []
+def test_build_mesh_reads_a_path_level(monkeypatch, tmp_path):
+    write_mesh(build_mesh("kershaw-files", 2), tmp_path / "kershaw.json")
+    assert build_mesh("kershaw-files", tmp_path / "kershaw.json").num_cells == 576
+    # A relative path is read from the current directory.
+    write_mesh(build_mesh("hexagonal-files", 1), tmp_path / "hexagonal.json")
+    monkeypatch.chdir(tmp_path)
+    assert build_mesh("hexagonal-files", "hexagonal.json").num_cells == 68
 
 
 def test_report_h_convention():

@@ -177,6 +177,15 @@ def test_quality_metrics_on_uniform_meshes():
     assert mesh_regularity(tri) == pytest.approx(2.0 ** -0.25, rel=1e-12)
 
 
+@pytest.mark.parametrize("family, level", [("kershaw-files", 4), ("hexagonal-files", 3),
+                                           ("triangular", 4)])
+def test_mesh_regularity_matches_a_loop_over_cells(family, level):
+    mesh = build_mesh(family, level)
+    ratios = [(mesh.face_lengths[faces] / mesh.cell_diameters[ci]).min()
+              for ci, faces in enumerate(mesh.cell_faces)]
+    assert mesh_regularity(mesh) == float(np.sqrt(min(ratios)))
+
+
 ORDERED_MESHES = {
     "cartesian": lambda: generate_cartesian(16),
     "triangular": lambda: generate_triangular(12),

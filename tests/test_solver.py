@@ -247,6 +247,26 @@ def test_linear_solve_rejects_nonsymmetric_diffusion():
                          diffusion=np.array([[2.0, 0.3], [0.1, 1.0]]))
 
 
+@pytest.mark.parametrize("diffusion", [np.diag([1.0, 0.0]), np.diag([1.0, -1.0]),
+                                       -np.eye(2)], ids=["singular", "indefinite", "negative"])
+def test_linear_solve_rejects_diffusion_that_is_not_positive_definite(diffusion):
+    space = HHOSpace(generate_cartesian(2), 1)
+    with pytest.raises(ValueError, match="positive definite"):
+        solve_linear_hho(space, lambda x: np.ones(len(x)), diffusion=diffusion)
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e30, 1e39])
+def test_linear_solve_is_invariant_to_the_size_of_the_diffusion(scale):
+    # s I with the source s f has the solution of I with f.  The solve
+    # divides both by s, so the system is the identity's bit for bit.  The
+    # stabilization does not grow with s: unscaled, s = 1e30 would make the
+    # cell blocks singular.
+    space = HHOSpace(generate_cartesian(8), 2)
+    reference = solve_linear_hho(space, lambda x: np.ones(len(x))).to_flat()
+    u = solve_linear_hho(space, lambda x: np.full(len(x), scale), diffusion=scale * np.eye(2))
+    assert np.array_equal(u.to_flat(), reference)
+
+
 def test_condensed_and_direct_solves_agree():
     problem = mean_curvature_problem()
     mesh = generate_cartesian(4)
@@ -395,7 +415,7 @@ def _cartesian_32_k3_factor(monkeypatch):
     space = HHOSpace(generate_cartesian(32), 3)
     w = space.interpolate(problem.exact_solution).with_zero_boundary()
     seen = _capture_solve(monkeypatch)
-    d = solver_mod._increment(space, solver_mod._assemble(space, problem, w, need_jacobian=True))
+    d = solver_mod._increment(space, problem, w)
     (S, g, recover), = seen["systems"]
     lu, = seen["factors"]
     return S, lu, (g, recover, d)
@@ -427,18 +447,18 @@ def test_single_precision_factor_refines_to_the_double_precision_solve(monkeypat
 
 def test_face_system_beyond_single_precision_falls_back_to_a_double_factor(monkeypatch):
     # Entries of about 1e39 overflow float32 (max 3.4e38), so the float32
-    # factor fails and the same loop factors the system in float64.  At k=0
-    # the cell blocks hold only the stabilization and stay well conditioned.
+    # factor fails and the same loop factors the system in float64.
     seen = _capture_solve(monkeypatch)
-    space = HHOSpace(generate_cartesian(8), 0)
-    u = solve_linear_hho(space, lambda x: np.ones(len(x)), diffusion=1e39 * np.eye(2))
-    (S, g, recover), = seen["systems"]
+    solve_linear_hho(HHOSpace(generate_cartesian(8), 0), lambda x: np.ones(len(x)))
+    (S, g, _), = seen["systems"]
+    S, g = 1e39 * S, 1e39 * g
     assert abs(S).max() > np.finfo(np.float32).max
+    seen["factors"].clear()
+    x, dtype, _, _ = solver_mod._solve_face_system(S, g)
     lu, = seen["factors"]  # the float32 attempt raised before returning a factor
-    assert lu.L.dtype == np.float64
-    reference = recover(spsolve(S, g))
-    assert np.all(np.isfinite(u.to_flat()))
-    assert np.abs(-u.to_flat() - reference).max() <= 1e-10 * np.abs(reference).max()
+    assert dtype is np.float64 and lu.L.dtype == np.float64
+    reference = spsolve(S, g)
+    assert np.abs(x - reference).max() <= 1e-10 * np.abs(reference).max()
 
 
 def test_stalled_single_precision_refinement_falls_back_to_a_double_factor(monkeypatch, caplog):
