@@ -10,9 +10,8 @@ configures logging.
 import logging
 
 from .basis import (BasisDegenerateError, BasisError, CellBasis, FaceBasis,
-                    Polynomial, cell_mass_matrix, cell_stiffness_matrix,
-                    face_mass_matrix, graded_lex_exponents, l2_project_cell,
-                    l2_project_face, space_dimension)
+                    Polynomial, cell_mass_matrix, face_mass_matrix,
+                    graded_lex_exponents, l2_project_cell, space_dimension)
 from .harness import (ConvergenceRecord, StudyConfig, StudyResult,
                       convergence_rate, gradient_error, run_study, write_csv)
 from .hho import HHOSpace, HybridVector
@@ -21,7 +20,7 @@ from .mesh import (MeshError, MeshFormatError, MeshInvalidError, PolytopalMesh,
                    generate_triangular, mesh_regularity, mesh_size,
                    quasi_uniformity, read_mesh, write_mesh)
 from .quadrature import (QuadratureRule, UnsupportedDegreeError,
-                         cell_quadrature, face_quadrature, triangle_rule)
+                         cell_quadrature, face_quadrature)
 from .solver import (NewtonDivergedError, NewtonReport, NonlinearProblem,
                      SolverError, get_problem, jacobian, mean_curvature_problem,
                      newton_solve, problem_names, register_problem, residual,
@@ -33,9 +32,8 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "BasisDegenerateError", "BasisError", "CellBasis", "FaceBasis",
-    "Polynomial", "cell_mass_matrix", "cell_stiffness_matrix",
-    "face_mass_matrix", "graded_lex_exponents", "l2_project_cell",
-    "l2_project_face", "space_dimension",
+    "Polynomial", "cell_mass_matrix", "face_mass_matrix",
+    "graded_lex_exponents", "l2_project_cell", "space_dimension",
     "ConvergenceRecord", "StudyConfig", "StudyResult", "convergence_rate",
     "gradient_error", "run_study", "write_csv",
     "HHOSpace", "HybridVector",
@@ -44,7 +42,7 @@ __all__ = [
     "generate_triangular", "mesh_regularity",
     "mesh_size", "quasi_uniformity", "read_mesh", "write_mesh",
     "QuadratureRule", "UnsupportedDegreeError", "cell_quadrature",
-    "face_quadrature", "triangle_rule",
+    "face_quadrature",
     "NewtonDivergedError", "NewtonReport", "NonlinearProblem", "SolverError",
     "get_problem", "jacobian", "mean_curvature_problem", "newton_solve",
     "problem_names", "register_problem", "residual", "solve_linear_hho",

@@ -1,4 +1,4 @@
-"""Scaled monomial bases on cells and faces, mass/stiffness matrices, projectors.
+"""Scaled monomial bases on cells and faces, mass matrices, cell projection.
 
 Cell basis functions are ((x - x_T)/h_T)^a ((y - y_T)/h_T)^b with a + b <= l
 in graded lexicographic order, so the degree-l basis is a prefix of the
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import polygon_centroid, polygon_diameter
-from .quadrature import cell_quadrature, face_quadrature
+from .quadrature import cell_quadrature
 
 __all__ = [
     "BasisError",
@@ -25,10 +25,8 @@ __all__ = [
     "FaceBasis",
     "Polynomial",
     "cell_mass_matrix",
-    "cell_stiffness_matrix",
     "face_mass_matrix",
     "l2_project_cell",
-    "l2_project_face",
 ]
 
 
@@ -120,12 +118,11 @@ class FaceBasis:
     [-1/2, 1/2] across the face.
     """
 
-    def __init__(self, endpoints, degree, face_index=None):
+    def __init__(self, endpoints, degree):
         pts = np.asarray(endpoints, dtype=float)
         self.start = pts[0]
         self.end = pts[1]
         self.degree = int(degree)
-        self.face_index = face_index
         self.midpoint = 0.5 * (self.start + self.end)
         self.length = float(np.hypot(*(self.end - self.start)))
         self.tangent = (self.end - self.start) / self.length
@@ -161,21 +158,11 @@ class Polynomial:
         return np.einsum("qid,i->qd", self.basis.gradient(points), self.coefficients)
 
 
-def cell_mass_matrix(basis, degree=None):
+def cell_mass_matrix(basis):
     """Gram matrix of the basis over its cell."""
-    deg = 2 * basis.degree if degree is None else degree
-    rule = cell_quadrature(basis.vertices, deg)
+    rule = cell_quadrature(basis.vertices, 2 * basis.degree)
     phi = basis.evaluate(rule.points)
     mat = phi.T @ (rule.weights[:, None] * phi)
-    return 0.5 * (mat + mat.T)
-
-
-def cell_stiffness_matrix(basis, degree=None):
-    """Gram matrix of the basis gradients over its cell; constants span the kernel."""
-    deg = max(2 * (basis.degree - 1), 0) if degree is None else degree
-    rule = cell_quadrature(basis.vertices, deg)
-    grad = basis.gradient(rule.points)
-    mat = np.einsum("qid,q,qjd->ij", grad, rule.weights, grad)
     return 0.5 * (mat + mat.T)
 
 
@@ -205,12 +192,3 @@ def l2_project_cell(f, basis, degree=None):
             f"singular mass matrix on cell {basis.cell_index}") from exc
     return Polynomial(basis, coeffs)
 
-
-def l2_project_face(f, basis, degree=None):
-    """L^2-orthogonal projection of ``f`` onto the face basis."""
-    deg = 2 * basis.degree + 2 if degree is None else degree
-    rule = face_quadrature((basis.start, basis.end), deg)
-    psi = basis.evaluate(rule.points)
-    rhs = psi.T @ (rule.weights * np.asarray(f(rule.points), dtype=float))
-    coeffs = np.linalg.solve(face_mass_matrix(basis), rhs)
-    return Polynomial(basis, coeffs)

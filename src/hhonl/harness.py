@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import numbers
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .hho import _is_whole
 from .mesh import (generate_cartesian, generate_hexagonal, generate_kershaw,
                    generate_triangular, mesh_size, read_mesh)
 from .solver import get_problem, newton_solve
@@ -51,6 +53,20 @@ class DegenerateExactSolutionError(ValueError):
     """The exact gradient vanishes; a relative error cannot be formed."""
 
 
+def _level(family, level):
+    """One study level of ``family``: an int, or a mesh-file path where one is allowed.
+
+    The hexagonal and Kershaw families also take a path (str or path-like);
+    anything else but a whole number raises :class:`StudyConfigError`.
+    """
+    if family in _POLYGONAL_LEVELS and isinstance(level, (str, os.PathLike)):
+        return level
+    if _is_whole(level):
+        return int(level)
+    allowed = " or mesh-file paths" if family in _POLYGONAL_LEVELS else ""
+    raise StudyConfigError(f"{family} levels must be whole numbers{allowed}, not {level!r}")
+
+
 @dataclass
 class StudyConfig:
     """One convergence study: a family, refinement levels, and degrees.
@@ -77,11 +93,8 @@ class StudyConfig:
                 raise StudyConfigError(f"{name} must be a list, not {getattr(self, name)!r}")
         if len(self.levels) < 2:
             raise StudyConfigError("a study needs at least 2 refinement levels")
-        # int() would truncate 1.7 to 1 and read True as 1; a whole float such as 2.0 is kept.
-        if any(isinstance(k, bool) or (not isinstance(k, numbers.Integral)
-                                       and not (isinstance(k, numbers.Real)
-                                                and float(k).is_integer()))
-               for k in self.degrees):
+        self.levels = [_level(self.family, level) for level in self.levels]
+        if not all(map(_is_whole, self.degrees)):
             raise StudyConfigError(f"degrees must be integers, not {self.degrees!r}")
         self.degrees = [int(k) for k in self.degrees]
         for k in self.degrees:
@@ -127,23 +140,24 @@ class StudyResult:
 def build_mesh(family, level):
     """Mesh for one study level.
 
-    Every integer level is generated: ``n`` cells per side for the Cartesian
-    and triangular families, levels 1 to 4 for the hexagonal and Kershaw
-    ones.  Any other level of those two is a mesh-file path.
+    Every whole-number level is generated: ``n`` cells per side for the
+    Cartesian and triangular families, levels 1 to 4 for the hexagonal and
+    Kershaw ones.  Those two also take a mesh-file path.
     """
+    if family not in FAMILIES:
+        raise StudyConfigError(f"unknown family {family!r}")
+    level = _level(family, level)
+    if not isinstance(level, int):
+        return read_mesh(level)
     if family == "cartesian":
-        return generate_cartesian(int(level))
+        return generate_cartesian(level)
     if family == "triangular":
-        return generate_triangular(int(level))
-    if family in _POLYGONAL_LEVELS:
-        if not isinstance(level, (int, np.integer)):
-            return read_mesh(level)
-        generate, sizes = _POLYGONAL_LEVELS[family]
-        if not 1 <= level <= len(sizes):
-            raise StudyConfigError(
-                f"{family} has {len(sizes)} shipped levels, requested {level}")
-        return generate(sizes[level - 1])
-    raise StudyConfigError(f"unknown family {family!r}")
+        return generate_triangular(level)
+    generate, sizes = _POLYGONAL_LEVELS[family]
+    if not 1 <= level <= len(sizes):
+        raise StudyConfigError(
+            f"{family} has {len(sizes)} shipped levels, requested {level}")
+    return generate(sizes[level - 1])
 
 
 def report_h(family, level, mesh):

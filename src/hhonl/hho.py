@@ -18,6 +18,7 @@ meshes store a handful of operator sets.
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .basis import (CellBasis, FaceBasis, _powers, _unit_face_mass, graded_lex_exponents,
                     scaled_monomials, space_dimension)
-from .quadrature import QuadratureError, cell_quadrature, face_quadrature
+from .quadrature import MAX_TRIANGLE_DEGREE, QuadratureError, cell_quadrature, face_quadrature
 
 __all__ = [
     "HHOError",
@@ -177,6 +178,16 @@ def _solve(A, B, cells, what, error=OperatorBuildError):
         raise
 
 
+def _is_whole(value):
+    """Whether ``value`` is an integer or a whole float such as 2.0, not a boolean.
+
+    ``int()`` would truncate 1.7 to 1 and read True as 1.
+    """
+    return not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer()))
+
+
 def _congruence_index(rel, signs, size):
     """Class of each cell of a stack, and the position of each class's first cell.
 
@@ -202,8 +213,8 @@ class HHOSpace:
     ----------
     mesh : PolytopalMesh
     k : int
-        Polynomial degree of the cell and face unknowns, 0 to 3 supported
-        by the shipped studies (higher degrees work but are untested).
+        Polynomial degree of the cell and face unknowns.  The shipped
+        studies use 0 to 3; the cell rules allow up to 8.
 
     ``quad_degree`` is 2k+4.  Each face-count group of cells has one cell
     rule of that degree, and faces use the Gauss rule of that degree.
@@ -212,8 +223,10 @@ class HHOSpace:
     """
 
     def __init__(self, mesh, k):
-        if k < 0:
-            raise ValueError("k must be nonnegative")
+        top = (MAX_TRIANGLE_DEGREE - 4) // 2
+        if not (_is_whole(k) and 0 <= k <= top):
+            raise ValueError(f"k must be an integer in 0..{top} (cell rules of degree 2k+4 "
+                             f"go up to {MAX_TRIANGLE_DEGREE}), got {k!r}")
         self.mesh = mesh
         self.k = int(k)
         self.quad_degree = 2 * self.k + 4
@@ -240,7 +253,7 @@ class HHOSpace:
 
     def face_basis(self, fi):
         """Degree-k basis on face ``fi`` in the owner cell's direction."""
-        return FaceBasis(self.mesh.vertices[self.mesh.faces[fi]], self.k, face_index=fi)
+        return FaceBasis(self.mesh.vertices[self.mesh.faces[fi]], self.k)
 
     # -- operator build --------------------------------------------------------
 
@@ -456,8 +469,11 @@ class HHOSpace:
             total += float(np.sum(q * (q @ g.Mk[op])))
         return total
 
-    def _face_jumps(self, v, p):
-        """sum_T sum_F h_F^(1-p) ||v_F - v_T||^p_{L^p(F)}, by quadrature of ``quad_degree``."""
+    def _face_jumps(self, v):
+        """sum_T sum_F h_F^(-1) ||v_F - v_T||^2_F, by quadrature of ``quad_degree``.
+
+        The Gauss weights on [0, 1] are the face's weights divided by h_F.
+        """
         mesh = self.mesh
         t, wt = _gauss(self.quad_degree)
         psi = _powers(t - 0.5, self.k)
@@ -470,26 +486,12 @@ class HHOSpace:
                 / mesh.cell_diameters[ids, None, None, None]
             vT = scaled_monomials(x, self.k) @ v.cell_blocks[ids][:, None, :, None]
             d = v.face_blocks[fids] @ psi.T - vT[..., 0]                     # (m, nf, qF)
-            length = mesh.face_lengths[fids]
-            total += float(np.sum(length ** (2.0 - p) * (np.abs(d) ** p @ wt)))
+            total += float(np.sum(d**2 @ wt))
         return total
 
     def discrete_norm_1h(self, v):
         """Energy-type seminorm: gradient reconstructions plus scaled face jumps."""
-        return float(np.sqrt(max(self._gradient_energy(v) + self._face_jumps(v, 2.0), 0.0)))
-
-    def discrete_norm_1ph(self, v, p):
-        """W^{1,p}-type norm from broken cell gradients and scaled face jumps."""
-        if p < 1:
-            raise ValueError("p must be at least 1")
-        total = 0.0
-        for ids, pts, w, _ in self.quadrature_batches():
-            h = self.mesh.cell_diameters[ids, None, None]
-            x = (pts - self.mesh.cell_centroids[ids, None]) / h
-            grad = scaled_monomials(x, self.k, gradient=True) / h[..., None]  # (m, q, Nk, 2)
-            g = np.einsum("mi,mqid->mqd", v.cell_blocks[ids], grad)
-            total += float(np.sum(w * np.sqrt((g**2).sum(axis=2)) ** p))
-        return float((total + self._face_jumps(v, p)) ** (1.0 / p))
+        return float(np.sqrt(max(self._gradient_energy(v) + self._face_jumps(v), 0.0)))
 
     def reconstruct_gradient_global(self, v):
         """Coefficients of G_T v in every cell's degree-k basis, (num_cells, 2, Nk).

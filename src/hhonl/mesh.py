@@ -453,6 +453,8 @@ def generate_hexagonal(n):
     the bricks into convex hexagons (with quads and pentagons where rows
     meet the boundary).
     """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
     w = 1.0 / n
     delta = 0.25 * w
 
@@ -517,8 +519,8 @@ def generate_kershaw(n):
     profile across six horizontal layers, producing the slanted layered
     cells of the FVCA5 benchmark (Herbin & Hubert, 2008).
     """
-    if n % 6 != 0:
-        raise ValueError("Kershaw construction needs n divisible by 6")
+    if n < 1 or n % 6 != 0:
+        raise ValueError("n must be a positive multiple of 6")
     xs = np.linspace(0.0, 1.0, n + 1)
     ys = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")

@@ -22,7 +22,6 @@ __all__ = [
     "QuadratureRule",
     "MAX_TRIANGLE_DEGREE",
     "MAX_FACE_DEGREE",
-    "triangle_rule",
     "cell_quadrature",
     "face_quadrature",
 ]
@@ -99,15 +98,6 @@ def _reference_triangle(degree):
     pts.setflags(write=False)
     wts.setflags(write=False)
     return pts, wts
-
-
-def triangle_rule(degree):
-    """Rule on the reference triangle, exact for total degree <= ``degree``."""
-    if not 0 <= degree <= MAX_TRIANGLE_DEGREE:
-        raise UnsupportedDegreeError(
-            f"triangle rules support degrees 0..{MAX_TRIANGLE_DEGREE}, got {degree}")
-    pts, wts = _reference_triangle(degree)
-    return QuadratureRule(pts, wts, degree)
 
 
 def cell_quadrature(vertices, degree):

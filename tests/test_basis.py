@@ -1,4 +1,4 @@
-"""Scaled monomial bases: ordering, Gram matrices, and L2 projectors."""
+"""Scaled monomial bases: ordering, Gram matrices, and the cell L2 projector."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,9 @@ from hhonl.basis import (
     FaceBasis,
     Polynomial,
     cell_mass_matrix,
-    cell_stiffness_matrix,
     face_mass_matrix,
     graded_lex_exponents,
     l2_project_cell,
-    l2_project_face,
     space_dimension,
 )
 from hhonl.quadrature import cell_quadrature, face_quadrature
@@ -47,7 +45,9 @@ def test_unit_square_mass_and_stiffness():
     np.testing.assert_allclose(cell_mass_matrix(basis),
                                np.diag([1.0, 1.0 / 24.0, 1.0 / 24.0]),
                                atol=1e-15)
-    np.testing.assert_allclose(cell_stiffness_matrix(basis),
+    rule = cell_quadrature(UNIT_SQUARE, 0)
+    grad = basis.gradient(rule.points)
+    np.testing.assert_allclose(np.einsum("qid,q,qjd->ij", grad, rule.weights, grad),
                                np.diag([0.0, 0.5, 0.5]), atol=1e-15)
 
 
@@ -135,24 +135,6 @@ def test_face_mass_matrix_matches_quadrature():
     # Odd-power moments vanish in the centered coordinate.
     assert analytic[0, 1] == 0.0
     assert analytic[1, 2] == 0.0
-
-
-def test_face_projection_of_linear_field():
-    fb = FaceBasis(np.array([[0.0, 0.0], [1.0, 0.0]]), 1)
-    proj = l2_project_face(lambda p: p[:, 0], fb)
-    np.testing.assert_allclose(proj.coefficients, [0.5, 1.0], atol=1e-13)
-
-
-def test_face_projection_reproduces_cubics():
-    fb = FaceBasis(np.array([[0.4, 1.0], [1.2, 0.1]]), 3)
-
-    def f(p):
-        return 1.0 - 2.0 * p[:, 0] + p[:, 1] ** 3 + p[:, 0] * p[:, 1]
-
-    proj = l2_project_face(f, fb)
-    t = np.linspace(0.0, 1.0, 7)[:, None]
-    pts = fb.start + t * (fb.end - fb.start)
-    np.testing.assert_allclose(proj(pts), f(pts), atol=1e-12)
 
 
 def test_polynomial_wrapper_checks_length():

@@ -117,8 +117,15 @@ def test_study_from_config_file(tmp_path, capsys):
      "degrees must be integers"),
     ({"family": "cartesian", "levels": [2, 4], "degrees": [True]},
      "degrees must be integers"),
+    ({"family": "cartesian", "levels": [4, 8.5], "degrees": [1]},
+     "cartesian levels must be whole numbers, not 8.5"),
+    ({"family": "cartesian", "levels": [True, 4], "degrees": [1]},
+     "cartesian levels must be whole numbers, not True"),
+    ({"family": "cartesian", "levels": [2, "foo.json"], "degrees": [1]},
+     "cartesian levels must be whole numbers, not 'foo.json'"),
 ], ids=["unknown-field", "missing-field", "not-an-object", "levels-not-a-list",
-        "tol-not-a-number", "invalid-json", "fractional-degree", "boolean-degree"])
+        "tol-not-a-number", "invalid-json", "fractional-degree", "boolean-degree",
+        "fractional-level", "boolean-level", "path-level-of-a-generated-family"])
 def test_study_rejects_a_malformed_config(tmp_path, capsys, fields, problem):
     cfg = tmp_path / "study.json"
     text = fields if isinstance(fields, str) else json.dumps(fields)

@@ -39,6 +39,14 @@ def test_family_list_and_config_validation():
         StudyConfig("cartesian", [8], [1])
     with pytest.raises(StudyConfigError, match="0..3"):
         StudyConfig("cartesian", [2, 4], [4])
+    # A whole float is kept as an int, as for degrees; paths only where files are read.
+    assert StudyConfig("cartesian", [4, 8.0], [1]).levels == [4, 8]
+    assert StudyConfig("kershaw-files", [1, "k.json"], [1]).levels == [1, "k.json"]
+    for bad in (8.5, True, "foo.json"):
+        with pytest.raises(StudyConfigError, match="cartesian levels must be whole numbers"):
+            StudyConfig("cartesian", [4, bad], [1])
+        with pytest.raises(StudyConfigError, match="cartesian levels must be whole numbers"):
+            build_mesh("cartesian", bad)
 
 
 def test_rate_formula_on_exact_quadruple():

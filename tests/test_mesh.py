@@ -9,6 +9,8 @@ from hhonl.mesh import (
     MeshInvalidError,
     PolytopalMesh,
     generate_cartesian,
+    generate_hexagonal,
+    generate_kershaw,
     generate_triangular,
     mesh_regularity,
     mesh_size,
@@ -53,6 +55,14 @@ def test_triangular_generator_counts():
     assert mesh.num_faces == 2 * n * (n + 1) + n**2
     assert len(mesh.boundary_faces) == 4 * n
     assert mesh_size(mesh) == pytest.approx(np.sqrt(2.0) / n)
+
+
+def test_generators_reject_a_nonpositive_argument():
+    for generate, bad in ((generate_cartesian, (0, -2)), (generate_triangular, (0, -2)),
+                          (generate_hexagonal, (0, -2)), (generate_kershaw, (0, -6, 8))):
+        for n in bad:
+            with pytest.raises(ValueError, match="n must be a positive"):
+                generate(n)
 
 
 def test_refinement_halves_mesh_size():

@@ -20,7 +20,6 @@ from hhonl.quadrature import (
     _gauss_jacobi_1_0,
     cell_quadrature,
     face_quadrature,
-    triangle_rule,
 )
 
 
@@ -65,6 +64,7 @@ def segment_monomial_integral(p, q, a, b):
 
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+REFERENCE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 LSHAPE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5],
                    [0.5, 0.5], [0.5, 1.0], [0.0, 1.0]])
 
@@ -72,7 +72,7 @@ LSHAPE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5],
 def test_reference_triangle_matches_factorial_formula():
     # int_T x^a y^b over the unit simplex equals a! b! / (a + b + 2)!.
     for degree in (0, 1, 3, 7, 12, 20):
-        rule = triangle_rule(degree)
+        rule = cell_quadrature(REFERENCE_TRIANGLE, degree)
         for a in range(degree + 1):
             for b in range(degree + 1 - a):
                 val = float(rule.weights @ (rule.points[:, 0] ** a
@@ -83,7 +83,7 @@ def test_reference_triangle_matches_factorial_formula():
 
 
 def test_reference_triangle_spot_values():
-    rule = triangle_rule(4)
+    rule = cell_quadrature(REFERENCE_TRIANGLE, 4)
     xy = float(rule.weights @ (rule.points[:, 0] * rule.points[:, 1]))
     x4 = float(rule.weights @ rule.points[:, 0] ** 4)
     assert xy == pytest.approx(1.0 / 24.0, rel=1e-14)
@@ -104,7 +104,7 @@ def test_gauss_jacobi_nodes_and_weights_match_scipy():
 
 def test_lowest_order_triangle_rule_is_the_barycenter():
     for degree in (0, 1):
-        rule = triangle_rule(degree)
+        rule = cell_quadrature(REFERENCE_TRIANGLE, degree)
         assert rule.points.shape == (1, 2)
         np.testing.assert_allclose(rule.points[0], [1.0 / 3.0, 1.0 / 3.0])
         np.testing.assert_allclose(rule.weights, [0.5])
@@ -112,9 +112,9 @@ def test_lowest_order_triangle_rule_is_the_barycenter():
 
 def test_triangle_degree_out_of_range():
     with pytest.raises(UnsupportedDegreeError):
-        triangle_rule(MAX_TRIANGLE_DEGREE + 1)
+        cell_quadrature(REFERENCE_TRIANGLE, MAX_TRIANGLE_DEGREE + 1)
     with pytest.raises(UnsupportedDegreeError):
-        triangle_rule(-1)
+        cell_quadrature(REFERENCE_TRIANGLE, -1)
 
 
 def test_unit_square_monomials():

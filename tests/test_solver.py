@@ -192,6 +192,9 @@ def test_newton_divergence_carries_report():
     assert not report.converged
     assert report.iterations == 1
     assert len(report.increments) == 1
+    # No step at all has no increment to report.
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        newton_solve(problem, generate_cartesian(4), 1, max_iter=0)
 
 
 def test_line_search_reaches_the_same_solution():
@@ -216,55 +219,6 @@ def test_linear_solve_reproduces_manufactured_poisson():
     v = space.interpolate(exact)
     rel = space.gradient_norm(u - v) / space.gradient_norm(v)
     assert rel < 1e-3
-
-
-def test_linear_solve_with_anisotropic_diffusion():
-    A = np.array([[2.0, 0.3], [0.3, 1.0]])
-
-    def exact(x):
-        return np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
-
-    def source(x):
-        s, c = np.sin(np.pi * x), np.cos(np.pi * x)
-        uxx = -np.pi**2 * s[:, 0] * s[:, 1]
-        uyy = uxx
-        uxy = np.pi**2 * c[:, 0] * c[:, 1]
-        return -(A[0, 0] * uxx + 2.0 * A[0, 1] * uxy + A[1, 1] * uyy)
-
-    space = HHOSpace(generate_cartesian(8), 2)
-    u = solve_linear_hho(space, source, diffusion=A)
-    v = space.interpolate(exact)
-    rel = space.gradient_norm(u - v) / space.gradient_norm(v)
-    assert rel < 5e-3
-
-
-def test_linear_solve_rejects_nonsymmetric_diffusion():
-    # The local Jacobian reuses the (0, 1) entry of a_z for (1, 0), so a
-    # nonsymmetric matrix must be refused rather than silently symmetrized.
-    space = HHOSpace(generate_cartesian(2), 1)
-    with pytest.raises(ValueError, match="symmetric"):
-        solve_linear_hho(space, lambda x: np.ones(len(x)),
-                         diffusion=np.array([[2.0, 0.3], [0.1, 1.0]]))
-
-
-@pytest.mark.parametrize("diffusion", [np.diag([1.0, 0.0]), np.diag([1.0, -1.0]),
-                                       -np.eye(2)], ids=["singular", "indefinite", "negative"])
-def test_linear_solve_rejects_diffusion_that_is_not_positive_definite(diffusion):
-    space = HHOSpace(generate_cartesian(2), 1)
-    with pytest.raises(ValueError, match="positive definite"):
-        solve_linear_hho(space, lambda x: np.ones(len(x)), diffusion=diffusion)
-
-
-@pytest.mark.parametrize("scale", [1e-30, 1e30, 1e39])
-def test_linear_solve_is_invariant_to_the_size_of_the_diffusion(scale):
-    # s I with the source s f has the solution of I with f.  The solve
-    # divides both by s, so the system is the identity's bit for bit.  The
-    # stabilization does not grow with s: unscaled, s = 1e30 would make the
-    # cell blocks singular.
-    space = HHOSpace(generate_cartesian(8), 2)
-    reference = solve_linear_hho(space, lambda x: np.ones(len(x))).to_flat()
-    u = solve_linear_hho(space, lambda x: np.full(len(x), scale), diffusion=scale * np.eye(2))
-    assert np.array_equal(u.to_flat(), reference)
 
 
 def test_condensed_and_direct_solves_agree():
@@ -514,8 +468,7 @@ def test_refinement_falls_back_when_a_correction_does_not_halve(monkeypatch, rho
 def test_each_linear_solve_factors_its_face_system_once(monkeypatch):
     seen = _capture_solve(monkeypatch)
     space = HHOSpace(generate_triangular(6), 2)
-    solve_linear_hho(space, lambda x: np.ones(len(x)),
-                     diffusion=np.array([[2.0, 0.3], [0.3, 1.0]]))
+    solve_linear_hho(space, lambda x: np.ones(len(x)))
     _, report = newton_solve(mean_curvature_problem(), space.mesh, 2)
     assert len(seen["factors"]) == len(seen["systems"]) == 1 + report.iterations + 1
     assert all(lu.L.dtype == np.float32 for lu in seen["factors"])
