@@ -21,10 +21,11 @@ from .mesh import (MeshError, MeshFormatError, MeshInvalidError, PolytopalMesh,
                    quasi_uniformity, read_mesh, write_mesh)
 from .quadrature import (QuadratureRule, UnsupportedDegreeError,
                          cell_quadrature, face_quadrature)
-from .solver import (NewtonDivergedError, NewtonReport, NonlinearProblem,
-                     SolverError, get_problem, jacobian, mean_curvature_problem,
-                     newton_solve, problem_names, register_problem, residual,
-                     solve_linear_hho, static_condense)
+from .solver import (LinearSolve, NewtonDivergedError, NewtonReport,
+                     NonlinearProblem, SolverError, get_problem, jacobian,
+                     mean_curvature_problem, newton_solve, problem_names,
+                     register_problem, residual, solve_linear_hho,
+                     static_condense)
 
 __version__ = "0.1.0"
 
@@ -43,7 +44,8 @@ __all__ = [
     "mesh_size", "quasi_uniformity", "read_mesh", "write_mesh",
     "QuadratureRule", "UnsupportedDegreeError", "cell_quadrature",
     "face_quadrature",
-    "NewtonDivergedError", "NewtonReport", "NonlinearProblem", "SolverError",
+    "LinearSolve", "NewtonDivergedError", "NewtonReport", "NonlinearProblem",
+    "SolverError",
     "get_problem", "jacobian", "mean_curvature_problem", "newton_solve",
     "problem_names", "register_problem", "residual", "solve_linear_hho",
     "static_condense",

@@ -97,6 +97,10 @@ def cmd_solve(args):
     print(f"newton: converged in {report.iterations} iterations")
     for i, inc in enumerate(report.increments, start=1):
         print(f"  iter {i}: relative increment {inc:.3e}")
+    print("face solves (bootstrap first):")
+    for i, solve in enumerate(report.linear_solves):
+        print(f"  solve {i}: {solve.factor} factor, {solve.steps} Krylov steps, "
+              f"relative residual {solve.residual:.1e}")
     if problem.exact_gradient is not None:
         err = harness.gradient_error(u, problem.exact_gradient)
         print(f"relative gradient error: {err:.4e}")

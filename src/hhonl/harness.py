@@ -57,11 +57,14 @@ def _level(family, level):
     """One study level of ``family``: an int, or a mesh-file path where one is allowed.
 
     The hexagonal and Kershaw families also take a path (str or path-like);
-    anything else but a whole number raises :class:`StudyConfigError`.
+    anything else but a whole number of at least 1 raises
+    :class:`StudyConfigError`.
     """
     if family in _POLYGONAL_LEVELS and isinstance(level, (str, os.PathLike)):
         return level
     if _is_whole(level):
+        if level < 1:
+            raise StudyConfigError(f"{family} levels must be at least 1, not {level!r}")
         return int(level)
     allowed = " or mesh-file paths" if family in _POLYGONAL_LEVELS else ""
     raise StudyConfigError(f"{family} levels must be whole numbers{allowed}, not {level!r}")

@@ -6,23 +6,31 @@ chunks of cells with one face count whose local operators are gathered
 from the space's operator stacks.  No global matrix holds cell unknowns.
 
 The cell unknowns couple only within their own cell, so a solve
-eliminates them cell by cell (static condensation): one stacked dense
-solve per chunk gives the local Schur complements on the cell's faces,
-scattered straight into the interior-face system, each face's ``k+1`` dofs
+eliminates them cell by cell (static condensation): each chunk is
+assembled and condensed by one stacked dense solve before the next chunk
+is assembled, and its local Schur complements on the cell's faces go
+straight into the interior-face system, each face's ``k+1`` dofs
 together, in the post-order of a median-bisection tree of the cells
 (``PolytopalMesh.interior_face_order``, built once per mesh).  SuperLU
 factors a float32 copy of that system without a column reordering of its
 own (``NATURAL``) in symmetric mode: the diagonal pivot is kept unless it
 is below 0.1 times the largest entry of its column.  Full partial pivoting
 would swap rows freely and destroy the ordering's fill savings; the
-threshold still pivots a nonsymmetric Jacobian where it must.  The face
-solution is then refined in float64 against the float64 system (mixed
-precision iterative refinement, Langou et al., SC'06; Carson & Higham,
-SIAM J. Sci. Comput. 2018), which reaches double-precision accuracy in a
-few back-solves; a system that float32 cannot hold, or whose refinement
-stalls, is factored again in float64.  Each cell's unknowns are then
-recovered from its own stored block.  ``residual`` and ``jacobian``
-scatter the same local stacks into the full layout for verification.
+threshold still pivots a nonsymmetric Jacobian where it must.
+
+The face system is solved in float64 by flexible GMRES against the
+float64 system, preconditioned by a float32 factor (GMRES-based iterative
+refinement, Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  A Newton
+solve holds its latest float32 factor and preconditions the next system
+with it, a lagged factor as in Newton-Krylov solvers (Knoll & Keyes,
+J. Comput. Phys. 193, 2004): the pattern never changes, and the values
+hardly do once Newton converges.  A fresh factor is made only when the
+held one is projected, from its rate so far, to need more steps than a
+fresh factor and its own steps are worth; a system that float32 cannot
+hold, or on which a fresh float32 factor converges too slowly, is
+factored in float64.  Each cell's unknowns are then recovered from its
+own stored block.  ``residual`` and ``jacobian`` scatter the same local
+stacks into the full layout for verification.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
 from .hho import HHOSpace, HybridVector, _solve
@@ -45,6 +54,7 @@ __all__ = [
     "NewtonDivergedError",
     "NonlinearProblem",
     "NewtonReport",
+    "LinearSolve",
     "mean_curvature_problem",
     "register_problem",
     "get_problem",
@@ -85,11 +95,16 @@ class NewtonDivergedError(SolverError):
 
 @dataclass
 class NewtonReport:
-    """Iteration count, per-iteration relative increments, and convergence flag."""
+    """Iteration count, per-iteration relative increments, and convergence flag.
+
+    ``linear_solves`` holds one :class:`LinearSolve` per face-system solve,
+    the Poisson bootstrap first when there is one.
+    """
 
     iterations: int
     increments: list
     converged: bool
+    linear_solves: list = field(default_factory=list)
 
 
 @dataclass
@@ -266,77 +281,75 @@ class _Local(NamedTuple):
     J: np.ndarray      # (m, nloc, nloc), None when no Jacobian was asked for
 
 
-def _assemble(space, problem, w, need_jacobian, fields=None):
+def _assemble(space, problem, w, chunk, need_jacobian, fields=None):
     """Local residual (and optionally Jacobian) stacks of the discrete form at ``w``.
 
-    With ``fields=(u, grad_u)`` the Jacobian coefficients are evaluated at the
-    given fields instead of the discrete iterate (semi-discrete linearization).
-    Cells are processed in chunks of one face count, each gathering its
-    cells' operators from the space; returns one :class:`_Local` per chunk.
+    ``chunk`` is one ``(group, slice)`` pair of ``space._chunks()``: cells
+    of one face count, which gather their operators from the space.  With
+    ``fields=(u, grad_u)`` the Jacobian coefficients are evaluated at the
+    given fields instead of the discrete iterate (semi-discrete
+    linearization).  Returns the chunk's :class:`_Local`.
     """
     Nk = space.Nk
-    out = []
-    for g, sl in space._chunks():
-        ids, op = g.cells[sl], g.op[sl]
-        m = len(ids)
-        G = g.G[op]                                   # (m, 2 Nk, nloc)
-        phi = g.phi[op, :, :Nk]                       # (m, nq, Nk)
-        phiT = np.swapaxes(phi, 1, 2)
-        wq = g.weights[op]
-        loc = space._local_values(g, sl, w)
-        flat = (space.mesh.cell_centroids[ids][:, None, :] + g.offsets[op]).reshape(-1, 2)
+    g, sl = chunk
+    ids, op = g.cells[sl], g.op[sl]
+    m = len(ids)
+    G = g.G[op]                                   # (m, 2 Nk, nloc)
+    phi = g.phi[op, :, :Nk]                       # (m, nq, Nk)
+    phiT = np.swapaxes(phi, 1, 2)
+    wq = g.weights[op]
+    loc = space._local_values(g, sl, w)
+    flat = (space.mesh.cell_centroids[ids][:, None, :] + g.offsets[op]).reshape(-1, 2)
 
-        # grad_x, grad_y of G_T w and w_T at every quadrature point.
-        q = (G @ loc[..., None]).reshape(m, 2, Nk)
-        vals = phi @ np.concatenate((q, loc[:, None, :Nk]), axis=1).transpose(0, 2, 1)
-        zq = vals[..., :2].reshape(-1, 2)
-        yq = vals[..., 2].ravel()
-        if fields is None:
-            y_c, z_c = yq, zq
-        else:
-            y_c = np.asarray(fields[0](flat), dtype=float)
-            z_c = np.asarray(fields[1](flat), dtype=float)
+    # grad_x, grad_y of G_T w and w_T at every quadrature point.
+    q = (G @ loc[..., None]).reshape(m, 2, Nk)
+    vals = phi @ np.concatenate((q, loc[:, None, :Nk]), axis=1).transpose(0, 2, 1)
+    zq = vals[..., :2].reshape(-1, 2)
+    yq = vals[..., 2].ravel()
+    if fields is None:
+        y_c, z_c = yq, zq
+    else:
+        y_c = np.asarray(fields[0](flat), dtype=float)
+        z_c = np.asarray(fields[1](flat), dtype=float)
 
-        aval = _call(problem, "a", flat, yq, zq, ids).reshape(m, -1, 2)
-        fval = _call(problem, "f", flat, yq, zq, ids).reshape(m, -1, 1)
-        mom = phiT @ (np.concatenate((aval, fval), axis=2) * wq[..., None])  # (m, Nk, 3)
-        r_loc = (np.swapaxes(G, 1, 2) @ mom[:, :, :2].transpose(0, 2, 1).reshape(m, -1, 1)
-                 + g.S[op] @ loc[..., None])[..., 0]
-        r_loc[:, :Nk] += mom[:, :, 2]
+    aval = _call(problem, "a", flat, yq, zq, ids).reshape(m, -1, 2)
+    fval = _call(problem, "f", flat, yq, zq, ids).reshape(m, -1, 1)
+    mom = phiT @ (np.concatenate((aval, fval), axis=2) * wq[..., None])  # (m, Nk, 3)
+    r_loc = (np.swapaxes(G, 1, 2) @ mom[:, :, :2].transpose(0, 2, 1).reshape(m, -1, 1)
+             + g.S[op] @ loc[..., None])[..., 0]
+    r_loc[:, :Nk] += mom[:, :, 2]
 
-        if not need_jacobian:
-            out.append(_Local(ids, g.gidx[sl], r_loc, None))
-            continue
+    if not need_jacobian:
+        return _Local(ids, g.gidx[sl], r_loc, None)
 
-        def mass(weights):
-            """phi^T diag(weights) phi per cell, (m, Nk, Nk)."""
-            return phiT @ (weights[..., None] * phi)
+    def mass(weights):
+        """phi^T diag(weights) phi per cell, (m, Nk, Nk)."""
+        return phiT @ (weights[..., None] * phi)
 
-        # a_z is symmetric (the NonlinearProblem contract), so the (1, 0)
-        # block equals the (0, 1) block, itself a symmetric mass matrix.
-        az = _call(problem, "a_z", flat, y_c, z_c, ids).reshape(m, -1, 2, 2) * wq[..., None, None]
-        M = np.empty((m, 2 * Nk, 2 * Nk))
-        M[:, :Nk, :Nk] = mass(az[..., 0, 0])
-        M[:, :Nk, Nk:] = mass(az[..., 0, 1])
-        M[:, Nk:, :Nk] = M[:, :Nk, Nk:]
-        M[:, Nk:, Nk:] = mass(az[..., 1, 1])
-        J_loc = np.swapaxes(G, 1, 2) @ (M @ G) + g.S[op]
+    # a_z is symmetric (the NonlinearProblem contract), so the (1, 0)
+    # block equals the (0, 1) block, itself a symmetric mass matrix.
+    az = _call(problem, "a_z", flat, y_c, z_c, ids).reshape(m, -1, 2, 2) * wq[..., None, None]
+    M = np.empty((m, 2 * Nk, 2 * Nk))
+    M[:, :Nk, :Nk] = mass(az[..., 0, 0])
+    M[:, :Nk, Nk:] = mass(az[..., 0, 1])
+    M[:, Nk:, :Nk] = M[:, :Nk, Nk:]
+    M[:, Nk:, Nk:] = mass(az[..., 1, 1])
+    J_loc = np.swapaxes(G, 1, 2) @ (M @ G) + g.S[op]
 
-        ay = _call(problem, "a_y", flat, y_c, z_c, ids)
-        if np.any(ay):
-            ayw = ay.reshape(m, -1, 2) * wq[..., None]
-            W = np.concatenate((mass(ayw[..., 0]), mass(ayw[..., 1])), axis=1)
-            J_loc[:, :, :Nk] += np.swapaxes(G, 1, 2) @ W
-        fz = _call(problem, "f_z", flat, y_c, z_c, ids)
-        if np.any(fz):
-            fzw = fz.reshape(m, -1, 2) * wq[..., None]
-            W = np.concatenate((mass(fzw[..., 0]), mass(fzw[..., 1])), axis=2)
-            J_loc[:, :Nk, :] += W @ G
-        fy = _call(problem, "f_y", flat, y_c, z_c, ids)
-        if np.any(fy):
-            J_loc[:, :Nk, :Nk] += mass(fy.reshape(m, -1) * wq)
-        out.append(_Local(ids, g.gidx[sl], r_loc, J_loc))
-    return out
+    ay = _call(problem, "a_y", flat, y_c, z_c, ids)
+    if np.any(ay):
+        ayw = ay.reshape(m, -1, 2) * wq[..., None]
+        W = np.concatenate((mass(ayw[..., 0]), mass(ayw[..., 1])), axis=1)
+        J_loc[:, :, :Nk] += np.swapaxes(G, 1, 2) @ W
+    fz = _call(problem, "f_z", flat, y_c, z_c, ids)
+    if np.any(fz):
+        fzw = fz.reshape(m, -1, 2) * wq[..., None]
+        W = np.concatenate((mass(fzw[..., 0]), mass(fzw[..., 1])), axis=2)
+        J_loc[:, :Nk, :] += W @ G
+    fy = _call(problem, "f_y", flat, y_c, z_c, ids)
+    if np.any(fy):
+        J_loc[:, :Nk, :Nk] += mass(fy.reshape(m, -1) * wq)
+    return _Local(ids, g.gidx[sl], r_loc, J_loc)
 
 
 def _scatter_vector(blocks, n):
@@ -351,29 +364,30 @@ def _scatter_vector(blocks, n):
     return out
 
 
-def _scatter_matrix(blocks, n):
-    """Sum of local matrices ``(index (m, b), values (m, b, b))`` as an (n, n) COO matrix.
+def _matrix_entries(idx, A):
+    """COO entries ``(rows, cols, values)`` of local matrices ``A`` (m, b, b) at ``idx`` (m, b).
 
     An index of -1 drops its row and column.
     """
-    rows_all, cols_all, data_all = [], [], []
-    for idx, A in blocks:
-        b = idx.shape[1]
-        rows = np.repeat(idx, b, axis=1).ravel()
-        cols = np.tile(idx, (1, b)).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        rows_all.append(rows[keep].astype(np.int32))
-        cols_all.append(cols[keep].astype(np.int32))
-        data_all.append(A.reshape(-1)[keep])
-    return sparse.coo_matrix(
-        (np.concatenate(data_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(n, n))
+    b = idx.shape[1]
+    rows = np.repeat(idx, b, axis=1).ravel()
+    cols = np.tile(idx, (1, b)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep].astype(np.int32), cols[keep].astype(np.int32), A.reshape(-1)[keep]
+
+
+def _coo_matrix(entries, n):
+    """The (n, n) COO matrix summing a list of :func:`_matrix_entries`."""
+    rows, cols, data = (np.concatenate(part) for part in zip(*entries))
+    return sparse.coo_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def residual(problem, w):
     """Vector of the discrete nonlinear form at ``w`` against every test dof."""
-    local = _assemble(w.space, problem, w, need_jacobian=False)
-    return _scatter_vector(((c.gidx, c.r) for c in local), w.space.num_dofs)
+    space = w.space
+    local = (_assemble(space, problem, w, chunk, need_jacobian=False)
+             for chunk in space._chunks())
+    return _scatter_vector(((c.gidx, c.r) for c in local), space.num_dofs)
 
 
 def jacobian(problem, w, fields=None):
@@ -384,39 +398,47 @@ def jacobian(problem, w, fields=None):
     verification studies).  The solve path never builds this matrix: it
     condenses the local Jacobians cell by cell (:func:`static_condense`).
     """
-    local = _assemble(w.space, problem, w, need_jacobian=True, fields=fields)
-    return _scatter_matrix(((c.gidx, c.J) for c in local), w.space.num_dofs).tocsr()
+    space = w.space
+    entries = []
+    for chunk in space._chunks():
+        c = _assemble(space, problem, w, chunk, need_jacobian=True, fields=fields)
+        entries.append(_matrix_entries(c.gidx, c.J))
+    return _coo_matrix(entries, space.num_dofs).tocsr()
 
 
 # -- linear algebra ----------------------------------------------------------
 
 
-def static_condense(space, local):
-    """Eliminate each cell's unknowns from its own block of ``J x = r``.
+def static_condense(space, problem, w):
+    """The Newton system ``J(w) x = r(w)`` with each cell's unknowns eliminated.
 
-    ``local`` holds the stacks of :func:`_assemble`, whose residuals act as
-    the right-hand side.  Per chunk one stacked solve gives
-    ``X = J_TT^{-1} [J_TF | r_T]``; the local Schur complements
-    ``J_FF - J_FT X_F`` and reduced right-hand sides ``r_F - J_FT X_r`` are
-    scattered straight into the interior-face system, whose rows follow
-    :meth:`HHOSpace.face_rows`; boundary face dofs are dropped, their values
-    being zero.  Returns ``(S, g, recover)``: the face system (CSC), its
-    right-hand side, and a callback mapping a face solution to the
+    Chunk by chunk, the local residuals and Jacobians of :func:`_assemble`
+    are condensed and dropped before the next chunk is assembled, so the
+    Jacobian stacks of all cells never exist at once.  Per chunk one
+    stacked solve gives ``X = J_TT^{-1} [J_TF | r_T]``; the local Schur
+    complements ``J_FF - J_FT X_F`` and reduced right-hand sides
+    ``r_F - J_FT X_r`` go into the interior-face system, whose rows follow
+    :meth:`HHOSpace.face_rows`; boundary face dofs are dropped, their
+    values being zero.  Returns ``(S, g, recover)``: the face system (CSC),
+    its right-hand side, and a callback mapping a face solution to the
     full-layout solution ``x``, zero on boundary faces.
     """
     Nk = space.Nk
     rows = space.face_rows()
     n = len(space.mesh.interior_faces) * space.nF
-    kept, blocks = [], []
-    for c in local:
+    g = np.zeros(n)
+    kept, entries = [], []
+    for chunk in space._chunks():
+        c = _assemble(space, problem, w, chunk, need_jacobian=True)
         J_FT = c.J[:, Nk:, :Nk]
         rhs = np.concatenate((c.J[:, :Nk, Nk:], c.r[:, :Nk, None]), axis=2)
         X = _solve(c.J[:, :Nk, :Nk], rhs, c.ids, "cell block", CondensationError)
-        blocks.append((rows[c.gidx[:, Nk:]], c.J[:, Nk:, Nk:] - J_FT @ X[..., :-1],
-                       c.r[:, Nk:] - (J_FT @ X[..., -1:])[..., 0]))
+        f = rows[c.gidx[:, Nk:]]
+        entries.append(_matrix_entries(f, c.J[:, Nk:, Nk:] - J_FT @ X[..., :-1]))
+        g += _scatter_vector([(f, c.r[:, Nk:] - (J_FT @ X[..., -1:])[..., 0])], n)
         kept.append((c.gidx, X))
-    S = _scatter_matrix(((f, A) for f, A, _ in blocks), n).tocsc()
-    g = _scatter_vector(((f, b) for f, _, b in blocks), n)
+        del c, J_FT, rhs  # the chunk's Jacobian stack goes before the next one is assembled
+    S = _coo_matrix(entries, n).tocsc()
 
     def recover(uf):
         x = np.zeros(space.num_dofs)
@@ -429,90 +451,181 @@ def static_condense(space, local):
     return S, g, recover
 
 
-# Refinement stops once the estimated error left in the face solution,
-# |d_k|^2 / |d_{k-1}| for the last two corrections, is below this fraction
-# of the solution's norm.
-_REFINE_TOL = 1e-13
+class LinearSolve(NamedTuple):
+    """How one linear solve of the condensed face system went."""
+
+    factor: str       # "fresh float32", "held float32" or "float64": the factor that finished
+    steps: int        # flexible GMRES steps, over every factor the solve tried
+    residual: float   # true relative residual |g - S x| / |g| at the end
 
 
-def _solve_face_system(S, g):
-    """``S x = g`` to double precision from a single-precision factor.
+# A face solve stops once the flexible GMRES estimate of |g - S x| is at
+# most this fraction of |g|.  The true residual then sits at its float64
+# floor: 4e-16 to 1.2e-12 of |g| over the benchmark's 184 face solves.
+_RTOL = 1e-14
 
-    ``S`` is factored in float32 and the solution refined in float64:
-    starting from ``x = 0``, each step solves ``LU d = g - S x`` with the
-    float64 residual and adds ``d``, until ``|d_k|^2 / |d_{k-1}|`` is below
-    ``_REFINE_TOL |x|``.  Each contraction estimate ``|d_k| / |d_{k-1}|``
-    is about the float32 round-off times the conditioning of ``S``.  If the
-    float32 factor fails, or a correction is non-finite or does not shrink
-    by half, the same loop factors ``S`` again in float64 and goes on from
-    the current ``x``.  Returns ``(x, dtype, steps, last)``: the factor's
-    dtype, the number of corrections made with it, and the last one's norm
-    relative to ``|x|``.
+# A float32 factor of the face system costs about as much as 16 Krylov
+# steps on cartesian 64 and 96, k=3.  A factor is dropped once the steps it
+# still needs exceed 8 plus the steps of a fresh factor, about half a
+# factor's cost, as a fresh factor also serves the Newton steps after it.
+# On the steep sweep u = s x(1-x)y(1-y), s = 1..64, on cartesian 64, k=3,
+# thresholds of 4 to 8 came within 1% of the fewest steps and factors (a
+# factor counted as 16 steps) and 10 to 20 took 3-14% more; at 4 the held
+# factor is already dropped at s = 1.
+_REFACTOR_STEPS = 8
+
+# The residual reduction per step of a fresh float32 factor: it reaches
+# _RTOL in about four steps.
+_FRESH_RATE = 3e-4
+
+# No attempt with one factor takes more steps than this.
+_MAX_STEPS = 40
+
+
+def _factor(S, dtype):
+    """Sparse LU factor of ``S`` in ``dtype``, in the face order, symmetric-mode pivoting."""
+    with np.errstate(over="ignore"):  # entries beyond float32's range become inf
+        return splu(S.astype(dtype, copy=False), permc_spec="NATURAL",
+                    diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+
+
+def _fgmres(S, g, x, lu, dtype, tol, patient):
+    """Flexible GMRES for ``S x = g`` from ``x``, preconditioned by the factor ``lu``.
+
+    Step ``j`` solves with the factor (of precision ``dtype``) for
+    ``z_j ~ S^-1 v_j``, the right-hand side scaled so that it neither
+    overflows nor falls into subnormals in single precision, and extends
+    the Arnoldi basis with ``S z_j`` in float64.  The iterate is
+    ``x + Z y``, with ``y`` minimizing the residual: every ``z_j`` is kept,
+    since a single-precision solve is not a linear operator.  The attempt
+    ends once the residual estimate is at most ``tol``.  Unless ``patient``,
+    it gives up as soon as the steps still needed at its average rate so
+    far exceed ``_REFACTOR_STEPS`` plus the steps a fresh factor would
+    need at ``_FRESH_RATE``.  Returns ``(x, steps, converged)``: the
+    iterate, the steps taken and whether the estimate reached ``tol``.
     """
-    x = np.zeros_like(g)
-    r = g
-    for dtype in (np.float32, np.float64):
-        try:
-            with np.errstate(over="ignore"):  # entries beyond float32's range become inf
-                lu = splu(S.astype(dtype, copy=False), permc_spec="NATURAL",
-                          diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
-        except RuntimeError as exc:
-            if dtype is np.float64:
-                raise SolverError(f"condensed face system is singular: {exc}") from exc
-            log.debug("float32 factor of the face system failed (%s); refactoring in float64",
-                      exc)
-            continue
-        last, steps = np.inf, 0
-        while True:
-            # Scaled so that a single-precision right-hand side neither
-            # overflows nor falls into subnormals.
-            scale = max(np.abs(r).max(initial=0.0), np.finfo(float).tiny)
-            d = scale * lu.solve((r / scale).astype(dtype))
-            size = np.linalg.norm(d)
-            if not size <= 0.5 * last:  # non-finite, or not contracting
+    r = g - S @ x
+    beta = np.linalg.norm(r)
+    if beta <= tol:
+        return x, 0, True
+    V, Z = [r / beta], []
+    R = np.zeros((_MAX_STEPS + 1, _MAX_STEPS))  # the Hessenberg matrix, rotated to triangular
+    cs, sn = np.zeros(_MAX_STEPS), np.zeros(_MAX_STEPS)
+    e = np.zeros(_MAX_STEPS + 1)
+    e[0] = beta
+    converged = False
+    for j in range(_MAX_STEPS):
+        scale = max(np.abs(V[j]).max(), np.finfo(float).tiny)
+        z = scale * lu.solve((V[j] / scale).astype(dtype))
+        if not np.all(np.isfinite(z)):
+            break
+        w = S @ z
+        h = R[:j + 2, j]
+        for i, v in enumerate(V):  # modified Gram-Schmidt
+            h[i] = v @ w
+            w -= h[i] * v
+        h[j + 1] = wnorm = np.linalg.norm(w)
+        for i in range(j):
+            h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
+        d = np.hypot(h[j], h[j + 1])
+        if not d > 0:
+            break
+        cs[j], sn[j] = h[j] / d, h[j + 1] / d
+        h[j], h[j + 1] = d, 0.0
+        e[j], e[j + 1] = cs[j] * e[j], -sn[j] * e[j]
+        Z.append(z)
+        est = abs(e[j + 1])
+        if est <= tol:
+            converged = True
+            break
+        if not patient:
+            rho = est / beta
+            left = (j + 1) * np.log(tol / est) / np.log(rho) if rho < 1 else np.inf
+            if left > _REFACTOR_STEPS + np.log(tol / est) / np.log(_FRESH_RATE):
                 break
-            x += d
-            steps += 1
-            xnorm = np.linalg.norm(x) or 1.0
-            if steps > 1 and size * size <= _REFINE_TOL * xnorm * last:
-                return x, dtype, steps, size / xnorm
-            last = size
-            r = g - S @ x
+        V.append(w / wnorm)
+    n = len(Z)
+    if n:
+        x = x + np.column_stack(Z) @ solve_triangular(R[:n, :n], e[:n])
+    return x, n, converged
+
+
+class _FaceFactor:
+    """The float32 factor of the face system that one Newton solve holds, and its records.
+
+    Each :meth:`solve` runs flexible GMRES (:func:`_fgmres`) with the held
+    factor first, since the Newton systems of one solve share their pattern
+    and, as Newton converges, nearly their values.  Only when the held
+    factor does not pay is it dropped and the system factored afresh in
+    float32; if that factor fails or does not pay either, a float64 factor
+    finishes the solve.  Each factor takes over from the current iterate.
+    A float32 factor that finished a solve is held for the next one.
+    """
+
+    def __init__(self):
+        self.lu = None
+        self.solves = []  # one LinearSolve per solve
+
+    def solve(self, S, g):
+        """The solution ``x`` of ``S x = g``; its :class:`LinearSolve` goes on ``solves``."""
+        gnorm = np.linalg.norm(g)
+        tol = _RTOL * gnorm
+        x = np.zeros_like(g)
+        steps = 0
+        for kind in ("held float32", "fresh float32", "float64"):
+            dtype = np.float64 if kind == "float64" else np.float32
+            if kind == "held float32":
+                if self.lu is None:
+                    continue
+                lu = self.lu
+            else:
+                self.lu = lu = None  # dropped before the next factor is made
+                try:
+                    lu = _factor(S, dtype)
+                except RuntimeError as exc:
+                    if dtype is np.float64:
+                        raise SolverError(f"condensed face system is singular: {exc}") from exc
+                    log.debug("float32 factor of the face system failed (%s)", exc)
+                    continue
+            x, n, converged = _fgmres(S, g, x, lu, dtype, tol, patient=dtype is np.float64)
+            steps += n
+            if converged:
+                break
+            log.debug("%s factor gave up after %d Krylov steps", kind, n)
+        else:
+            raise SolverError("condensed face system is singular: "
+                              "flexible GMRES with a float64 factor did not converge")
         if dtype is np.float32:
-            log.debug("float32 refinement stalled at step %d (correction %.1e after %.1e); "
-                      "refactoring in float64", steps + 1, size, last)
-        elif np.isfinite(size):
-            # Stalled at round-off: the correction after the last one did not shrink.
-            return x, dtype, steps, last / xnorm
-    raise SolverError("condensed face system is singular: "
-                      "non-finite correction from the float64 factor")
+            self.lu = lu
+        residual = float(np.linalg.norm(g - S @ x) / gnorm) if gnorm > 0 else 0.0
+        self.solves.append(LinearSolve(kind, steps, residual))
+        log.debug("face system: %d rows, %d nonzeros, %s factor, %d Krylov steps, "
+                  "relative residual %.1e", S.shape[0], S.nnz, kind, steps, residual)
+        return x
 
 
-def _increment(space, problem, w):
+def _increment(space, problem, w, face_factor=None):
     """The Newton increment ``d`` with ``J(w) d = -r(w)`` on the free dofs.
 
-    The local residuals and Jacobians are assembled and condensed here, so
-    that the Jacobian stacks are freed before the face system is factored.
-    The condensed face system, already in the mesh's nested-dissection
-    order, is factored in single precision with symmetric-mode threshold
-    pivoting and its solution refined in double precision against the
-    float64 system; a float64 factor takes over if that refinement fails
-    (:func:`_solve_face_system`).
+    The face system, condensed chunk by chunk (:func:`static_condense`) and
+    already in the mesh's nested-dissection order, is solved by
+    ``face_factor``, a :class:`_FaceFactor` that may hold a factor from an
+    earlier solve; without one the solve makes and drops its own factor.
     """
-    S, g, recover = static_condense(space, _assemble(space, problem, w, need_jacobian=True))
-    uf, dtype, steps, last = _solve_face_system(S, g)
-    log.debug("face system: %d rows, %d nonzeros, %s factor, %d refinement steps, "
-              "last correction %.1e", S.shape[0], S.nnz, np.dtype(dtype).name, steps, last)
-    return space.vector_from_flat(-recover(uf))
+    S, g, recover = static_condense(space, problem, w)
+    return space.vector_from_flat(-recover((face_factor or _FaceFactor()).solve(S, g)))
 
 
-def solve_linear_hho(space, source):
+def solve_linear_hho(space, source, face_factor=None):
     """HHO solution of the Poisson problem -div grad u = source with zero Dirichlet data.
 
     This is the bootstrap of :func:`newton_solve`: the linear flux
     a(z) = z discretized with the space's reconstructions, stabilization and
     quadrature, and solved by the same condensed face system as a Newton
     step.  ``source`` takes an (n, 2) array of points and returns n values.
+    ``face_factor`` is the Newton solve's :class:`_FaceFactor`, which keeps
+    the factor and the record of this solve; by default the solve makes and
+    drops its own.
     """
     lin = NonlinearProblem(
         a=lambda x, y, z: z,
@@ -521,7 +634,7 @@ def solve_linear_hho(space, source):
         f=lambda x, y, z: -np.asarray(source(x), dtype=float),
         f_z=lambda x, y, z: np.zeros((len(x), 2)),
         f_y=lambda x, y, z: np.zeros(len(x)))
-    return _increment(space, lin, HybridVector(space))
+    return _increment(space, lin, HybridVector(space), face_factor)
 
 
 def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
@@ -550,19 +663,20 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
         space = HHOSpace(mesh, k)
     if not problem._checked:
         problem.check()
+    face_factor = _FaceFactor()
     if initial_guess is None:
         def bootstrap_source(x):
             n = len(x)
             return -np.asarray(problem.f(x, np.zeros(n), np.zeros((n, 2))), dtype=float)
 
-        u = solve_linear_hho(space, bootstrap_source)
+        u = solve_linear_hho(space, bootstrap_source, face_factor)
     else:
         u = initial_guess.with_zero_boundary()
 
     free = space.free_dofs()
     increments = []
     for it in range(1, max_iter + 1):
-        delta = _increment(space, problem, u)
+        delta = _increment(space, problem, u, face_factor)
         if line_search:
             rnorm = np.linalg.norm(residual(problem, u)[free])
             alpha = 1.0
@@ -577,8 +691,8 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
         inc = space.gradient_norm(delta) / denom if denom > 0 else space.gradient_norm(delta)
         increments.append(inc)
         if inc <= tol:
-            return u, NewtonReport(iterations=it, increments=increments, converged=True)
-    report = NewtonReport(iterations=max_iter, increments=increments, converged=False)
+            return u, NewtonReport(it, increments, True, face_factor.solves)
+    report = NewtonReport(max_iter, increments, False, face_factor.solves)
     raise NewtonDivergedError(
         f"no convergence to {tol:g} within {max_iter} iterations "
         f"(last increment {increments[-1]:.3e})", report)

@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, outputs, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -28,6 +29,13 @@ def test_solve_on_a_generated_mesh(capsys):
     assert "mesh: 16 cells" in out
     assert "newton: converged in" in out
     assert "relative gradient error:" in out
+    # One line per face solve: the bootstrap, then each Newton step.
+    iterations = int(re.search(r"converged in (\d+) iterations", out)[1])
+    solves = re.findall(r"solve (\d+): (fresh float32|held float32|float64) factor, "
+                        r"(\d+) Krylov steps, relative residual (\S+)", out)
+    assert [int(s[0]) for s in solves] == list(range(iterations + 1))
+    assert solves[0][1] == "fresh float32"
+    assert all(float(s[3]) <= 1e-12 for s in solves)
 
 
 def test_solve_missing_mesh_file(capsys):
@@ -123,9 +131,12 @@ def test_study_from_config_file(tmp_path, capsys):
      "cartesian levels must be whole numbers, not True"),
     ({"family": "cartesian", "levels": [2, "foo.json"], "degrees": [1]},
      "cartesian levels must be whole numbers, not 'foo.json'"),
+    ({"family": "cartesian", "levels": [0, 4], "degrees": [1]},
+     "cartesian levels must be at least 1, not 0"),
 ], ids=["unknown-field", "missing-field", "not-an-object", "levels-not-a-list",
         "tol-not-a-number", "invalid-json", "fractional-degree", "boolean-degree",
-        "fractional-level", "boolean-level", "path-level-of-a-generated-family"])
+        "fractional-level", "boolean-level", "path-level-of-a-generated-family",
+        "level-below-1"])
 def test_study_rejects_a_malformed_config(tmp_path, capsys, fields, problem):
     cfg = tmp_path / "study.json"
     text = fields if isinstance(fields, str) else json.dumps(fields)

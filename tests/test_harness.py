@@ -47,6 +47,11 @@ def test_family_list_and_config_validation():
             StudyConfig("cartesian", [4, bad], [1])
         with pytest.raises(StudyConfigError, match="cartesian levels must be whole numbers"):
             build_mesh("cartesian", bad)
+    # Levels below 1 are rejected for every family, files or generated.
+    for family in FAMILIES:
+        for bad in (0, -2, 0.0):
+            with pytest.raises(StudyConfigError, match=f"{family} levels must be at least 1"):
+                StudyConfig(family, [bad, 4], [1])
 
 
 def test_rate_formula_on_exact_quadruple():
@@ -131,10 +136,13 @@ def test_polygonal_levels():
         mesh = build_mesh(family, 1)
         assert mesh.num_cells == cells_level1
         assert mesh.cell_areas.sum() == pytest.approx(1.0, abs=1e-12)
-        for level in (0, 5, 9):
+        for level in (5, 9):
             with pytest.raises(StudyConfigError,
                                match=f"{family} has 4 shipped levels, requested {level}"):
                 build_mesh(family, level)
+        # No family has a level below 1, so that is a configuration error.
+        with pytest.raises(StudyConfigError, match=f"{family} levels must be at least 1, not 0"):
+            build_mesh(family, 0)
 
 
 def test_build_mesh_reads_a_path_level(monkeypatch, tmp_path):

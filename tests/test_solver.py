@@ -2,7 +2,6 @@
 
 import logging
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,6 +44,22 @@ def linear_diffusion_problem():
         a=lambda x, y, z: z,
         a_z=lambda x, y, z: np.broadcast_to(np.eye(2), (len(x), 2, 2)),
         a_y=_zero_vec, f=_zero_scal, f_z=_zero_vec, f_y=_zero_scal)
+
+
+def steep_mean_curvature_problem(s):
+    """Mean curvature with exact solution u = s x(1-x) y(1-y): Newton slows as s grows."""
+    base = mean_curvature_problem()
+
+    def source(x):
+        X, Y = x[:, 0], x[:, 1]
+        ux, uy = s * (1 - 2 * X) * Y * (1 - Y), s * X * (1 - X) * (1 - 2 * Y)
+        uxx, uyy = -2 * s * Y * (1 - Y), -2 * s * X * (1 - X)
+        uxy = s * (1 - 2 * X) * (1 - 2 * Y)
+        Q = 1 + ux**2 + uy**2
+        return -((uxx + uyy) * Q - (ux**2 * uxx + 2 * ux * uy * uxy + uy**2 * uyy)) * Q**-1.5
+
+    return NonlinearProblem(a=base.a, a_z=base.a_z, a_y=base.a_y,
+                            f=lambda x, y, z: -source(x), f_z=base.f_z, f_y=base.f_y)
 
 
 def test_mean_curvature_problem_passes_check():
@@ -230,24 +245,28 @@ def test_condensed_and_direct_solves_agree():
     free = space.free_dofs()
     J = jacobian(problem, w)[np.ix_(free, free)].tocsr()
     r = residual(problem, w)[free]
-    S, g, recover = static_condense(
-        space, solver_mod._assemble(space, problem, w, need_jacobian=True))
+    S, g, recover = static_condense(space, problem, w)
     x_schur = recover(spsolve(S, g))[free]
     x_direct = spsolve(J.tocsc(), r)
     scale = np.abs(x_direct).max()
     assert np.abs(x_schur - x_direct).max() <= 1e-10 * scale
 
 
-def test_static_condense_rejects_singular_cell_block():
+def test_static_condense_rejects_singular_cell_block(monkeypatch):
     problem = mean_curvature_problem()
     space = HHOSpace(generate_cartesian(4), 1)
     w = space.interpolate(problem.exact_solution).with_zero_boundary()
-    local = solver_mod._assemble(space, problem, w, need_jacobian=True)
-    chunk = local[-1]
-    chunk.J[len(chunk.ids) // 2, :space.Nk, :space.Nk] = 0.0
-    cell = chunk.ids[len(chunk.ids) // 2]
+    cell = 9
+    assemble = solver_mod._assemble
+
+    def singular_block(*args, **kwargs):
+        local = assemble(*args, **kwargs)
+        local.J[local.ids == cell, :space.Nk, :space.Nk] = 0.0
+        return local
+
+    monkeypatch.setattr(solver_mod, "_assemble", singular_block)
     with pytest.raises(CondensationError, match=rf"^cell {cell}: singular cell block$"):
-        static_condense(space, local)
+        static_condense(space, problem, w)
 
 
 def test_callback_failures_carry_cell_context():
@@ -328,7 +347,9 @@ def test_face_order_is_built_once_per_newton_solve(monkeypatch):
     monkeypatch.setattr(solver_mod, "splu", counting_factor)
     mesh = generate_cartesian(12)  # 264 interior faces
     _, report = newton_solve(mean_curvature_problem(), mesh, 1)
-    assert len(factors) == report.iterations + 1 >= 3  # bootstrap plus each step
+    solves = report.linear_solves
+    assert len(solves) == report.iterations + 1 >= 3  # bootstrap plus each step
+    assert len(factors) == sum(s.factor != "held float32" for s in solves) >= 1
     assert len(builds) == 1
 
 
@@ -408,16 +429,21 @@ def test_face_system_beyond_single_precision_falls_back_to_a_double_factor(monke
     S, g = 1e39 * S, 1e39 * g
     assert abs(S).max() > np.finfo(np.float32).max
     seen["factors"].clear()
-    x, dtype, _, _ = solver_mod._solve_face_system(S, g)
+    faces = solver_mod._FaceFactor()
+    x = faces.solve(S, g)
     lu, = seen["factors"]  # the float32 attempt raised before returning a factor
-    assert dtype is np.float64 and lu.L.dtype == np.float64
+    assert lu.L.dtype == np.float64
+    (record,) = faces.solves
+    assert record.factor == "float64" and record.residual <= 1e-12
+    assert faces.lu is None  # only a float32 factor is held
     reference = spsolve(S, g)
     assert np.abs(x - reference).max() <= 1e-10 * np.abs(reference).max()
 
 
-def test_stalled_single_precision_refinement_falls_back_to_a_double_factor(monkeypatch, caplog):
-    # Condition number 1e9: float32 round-off times that is far above 1/2,
-    # so the float32 corrections stop halving and a float64 factor takes over.
+def test_stalled_single_precision_solve_falls_back_to_a_double_factor(monkeypatch, caplog):
+    # Condition number 1e9: float32 round-off times that is far above 1, so
+    # flexible GMRES with the float32 factor converges too slowly to pay
+    # and a float64 factor takes over from its iterate.
     rng = np.random.default_rng(3)
     n = 60
     U, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -426,10 +452,13 @@ def test_stalled_single_precision_refinement_falls_back_to_a_double_factor(monke
     g = rng.standard_normal(n)
     seen = _capture_solve(monkeypatch)
     caplog.set_level(logging.DEBUG, logger="hhonl")
-    x, dtype, steps, last = solver_mod._solve_face_system(S, g)
+    faces = solver_mod._FaceFactor()
+    x = faces.solve(S, g)
     assert [lu.L.dtype for lu in seen["factors"]] == [np.float32, np.float64]
-    assert any("float32 refinement stalled" in rec.getMessage() for rec in caplog.records)
-    assert dtype is np.float64 and steps >= 1
+    assert any(rec.getMessage().startswith("fresh float32 factor gave up after")
+               for rec in caplog.records)
+    (record,) = faces.solves
+    assert record.factor == "float64" and record.steps >= 1
     # Backward stable, and as close to SuperLU's direct solve as the
     # conditioning allows (1e9 times double round-off, about 2e-7).
     assert np.linalg.norm(g - A @ x) <= 1e-15 * np.linalg.norm(A, 2) * np.linalg.norm(x)
@@ -437,41 +466,78 @@ def test_stalled_single_precision_refinement_falls_back_to_a_double_factor(monke
     assert np.abs(x - reference).max() <= 1e-6 * np.abs(reference).max()
 
 
-@pytest.mark.parametrize("rho, dtype", [(0.4, np.float32), (0.6, np.float64)])
-def test_refinement_falls_back_when_a_correction_does_not_halve(monkeypatch, rho, dtype):
-    # A stand-in float32 factor whose solves are (1 - rho) S^-1 shrinks every
-    # correction by exactly rho: the loop keeps it while rho < 1/2.
+@pytest.mark.parametrize("held, used", [("unrelated", "fresh float32"),
+                                        ("nearby", "held float32")], ids=["unrelated", "nearby"])
+def test_a_held_factor_is_kept_only_while_it_pays(monkeypatch, held, used):
+    # A held factor of an unrelated matrix cannot precondition S and is
+    # replaced by a fresh factor; one of a nearby matrix is kept.
     rng = np.random.default_rng(4)
-    B = rng.standard_normal((12, 12))
-    S = sparse.csc_matrix(B @ B.T + 12 * np.eye(12))
-    g = rng.standard_normal(12)
-    kinds = []
-
-    def factor(A, **kwargs):
-        kinds.append(A.dtype)
-        lu = splu(A, **kwargs)
-        if A.dtype != np.float32:
-            return lu
-        exact = splu(S, **kwargs)
-        return SimpleNamespace(solve=lambda b: (1 - rho) * exact.solve(b.astype(float)))
-
-    monkeypatch.setattr(solver_mod, "splu", factor)
-    x, used, steps, _ = solver_mod._solve_face_system(S, g)
-    assert used is dtype
-    assert kinds == ([np.float32] if dtype is np.float32 else [np.float32, np.float64])
-    if dtype is np.float32:
-        assert steps > 20  # about log(1e-13) / log(rho) corrections
+    B = rng.standard_normal((40, 40))
+    S = sparse.csc_matrix(B @ B.T + 40 * np.eye(40))
+    g = rng.standard_normal(40)
+    near = S + sparse.diags(1e-3 * rng.standard_normal(40) * S.diagonal())
+    other = {"unrelated": sparse.csc_matrix(B + 40 * np.eye(40)), "nearby": near}[held]
+    faces = solver_mod._FaceFactor()
+    faces.lu = bad = solver_mod._factor(sparse.csc_matrix(other), np.float32)
+    seen = _capture_solve(monkeypatch)
+    x = faces.solve(S, g)
+    (record,) = faces.solves
+    assert record.factor == used and record.residual <= 1e-12
+    assert len(seen["factors"]) == (used != "held float32")
+    assert (faces.lu is bad) == (used == "held float32")
     reference = spsolve(S, g)
     assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
-def test_each_linear_solve_factors_its_face_system_once(monkeypatch):
+def _record_face_solves(monkeypatch):
+    """Every face system, its right-hand side and solution, and every factor."""
     seen = _capture_solve(monkeypatch)
+    seen["solutions"] = []
+    solve = solver_mod._FaceFactor.solve
+
+    def capture_solve(self, S, g):
+        x = solve(self, S, g)
+        seen["solutions"].append((S, g, x))
+        return x
+
+    monkeypatch.setattr(solver_mod._FaceFactor, "solve", capture_solve)
+    return seen
+
+
+def test_each_linear_solve_makes_at_most_one_factor(monkeypatch):
+    seen = _record_face_solves(monkeypatch)
     space = HHOSpace(generate_triangular(6), 2)
-    solve_linear_hho(space, lambda x: np.ones(len(x)))
+    solve_linear_hho(space, lambda x: np.ones(len(x)))  # makes and drops its own factor
     _, report = newton_solve(mean_curvature_problem(), space.mesh, 2)
-    assert len(seen["factors"]) == len(seen["systems"]) == 1 + report.iterations + 1
+    solves = report.linear_solves
+    assert len(solves) == report.iterations + 1 == len(seen["systems"]) - 1
+    assert solves[0].factor == "fresh float32"
+    made = sum(s.factor != "held float32" for s in solves)
+    assert made < len(solves)  # the Newton steps reuse a factor
+    assert len(seen["factors"]) == 1 + made
     assert all(lu.L.dtype == np.float32 for lu in seen["factors"])
+    # Every face solve reaches double precision, whichever factor it used.
+    for S, g, x in seen["solutions"]:
+        reference = spsolve(S, g)
+        assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert np.linalg.norm(g - S @ x) <= 1e-12 * np.linalg.norm(g)
+
+
+def test_steep_problem_replaces_a_held_factor_and_keeps_the_solution(monkeypatch):
+    # u = 64 x(1-x) y(1-y): the Jacobian moves far between Newton steps, so
+    # some held factors stop paying and are replaced.
+    problem, mesh = steep_mean_curvature_problem(64), generate_cartesian(16)
+    u, report = newton_solve(problem, mesh, 1)
+    assert report.iterations == 10
+    kinds = [s.factor for s in report.linear_solves]
+    assert "fresh float32" in kinds[1:]  # a factor was held from the bootstrap on
+    assert "held float32" in kinds
+    assert max(s.residual for s in report.linear_solves) <= 1e-12
+    monkeypatch.setattr(solver_mod._FaceFactor, "solve", lambda self, S, g: spsolve(S, g))
+    reference, direct = newton_solve(problem, mesh, 1)
+    assert direct.iterations == 10
+    scale = np.abs(reference.to_flat()).max()
+    assert np.abs(u.to_flat() - reference.to_flat()).max() <= 1e-12 * scale
 
 
 def test_solve_logs_face_system_and_ordering_at_debug(caplog):
@@ -490,14 +556,20 @@ def test_solve_logs_face_system_and_ordering_at_debug(caplog):
         inner = [f for f in faces.tolist() if f in interior]
         coupled.update((a, b) for a in inner for b in inner)
     nnz = len(coupled) * 4
-    # Each system is factored in float32 and refined in a few float64 steps
-    # down to a correction far below float32 round-off.
-    for message in systems:
-        match = re.fullmatch(rf"face system: {264 * 2} rows, {nnz} nonzeros, float32 factor, "
-                             r"(\d+) refinement steps, last correction (\S+)", message)
+    # The bootstrap factors its system in float32 and reaches double
+    # precision in a few flexible GMRES steps; each Newton step keeps that
+    # factor and needs more steps, far fewer than a factor costs.
+    for solve, message in zip(report.linear_solves, systems):
+        match = re.fullmatch(rf"face system: {264 * 2} rows, {nnz} nonzeros, "
+                             r"(fresh|held) float32 factor, (\d+) Krylov steps, "
+                             r"relative residual (\S+)", message)
         assert match, message
-        assert 2 <= int(match[1]) <= 4
-        assert float(match[2]) < 1e-9
+        assert (f"{match[1]} float32", int(match[2])) == (solve.factor, solve.steps)
+        assert float(match[3]) <= 1e-12
+    kinds = [s.factor for s in report.linear_solves]
+    assert kinds == ["fresh float32"] + ["held float32"] * report.iterations
+    assert 2 <= report.linear_solves[0].steps <= 4
+    assert all(2 <= s.steps <= 10 for s in report.linear_solves[1:])
     orders = [m for m in messages if m.startswith("nested-dissection order")]
     assert len(orders) == 1
     # 144 cells take 8 levels of halving; the top split is the middle grid line.
