@@ -100,7 +100,8 @@ def cmd_solve(args):
     print("face solves (bootstrap first):")
     for i, solve in enumerate(report.linear_solves):
         print(f"  solve {i}: {solve.factor} factor, {solve.steps} Krylov steps, "
-              f"relative residual {solve.residual:.1e}")
+              f"relative residual {solve.residual:.1e} (face system {solve.rows} rows, "
+              f"{solve.nnz} nonzeros; factor fill {solve.fill})")
     if problem.exact_gradient is not None:
         err = harness.gradient_error(u, problem.exact_gradient)
         print(f"relative gradient error: {err:.4e}")

@@ -21,6 +21,7 @@ import logging
 import numbers
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +80,22 @@ class _Group:
     offsets: np.ndarray    # (c, nq, 2) assembly quadrature points minus the centroid
     weights: np.ndarray    # (c, nq)
     phi: np.ndarray        # (c, nq, Nk1) degree-(k+1) basis values at those points
+
+
+class _FacePattern(NamedTuple):
+    """Compressed-column pattern of the condensed face system, and where each local entry goes.
+
+    ``indptr`` and ``indices`` (rows sorted within each column, read-only)
+    are those of the face system's CSC matrix.  ``slots`` holds one array
+    per chunk of :meth:`HHOSpace._chunks`: the data slot of every entry of
+    the chunk's local face-face matrices, flattened from (m, nf nF, nf nF);
+    the entry (a, b) of a block a boundary face drops goes to the slot
+    ``len(indices) + a``, past the pattern.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: list
 
 
 class HybridVector:
@@ -241,6 +258,7 @@ class HHOSpace:
         self._groups = None       # one _Group per face count
         self._free_dofs = None
         self._face_rows = None
+        self._face_pattern = None
 
     # -- bases --------------------------------------------------------------
 
@@ -549,6 +567,76 @@ class HHOSpace:
             rows[fdofs.ravel()] = np.arange(fdofs.size)
             self._face_rows = rows
         return self._face_rows
+
+    def face_pattern(self):
+        """The condensed face system's CSC pattern and slot map, a :class:`_FacePattern`.
+
+        Built once per space, since every system of a solve on the space
+        couples the same faces: two interior faces couple when one cell has
+        both.
+        """
+        if self._face_pattern is None:
+            self._face_pattern = self._build_face_pattern()
+        return self._face_pattern
+
+    def _build_face_pattern(self):
+        """The face system's pattern, built at face-block level (see :meth:`face_pattern`).
+
+        Each pair of a cell's interior faces is one block pair; the unique
+        ones are numbered u in column-major order, ``ptr_J`` of them in the
+        block columns before J and ``c_J`` in J.  Block column J owns the
+        ``(k+1)^2 c_J`` slots from ``(k+1)^2 ptr_J`` on, and entry (a, b) of
+        block pair u lies at ``(k+1) (u + k ptr_J + b c_J) + a``: rows are
+        sorted within each column.  Index arrays are int32 while the system
+        fits, so SuperLU takes them without a copy.
+        """
+        start = time.perf_counter()
+        nF = self.nF
+        first = self.face_rows()[self.num_cell_dofs::nF]
+        block = np.where(first >= 0, first // nF, -1)   # each face's place in the face order
+        nb = len(self.mesh.interior_faces)
+        # Block pair (row I, column J) of each pair of a cell's faces as J nb + I, or -1.
+        keys = []
+        for g, sl in self._chunks():
+            fb = block[g.face_ids[sl]]
+            keys.append(np.where((fb[:, :, None] >= 0) & (fb[:, None, :] >= 0),
+                                 fb[:, None, :] * nb + fb[:, :, None], -1))
+        flat = np.concatenate([key.ravel() for key in keys])
+        live = flat >= 0
+        pairs, u = np.unique(flat[live], return_inverse=True)
+        col, row = np.divmod(pairs, max(nb, 1))
+        count = np.bincount(col, minlength=nb)
+        ptr = np.concatenate(([0], np.cumsum(count)))
+        nnz = nF * nF * len(pairs)
+        itype = np.int32 if nnz + nF <= np.iinfo(np.int32).max else np.int64
+        # Slot of entry (0, 0) of each block pair, and the step from b to b + 1.
+        corner = nF * (np.arange(len(pairs)) + (nF - 1) * ptr[col])
+        stride = nF * count[col]
+        # The same for each pair of a cell's faces; the entries of a pair
+        # with a boundary face go past the pattern, to slot nnz + a.
+        base = np.full(flat.shape, nnz, dtype=itype)
+        step = np.zeros(flat.shape, dtype=itype)
+        base[live], step[live] = corner[u], stride[u]
+        a, b = np.arange(nF, dtype=itype)[:, None, None], np.arange(nF, dtype=itype)
+        slots, lo = [], 0
+        for key in keys:
+            m, nf = key.shape[:2]
+            at = slice(lo, lo + key.size)
+            lo += key.size
+            slots.append((base[at].reshape(m, nf, 1, nf, 1) + a
+                          + b * step[at].reshape(m, nf, 1, nf, 1)).ravel())
+        # Each block pair's rows, once for every column b of its block column.
+        indices = np.empty(nnz, dtype=itype)
+        rows = nF * row[:, None] + np.arange(nF)
+        for j in range(nF):
+            indices[(corner + j * stride)[:, None] + np.arange(nF)] = rows
+        indptr = np.append(nF * (nF * ptr[:-1, None] + count[:, None] * np.arange(nF)),
+                           nnz).astype(itype)
+        indices.flags.writeable = indptr.flags.writeable = False  # shared by every system
+        log.debug("face-system pattern: %d block pairs, %d nonzeros, %.1f MB of slots, "
+                  "built in %.3f s", len(pairs), nnz, sum(s.nbytes for s in slots) / 1e6,
+                  time.perf_counter() - start)
+        return _FacePattern(indptr, indices, slots)
 
     def vector_from_flat(self, x):
         """Rebuild a HybridVector from the flat global layout."""

@@ -8,8 +8,10 @@ from the space's operator stacks.  No global matrix holds cell unknowns.
 The cell unknowns couple only within their own cell, so a solve
 eliminates them cell by cell (static condensation): each chunk is
 assembled and condensed by one stacked dense solve before the next chunk
-is assembled, and its local Schur complements on the cell's faces go
-straight into the interior-face system, each face's ``k+1`` dofs
+is assembled, and its local Schur complements on the cell's faces are
+summed straight into the values of the interior-face system's CSC
+arrays, whose pattern and slot map the space builds once
+(``HHOSpace.face_pattern``).  Rows keep each face's ``k+1`` dofs
 together, in the post-order of a median-bisection tree of the cells
 (``PolytopalMesh.interior_face_order``, built once per mesh).  SuperLU
 factors a float32 copy of that system without a column reordering of its
@@ -202,7 +204,7 @@ def mean_curvature_problem():
         return -div
 
     def a(x, y, z):
-        Q = 1.0 + (z**2).sum(axis=1)
+        Q = 1.0 + (z[:, 0]**2 + z[:, 1]**2)  # (z**2).sum(axis=1) bit for bit, without its slow reduction
         return z / np.sqrt(Q)[:, None]
 
     def a_z(x, y, z):
@@ -364,24 +366,6 @@ def _scatter_vector(blocks, n):
     return out
 
 
-def _matrix_entries(idx, A):
-    """COO entries ``(rows, cols, values)`` of local matrices ``A`` (m, b, b) at ``idx`` (m, b).
-
-    An index of -1 drops its row and column.
-    """
-    b = idx.shape[1]
-    rows = np.repeat(idx, b, axis=1).ravel()
-    cols = np.tile(idx, (1, b)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    return rows[keep].astype(np.int32), cols[keep].astype(np.int32), A.reshape(-1)[keep]
-
-
-def _coo_matrix(entries, n):
-    """The (n, n) COO matrix summing a list of :func:`_matrix_entries`."""
-    rows, cols, data = (np.concatenate(part) for part in zip(*entries))
-    return sparse.coo_matrix((data, (rows, cols)), shape=(n, n))
-
-
 def residual(problem, w):
     """Vector of the discrete nonlinear form at ``w`` against every test dof."""
     space = w.space
@@ -399,11 +383,16 @@ def jacobian(problem, w, fields=None):
     condenses the local Jacobians cell by cell (:func:`static_condense`).
     """
     space = w.space
-    entries = []
+    rows, cols, values = [], [], []
     for chunk in space._chunks():
         c = _assemble(space, problem, w, chunk, need_jacobian=True, fields=fields)
-        entries.append(_matrix_entries(c.gidx, c.J))
-    return _coo_matrix(entries, space.num_dofs).tocsr()
+        b = c.gidx.shape[1]
+        rows.append(np.repeat(c.gidx, b, axis=1).ravel())
+        cols.append(np.tile(c.gidx, (1, b)).ravel())
+        values.append(c.J.ravel())
+    n = space.num_dofs
+    return sparse.coo_matrix((np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(n, n)).tocsr()
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -416,29 +405,37 @@ def static_condense(space, problem, w):
     are condensed and dropped before the next chunk is assembled, so the
     Jacobian stacks of all cells never exist at once.  Per chunk one
     stacked solve gives ``X = J_TT^{-1} [J_TF | r_T]``; the local Schur
-    complements ``J_FF - J_FT X_F`` and reduced right-hand sides
-    ``r_F - J_FT X_r`` go into the interior-face system, whose rows follow
+    complements ``J_FF - J_FT X_F`` are summed straight into the data of
+    the face system's CSC pattern, through the slot map the space builds
+    once (:meth:`HHOSpace.face_pattern`), and the reduced right-hand sides
+    ``r_F - J_FT X_r`` into its right-hand side.  Rows follow
     :meth:`HHOSpace.face_rows`; boundary face dofs are dropped, their
-    values being zero.  Returns ``(S, g, recover)``: the face system (CSC),
-    its right-hand side, and a callback mapping a face solution to the
-    full-layout solution ``x``, zero on boundary faces.
+    values being zero.  Returns ``(S, g, recover)``: the face system (CSC,
+    sharing the pattern's index arrays), its right-hand side, and a
+    callback mapping a face solution to the full-layout solution ``x``,
+    zero on boundary faces.
     """
     Nk = space.Nk
     rows = space.face_rows()
-    n = len(space.mesh.interior_faces) * space.nF
+    pattern = space.face_pattern()
+    n = len(pattern.indptr) - 1
     g = np.zeros(n)
-    kept, entries = [], []
-    for chunk in space._chunks():
+    # -0.0 + v is v for every v, so each slot ends up with exactly the sum
+    # of its entries; the nF slots past the pattern take the dropped ones.
+    nnz = len(pattern.indices)
+    data = np.full(nnz + space.nF, -0.0)
+    kept = []
+    for chunk, slots in zip(space._chunks(), pattern.slots):
         c = _assemble(space, problem, w, chunk, need_jacobian=True)
         J_FT = c.J[:, Nk:, :Nk]
         rhs = np.concatenate((c.J[:, :Nk, Nk:], c.r[:, :Nk, None]), axis=2)
         X = _solve(c.J[:, :Nk, :Nk], rhs, c.ids, "cell block", CondensationError)
+        np.add.at(data, slots, (c.J[:, Nk:, Nk:] - J_FT @ X[..., :-1]).ravel())
         f = rows[c.gidx[:, Nk:]]
-        entries.append(_matrix_entries(f, c.J[:, Nk:, Nk:] - J_FT @ X[..., :-1]))
         g += _scatter_vector([(f, c.r[:, Nk:] - (J_FT @ X[..., -1:])[..., 0])], n)
         kept.append((c.gidx, X))
         del c, J_FT, rhs  # the chunk's Jacobian stack goes before the next one is assembled
-    S = _coo_matrix(entries, n).tocsc()
+    S = sparse.csc_matrix((data[:nnz], pattern.indices, pattern.indptr), shape=(n, n))
 
     def recover(uf):
         x = np.zeros(space.num_dofs)
@@ -457,6 +454,9 @@ class LinearSolve(NamedTuple):
     factor: str       # "fresh float32", "held float32" or "float64": the factor that finished
     steps: int        # flexible GMRES steps, over every factor the solve tried
     residual: float   # true relative residual |g - S x| / |g| at the end
+    rows: int         # rows of the face system
+    nnz: int          # stored entries of the face system
+    fill: int         # entries SuperLU stores for the factor that finished (SuperLU.nnz)
 
 
 # A face solve stops once the flexible GMRES estimate of |g - S x| is at
@@ -483,10 +483,16 @@ _MAX_STEPS = 40
 
 
 def _factor(S, dtype):
-    """Sparse LU factor of ``S`` in ``dtype``, in the face order, symmetric-mode pivoting."""
+    """Sparse LU factor of the CSC matrix ``S`` in ``dtype``, in the face order.
+
+    Pivoting is in symmetric mode.  The copy in ``dtype`` that SuperLU
+    takes shares the index arrays of ``S``.
+    """
+    S.sum_duplicates()  # a no-op on a face system; SuperLU must not sort shared indices
     with np.errstate(over="ignore"):  # entries beyond float32's range become inf
-        return splu(S.astype(dtype, copy=False), permc_spec="NATURAL",
-                    diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+        data = S.data.astype(dtype, copy=False)
+    return splu(sparse.csc_matrix((data, S.indices, S.indptr), shape=S.shape),
+                permc_spec="NATURAL", diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
 
 
 def _fgmres(S, g, x, lu, dtype, tol, patient):
@@ -598,7 +604,7 @@ class _FaceFactor:
         if dtype is np.float32:
             self.lu = lu
         residual = float(np.linalg.norm(g - S @ x) / gnorm) if gnorm > 0 else 0.0
-        self.solves.append(LinearSolve(kind, steps, residual))
+        self.solves.append(LinearSolve(kind, steps, residual, S.shape[0], S.nnz, lu.nnz))
         log.debug("face system: %d rows, %d nonzeros, %s factor, %d Krylov steps, "
                   "relative residual %.1e", S.shape[0], S.nnz, kind, steps, residual)
         return x

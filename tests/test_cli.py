@@ -36,6 +36,11 @@ def test_solve_on_a_generated_mesh(capsys):
     assert [int(s[0]) for s in solves] == list(range(iterations + 1))
     assert solves[0][1] == "fresh float32"
     assert all(float(s[3]) <= 1e-12 for s in solves)
+    # 24 interior faces of two dofs each, and the fill of each solve's factor.
+    sizes = re.findall(r"relative residual \S+ \(face system (\d+) rows, (\d+) nonzeros; "
+                       r"factor fill (\d+)\)", out)
+    assert len(sizes) == len(solves)
+    assert all(rows == "48" and int(nnz) > 0 and int(fill) >= int(nnz) for rows, nnz, fill in sizes)
 
 
 def test_solve_missing_mesh_file(capsys):
