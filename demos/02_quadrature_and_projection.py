@@ -43,6 +43,6 @@ check = cell_quadrature(pentagon, 16)
 print("\nL2 projection of sin(x + y/2) on the pentagon:")
 for degree in range(6):
     basis = CellBasis(pentagon, degree)
-    poly = l2_project_cell(f, basis)
-    err2 = check.integrate(lambda p: (f(p) - poly(p)) ** 2)
+    coeffs = l2_project_cell(f, basis)
+    err2 = check.integrate(lambda p: (f(p) - basis.evaluate(p) @ coeffs) ** 2)
     print(f"  degree {degree}: residual {np.sqrt(max(err2, 0.0)):.3e}")

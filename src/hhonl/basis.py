@@ -8,8 +8,6 @@ coordinate measured from the face midpoint, scaled by the face length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mesh import polygon_centroid, polygon_diameter
@@ -23,7 +21,6 @@ __all__ = [
     "scaled_monomials",
     "CellBasis",
     "FaceBasis",
-    "Polynomial",
     "cell_mass_matrix",
     "face_mass_matrix",
     "l2_project_cell",
@@ -138,26 +135,6 @@ class FaceBasis:
         return _powers(self.parameter(points), self.degree)
 
 
-@dataclass
-class Polynomial:
-    """Coefficient vector in a cell or face basis."""
-
-    basis: object
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if len(self.coefficients) != self.basis.dimension:
-            raise BasisError("coefficient length does not match the basis dimension")
-
-    def __call__(self, points):
-        return self.basis.evaluate(points) @ self.coefficients
-
-    def gradient(self, points):
-        """Gradient values, shape (npoints, 2); cell polynomials only."""
-        return np.einsum("qid,i->qd", self.basis.gradient(points), self.coefficients)
-
-
 def cell_mass_matrix(basis):
     """Gram matrix of the basis over its cell."""
     rule = cell_quadrature(basis.vertices, 2 * basis.degree)
@@ -179,16 +156,18 @@ def face_mass_matrix(basis):
 
 
 def l2_project_cell(f, basis, degree=None):
-    """L^2-orthogonal projection of the field ``f(points)`` onto the cell basis."""
+    """Coefficients of the L^2-orthogonal projection of the field ``f(points)`` onto the cell basis.
+
+    Evaluate the projection with ``basis.evaluate(points) @ coefficients``.
+    """
     deg = 2 * basis.degree + 2 if degree is None else degree
     rule = cell_quadrature(basis.vertices, deg)
     phi = basis.evaluate(rule.points)
     mass = phi.T @ (rule.weights[:, None] * phi)
     rhs = phi.T @ (rule.weights * np.asarray(f(rule.points), dtype=float))
     try:
-        coeffs = np.linalg.solve(0.5 * (mass + mass.T), rhs)
+        return np.linalg.solve(0.5 * (mass + mass.T), rhs)
     except np.linalg.LinAlgError as exc:
         raise BasisDegenerateError(
             f"singular mass matrix on cell {basis.cell_index}") from exc
-    return Polynomial(basis, coeffs)
 

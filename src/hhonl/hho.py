@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import numbers
+import operator
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -62,12 +63,11 @@ class OperatorBuildError(HHOError):
 class _Group:
     """Cells with one face count and the operator stacks of their congruence classes.
 
-    Cell ``cells[i]`` uses row ``op[i]`` of every stack; the stacks' rows
-    are the global classes ``first``, ``first + 1``, ...  A chunk of
-    ``step`` cells keeps every gathered array under ``_CHUNK_BYTES``.
+    Cell ``cells[i]`` uses row ``op[i]`` of every stack, one row per class.
+    A chunk of ``step`` cells keeps every gathered array under
+    ``_CHUNK_BYTES``.
     """
 
-    first: int
     step: int
     cells: np.ndarray      # (m,) ascending cell ids
     face_ids: np.ndarray   # (m, nf) global face ids per slot
@@ -83,16 +83,21 @@ class _Group:
 
 
 class _FacePattern(NamedTuple):
-    """Compressed-column pattern of the condensed face system, and where each local entry goes.
+    """Rows, compressed-column pattern and slot map of the condensed face system.
 
-    ``indptr`` and ``indices`` (rows sorted within each column, read-only)
-    are those of the face system's CSC matrix.  ``slots`` holds one array
-    per chunk of :meth:`HHOSpace._chunks`: the data slot of every entry of
-    the chunk's local face-face matrices, flattened from (m, nf nF, nf nF);
-    the entry (a, b) of a block a boundary face drops goes to the slot
+    ``rows`` maps each global dof to its row of the face system, -1 for
+    cell dofs and boundary face dofs.  Interior faces follow the mesh's
+    nested-dissection order (``interior_face_order``), each face's k+1
+    dofs in consecutive rows.  ``indptr`` and ``indices`` (rows sorted
+    within each column, read-only) are those of the face system's CSC
+    matrix.  ``slots`` holds one array per chunk of
+    :meth:`HHOSpace._chunks`: the data slot of every entry of the chunk's
+    local face-face matrices, flattened from (m, nf nF, nf nF); the entry
+    (a, b) of a block a boundary face drops goes to the slot
     ``len(indices) + a``, past the pattern.
     """
 
+    rows: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     slots: list
@@ -254,16 +259,14 @@ class HHOSpace:
         self.num_face_dofs = mesh.num_faces * self.nF
         self.num_dofs = self.num_cell_dofs + self.num_face_dofs
         self._classes = None      # representative cell of each congruence class
-        self._cell_class = None   # class of each cell
         self._groups = None       # one _Group per face count
-        self._free_dofs = None
-        self._face_rows = None
         self._face_pattern = None
 
     # -- bases --------------------------------------------------------------
 
     def cell_basis(self, ci, degree=None):
         """Scaled monomial basis of ``degree`` (default k+1) on cell ``ci``."""
+        self._check_cell(ci)
         degree = self.k + 1 if degree is None else degree
         return CellBasis(self.mesh.cell_vertices(ci), degree,
                          center=self.mesh.cell_centroids[ci],
@@ -285,7 +288,6 @@ class HHOSpace:
         nfaces = np.fromiter(map(len, mesh.cell_faces), dtype=np.int64, count=mesh.num_cells)
         hmax = mesh.cell_diameters.max()
         groups, reps = [], []
-        cell_class = np.empty(mesh.num_cells, dtype=np.int64)
         for nf in np.unique(nfaces):
             cells = np.flatnonzero(nfaces == nf)
             face_ids = np.stack([mesh.cell_faces[ci] for ci in cells])
@@ -294,9 +296,7 @@ class HHOSpace:
             verts = (mesh.vertices[np.stack([mesh.cells[ci] for ci in cells])]
                      - mesh.cell_centroids[cells, None])
             op, rows = _congruence_index(verts / h[:, None, None], signs, h / hmax)
-            first = sum(map(len, reps))
             reps.append(cells[rows])
-            cell_class[cells] = first + op
             stacks = self._build_stacks(verts[rows], h[rows], signs[rows], cells[rows])
             nloc = Nk + nf * nF
             fdofs = self.num_cell_dofs + face_ids[:, :, None] * nF + np.arange(nF)
@@ -304,10 +304,9 @@ class HHOSpace:
             # The widest per-cell array a chunk gathers: basis values or
             # callback values at the quadrature points, or a local matrix.
             nq = stacks[-1].shape[1]
-            groups.append(_Group(first, _step(max(nq * max(self.Nk1, 4), nloc * nloc)),
+            groups.append(_Group(_step(max(nq * max(self.Nk1, 4), nloc * nloc)),
                                  cells, face_ids, gidx, op, *stacks))
         self._groups = groups
-        self._cell_class = cell_class
         self._classes = np.concatenate(reps)
         log.debug("operators of %d cells in %d face-count groups, %d distinct classes, "
                   "built in %.3f s", mesh.num_cells, len(groups), len(self._classes),
@@ -404,13 +403,19 @@ class HHOSpace:
         S = _sym((np.swapaxes(delta, -1, -2) @ MF @ delta).sum(axis=1) / hh)
         return Mk, G, R, S
 
+    def _check_cell(self, ci):
+        """Raise IndexError unless ``ci`` is a cell id of the mesh."""
+        if not 0 <= operator.index(ci) < self.mesh.num_cells:
+            raise IndexError(f"cell {ci} is not in 0..{self.mesh.num_cells - 1}")
+
     def _locate(self, ci):
-        """Group of cell ``ci`` and its class's row in the group's stacks."""
+        """Group of cell ``ci`` and the cell's position in the group's ``cells``."""
+        self._check_cell(ci)
         self._ensure_classes()
-        cls = self._cell_class[ci]
-        firsts = [g.first for g in self._groups]
-        g = self._groups[np.searchsorted(firsts, cls, side="right") - 1]
-        return g, cls - g.first
+        for g in self._groups:
+            i = np.searchsorted(g.cells, ci)
+            if i < len(g.cells) and g.cells[i] == ci:
+                return g, i
 
     def _chunks(self):
         """(group, slice of its cells) pairs covering every cell once."""
@@ -428,23 +433,23 @@ class HHOSpace:
 
     def build_gradient_reconstruction(self, ci):
         """Matrix of G_T: local dof block to P_k(T)^2 coefficients (x block, then y)."""
-        g, row = self._locate(ci)
-        return g.G[row]
+        g, i = self._locate(ci)
+        return g.G[g.op[i]]
 
     def build_potential_reconstruction(self, ci):
         """Matrix of R_T: local dof block to P_{k+1}(T) coefficients."""
-        g, row = self._locate(ci)
-        return g.R[row]
+        g, i = self._locate(ci)
+        return g.R[g.op[i]]
 
     def build_stabilization(self, ci):
         """Stabilization bilinear form s_T on the local dof block."""
-        g, row = self._locate(ci)
-        return g.S[row]
+        g, i = self._locate(ci)
+        return g.S[g.op[i]]
 
     def local_dof_indices(self, ci):
         """Global dof indices of cell ``ci``'s local block."""
-        g, _ = self._locate(ci)
-        return g.gidx[np.searchsorted(g.cells, ci)]
+        g, i = self._locate(ci)
+        return g.gidx[i]
 
     # -- interpolation -------------------------------------------------------
 
@@ -545,31 +550,14 @@ class HHOSpace:
 
     def free_dofs(self):
         """All cell dofs plus interior face dofs, in global layout order."""
-        if self._free_dofs is None:
-            interior = self.mesh.interior_faces
-            fdofs = (self.num_cell_dofs + interior[:, None] * self.nF
-                     + np.arange(self.nF)).ravel()
-            self._free_dofs = np.concatenate(
-                (np.arange(self.num_cell_dofs), fdofs))
-        return self._free_dofs
-
-    def face_rows(self):
-        """Row of each global dof in the condensed face system, -1 off that system.
-
-        Cell dofs and boundary face dofs map to -1.  Interior faces follow
-        the mesh's nested-dissection order (``interior_face_order``), each
-        face's k+1 dofs in consecutive rows.
-        """
-        if self._face_rows is None:
-            faces = self.mesh.interior_faces[self.mesh.interior_face_order]
-            fdofs = self.num_cell_dofs + faces[:, None] * self.nF + np.arange(self.nF)
-            rows = np.full(self.num_dofs, -1, dtype=np.int64)
-            rows[fdofs.ravel()] = np.arange(fdofs.size)
-            self._face_rows = rows
-        return self._face_rows
+        interior = self.mesh.interior_faces
+        fdofs = (self.num_cell_dofs + interior[:, None] * self.nF
+                 + np.arange(self.nF)).ravel()
+        return np.concatenate(
+            (np.arange(self.num_cell_dofs), fdofs))
 
     def face_pattern(self):
-        """The condensed face system's CSC pattern and slot map, a :class:`_FacePattern`.
+        """The condensed face system's rows, CSC pattern and slot map, a :class:`_FacePattern`.
 
         Built once per space, since every system of a solve on the space
         couples the same faces: two interior faces couple when one cell has
@@ -580,7 +568,7 @@ class HHOSpace:
         return self._face_pattern
 
     def _build_face_pattern(self):
-        """The face system's pattern, built at face-block level (see :meth:`face_pattern`).
+        """The face system's rows and pattern, built at face-block level (see :meth:`face_pattern`).
 
         Each pair of a cell's interior faces is one block pair; the unique
         ones are numbered u in column-major order, ``ptr_J`` of them in the
@@ -591,10 +579,14 @@ class HHOSpace:
         fits, so SuperLU takes them without a copy.
         """
         start = time.perf_counter()
-        nF = self.nF
-        first = self.face_rows()[self.num_cell_dofs::nF]
-        block = np.where(first >= 0, first // nF, -1)   # each face's place in the face order
-        nb = len(self.mesh.interior_faces)
+        mesh, nF = self.mesh, self.nF
+        faces = mesh.interior_faces[mesh.interior_face_order]
+        nb = len(faces)
+        block = np.full(mesh.num_faces, -1, dtype=np.int64)   # each face's place in the face order
+        block[faces] = np.arange(nb)
+        fdofs = self.num_cell_dofs + faces[:, None] * nF + np.arange(nF)
+        rows = np.full(self.num_dofs, -1, dtype=np.int64)
+        rows[fdofs.ravel()] = np.arange(fdofs.size)
         # Block pair (row I, column J) of each pair of a cell's faces as J nb + I, or -1.
         keys = []
         for g, sl in self._chunks():
@@ -627,16 +619,16 @@ class HHOSpace:
                           + b * step[at].reshape(m, nf, 1, nf, 1)).ravel())
         # Each block pair's rows, once for every column b of its block column.
         indices = np.empty(nnz, dtype=itype)
-        rows = nF * row[:, None] + np.arange(nF)
+        pair_rows = nF * row[:, None] + np.arange(nF)
         for j in range(nF):
-            indices[(corner + j * stride)[:, None] + np.arange(nF)] = rows
+            indices[(corner + j * stride)[:, None] + np.arange(nF)] = pair_rows
         indptr = np.append(nF * (nF * ptr[:-1, None] + count[:, None] * np.arange(nF)),
                            nnz).astype(itype)
         indices.flags.writeable = indptr.flags.writeable = False  # shared by every system
         log.debug("face-system pattern: %d block pairs, %d nonzeros, %.1f MB of slots, "
                   "built in %.3f s", len(pairs), nnz, sum(s.nbytes for s in slots) / 1e6,
                   time.perf_counter() - start)
-        return _FacePattern(indptr, indices, slots)
+        return _FacePattern(rows, indptr, indices, slots)
 
     def vector_from_flat(self, x):
         """Rebuild a HybridVector from the flat global layout."""

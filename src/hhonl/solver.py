@@ -10,7 +10,7 @@ eliminates them cell by cell (static condensation): each chunk is
 assembled and condensed by one stacked dense solve before the next chunk
 is assembled, and its local Schur complements on the cell's faces are
 summed straight into the values of the interior-face system's CSC
-arrays, whose pattern and slot map the space builds once
+arrays, whose rows, pattern and slot map the space builds once
 (``HHOSpace.face_pattern``).  Rows keep each face's ``k+1`` dofs
 together, in the post-order of a median-bisection tree of the cells
 (``PolytopalMesh.interior_face_order``, built once per mesh).  SuperLU
@@ -408,16 +408,16 @@ def static_condense(space, problem, w):
     complements ``J_FF - J_FT X_F`` are summed straight into the data of
     the face system's CSC pattern, through the slot map the space builds
     once (:meth:`HHOSpace.face_pattern`), and the reduced right-hand sides
-    ``r_F - J_FT X_r`` into its right-hand side.  Rows follow
-    :meth:`HHOSpace.face_rows`; boundary face dofs are dropped, their
-    values being zero.  Returns ``(S, g, recover)``: the face system (CSC,
+    ``r_F - J_FT X_r`` into its right-hand side.  Rows follow the
+    pattern's ``rows``; boundary face dofs are dropped, their values being
+    zero.  Returns ``(S, g, recover)``: the face system (CSC,
     sharing the pattern's index arrays), its right-hand side, and a
     callback mapping a face solution to the full-layout solution ``x``,
     zero on boundary faces.
     """
     Nk = space.Nk
-    rows = space.face_rows()
     pattern = space.face_pattern()
+    rows = pattern.rows
     n = len(pattern.indptr) - 1
     g = np.zeros(n)
     # -0.0 + v is v for every v, so each slot ends up with exactly the sum

@@ -193,7 +193,8 @@ def test_congruent_cells_share_operator_matrices():
     space = HHOSpace(generate_cartesian(4), 1)
     G5, G10 = space.build_gradient_reconstruction(5), space.build_gradient_reconstruction(10)
     S5, S10 = space.build_stabilization(5), space.build_stabilization(10)
-    assert space._cell_class[5] == space._cell_class[10]
+    (g5, i5), (g10, i10) = space._locate(5), space._locate(10)
+    assert g5 is g10 and g5.op[i5] == g10.op[i10]
     assert np.shares_memory(G5, G10) and G5.shape == G10.shape
     assert np.shares_memory(S5, S10) and S5.shape == S10.shape
     np.testing.assert_array_equal(G5, G10)
@@ -225,14 +226,20 @@ def test_a_perturbed_cell_gets_a_class_of_its_own():
         verts[4 * 9 + 4] += shift * ref.cell_diameters[0] * np.array([0.6, 0.8])
         space = HHOSpace(PolytopalMesh(verts, ref.cells), 1)
         space._ensure_classes()
-        return space, np.bincount(space._cell_class)[space._cell_class[around]]
+        return space, [_class_size(space, ci) for ci in around]
 
     space, sizes = classes_after(1e-6)
     assert len(space._classes) == 4 + 4
-    assert sizes.tolist() == [1, 1, 1, 1]
+    assert sizes == [1, 1, 1, 1]
     space, sizes = classes_after(1e-12)
     assert len(space._classes) == 4
-    assert sizes.tolist() == [7 * 7] * 4
+    assert sizes == [7 * 7] * 4
+
+
+def _class_size(space, ci):
+    """Number of cells sharing cell ``ci``'s congruence class."""
+    g, i = space._locate(ci)
+    return int(np.count_nonzero(g.op == g.op[i]))
 
 
 def test_operator_build_logs_groups_and_classes_at_debug(caplog):
@@ -294,8 +301,7 @@ def test_interpolation_matches_blockwise_projection():
                           center=mesh.cell_centroids[ci],
                           diameter=mesh.cell_diameters[ci])
         proj = l2_project_cell(value, basis, degree=space.quad_degree)
-        np.testing.assert_allclose(v.cell_blocks[ci], proj.coefficients,
-                                   atol=1e-12)
+        np.testing.assert_allclose(v.cell_blocks[ci], proj, atol=1e-12)
     for fi in range(mesh.num_faces):
         fb = space.face_basis(fi)
         rule = face_quadrature((fb.start, fb.end), space.quad_degree)
@@ -363,6 +369,18 @@ def test_local_dof_indices_match_flat_layout():
     for ci in range(mesh.num_cells):
         np.testing.assert_array_equal(flat[space.local_dof_indices(ci)],
                                       local_block(space, ci, v))
+
+
+@pytest.mark.parametrize("accessor", ["build_gradient_reconstruction",
+                                      "build_potential_reconstruction", "build_stabilization",
+                                      "local_dof_indices", "cell_basis"])
+@pytest.mark.parametrize("ci", [-1, 9])
+def test_cell_accessors_reject_ids_outside_the_mesh(accessor, ci):
+    # Cartesian 3 has cells 0..8: -1 must not wrap around to the last
+    # cell, nor 9 run past it.
+    space = HHOSpace(generate_cartesian(3), 1)
+    with pytest.raises(IndexError, match=f"cell {ci} is not in 0..8"):
+        getattr(space, accessor)(ci)
 
 
 def test_free_dofs_exclude_boundary_faces():
