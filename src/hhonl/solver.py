@@ -33,11 +33,18 @@ hold, or on which a fresh float32 factor converges too slowly, is
 factored in float64.  Each cell's unknowns are then recovered from its
 own stored block.  ``residual`` and ``jacobian`` scatter the same local
 stacks into the full layout for verification.
+
+The Poisson bootstrap that starts a Newton solve goes through the same
+condensation and face solve, but its local matrices do not depend on the
+iterate: each is the HHO stiffness of the cell's congruence class, built
+once per class from the space's G, M_k and S stacks, and only its load is
+integrated at the quadrature points.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -46,7 +53,7 @@ from scipy import sparse
 from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
-from .hho import HHOSpace, HybridVector, _solve
+from .hho import HHOSpace, _solve
 
 __all__ = [
     "SolverError",
@@ -80,7 +87,7 @@ class ProblemDefinitionError(SolverError):
 
 
 class EvaluationError(SolverError):
-    """A problem callback failed at a quadrature point."""
+    """A problem callback or a source failed, or was not finite, at a quadrature point."""
 
 
 class CondensationError(SolverError):
@@ -255,22 +262,22 @@ def problem_names():
 # -- assembly ----------------------------------------------------------------
 
 
-def _call(problem, attr, x, y, z, cells):
-    """Callback ``attr`` at the quadrature points of ``cells``, which must come out finite."""
-    fn = getattr(problem, attr)
+def _call(what, fn, args, cells):
+    """``fn(*args)`` at the quadrature points of ``cells``, which must come out finite.
+
+    ``what`` names the callback in the :class:`EvaluationError` raised when
+    it fails or returns a non-finite value, which also names the cells.
+    """
     try:
-        out = np.asarray(fn(x, y, z), dtype=float)
+        out = np.asarray(fn(*args), dtype=float)
     except Exception as exc:
-        raise EvaluationError(
-            f"problem callback {attr!r} failed on cells {cells[0]}..{cells[-1]}: {exc}"
-        ) from exc
+        raise EvaluationError(f"{what} failed on cells {cells[0]}..{cells[-1]}: {exc}") from exc
     finite = np.isfinite(out)
     if not finite.all():
         bad = cells[~finite.reshape(len(cells), -1).all(axis=1)]
         shown = ", ".join(map(str, bad[:8])) + (", ..." if len(bad) > 8 else "")
         raise EvaluationError(
-            f"problem callback {attr!r} returned non-finite values on "
-            f"{len(bad)} cells: {shown}")
+            f"{what} returned non-finite values on {len(bad)} cells: {shown}")
     return out
 
 
@@ -314,8 +321,11 @@ def _assemble(space, problem, w, chunk, need_jacobian, fields=None):
         y_c = np.asarray(fields[0](flat), dtype=float)
         z_c = np.asarray(fields[1](flat), dtype=float)
 
-    aval = _call(problem, "a", flat, yq, zq, ids).reshape(m, -1, 2)
-    fval = _call(problem, "f", flat, yq, zq, ids).reshape(m, -1, 1)
+    def call(attr, y, z):
+        return _call(f"problem callback {attr!r}", getattr(problem, attr), (flat, y, z), ids)
+
+    aval = call("a", yq, zq).reshape(m, -1, 2)
+    fval = call("f", yq, zq).reshape(m, -1, 1)
     mom = phiT @ (np.concatenate((aval, fval), axis=2) * wq[..., None])  # (m, Nk, 3)
     r_loc = (np.swapaxes(G, 1, 2) @ mom[:, :, :2].transpose(0, 2, 1).reshape(m, -1, 1)
              + g.S[op] @ loc[..., None])[..., 0]
@@ -330,7 +340,7 @@ def _assemble(space, problem, w, chunk, need_jacobian, fields=None):
 
     # a_z is symmetric (the NonlinearProblem contract), so the (1, 0)
     # block equals the (0, 1) block, itself a symmetric mass matrix.
-    az = _call(problem, "a_z", flat, y_c, z_c, ids).reshape(m, -1, 2, 2) * wq[..., None, None]
+    az = call("a_z", y_c, z_c).reshape(m, -1, 2, 2) * wq[..., None, None]
     M = np.empty((m, 2 * Nk, 2 * Nk))
     M[:, :Nk, :Nk] = mass(az[..., 0, 0])
     M[:, :Nk, Nk:] = mass(az[..., 0, 1])
@@ -338,20 +348,52 @@ def _assemble(space, problem, w, chunk, need_jacobian, fields=None):
     M[:, Nk:, Nk:] = mass(az[..., 1, 1])
     J_loc = np.swapaxes(G, 1, 2) @ (M @ G) + g.S[op]
 
-    ay = _call(problem, "a_y", flat, y_c, z_c, ids)
+    ay = call("a_y", y_c, z_c)
     if np.any(ay):
         ayw = ay.reshape(m, -1, 2) * wq[..., None]
         W = np.concatenate((mass(ayw[..., 0]), mass(ayw[..., 1])), axis=1)
         J_loc[:, :, :Nk] += np.swapaxes(G, 1, 2) @ W
-    fz = _call(problem, "f_z", flat, y_c, z_c, ids)
+    fz = call("f_z", y_c, z_c)
     if np.any(fz):
         fzw = fz.reshape(m, -1, 2) * wq[..., None]
         W = np.concatenate((mass(fzw[..., 0]), mass(fzw[..., 1])), axis=2)
         J_loc[:, :Nk, :] += W @ G
-    fy = _call(problem, "f_y", flat, y_c, z_c, ids)
+    fy = call("f_y", y_c, z_c)
     if np.any(fy):
         J_loc[:, :Nk, :Nk] += mass(fy.reshape(m, -1) * wq)
     return _Local(ids, g.gidx[sl], r_loc, J_loc)
+
+
+def _poisson_local(space, source):
+    """Local stacks of the Poisson problem -div grad u = source, chunk by chunk.
+
+    A cell's matrix is the HHO stiffness of its congruence class,
+    ``K = G_x^T M_k G_x + G_y^T M_k G_y + S`` with ``G = [G_x; G_y]``,
+    formed once per class of each face-count group from the space's
+    operator stacks; only the load ``phi^T (w source)`` of the cell rows is
+    integrated at the quadrature points.  Yields one :class:`_Local` per
+    chunk of ``space._chunks()``, in that order, its residual being the
+    load.  A group's stiffnesses are dropped when the next group's are
+    built, the last ones when the chunks run out, so none outlives the
+    condensation.
+    """
+    Nk = space.Nk
+    group, classes, spent = None, 0, 0.0
+    for g, sl in space._chunks():
+        if g is not group:
+            start = time.perf_counter()
+            Gx, Gy = g.G[:, :Nk], g.G[:, Nk:]
+            K = (np.swapaxes(Gx, 1, 2) @ (g.Mk @ Gx) + np.swapaxes(Gy, 1, 2) @ (g.Mk @ Gy)
+                 + g.S)
+            spent += time.perf_counter() - start
+            group, classes = g, classes + len(K)
+        ids, op, gidx = g.cells[sl], g.op[sl], g.gidx[sl]
+        flat = (space.mesh.cell_centroids[ids][:, None, :] + g.offsets[op]).reshape(-1, 2)
+        wf = _call("source", source, (flat,), ids).reshape(len(ids), 1, -1) * g.weights[op, None]
+        load = np.zeros(gidx.shape)
+        load[:, :Nk] = (wf @ g.phi[op, :, :Nk])[:, 0]
+        yield _Local(ids, gidx, load, K[op])
+    log.debug("Poisson stiffness of %d classes built in %.3f s", classes, spent)
 
 
 def _scatter_vector(blocks, n):
@@ -398,19 +440,21 @@ def jacobian(problem, w, fields=None):
 # -- linear algebra ----------------------------------------------------------
 
 
-def static_condense(space, problem, w):
-    """The Newton system ``J(w) x = r(w)`` with each cell's unknowns eliminated.
+def static_condense(space, local):
+    """The system ``J x = r`` of local stacks with each cell's unknowns eliminated.
 
-    Chunk by chunk, the local residuals and Jacobians of :func:`_assemble`
-    are condensed and dropped before the next chunk is assembled, so the
-    Jacobian stacks of all cells never exist at once.  Per chunk one
-    stacked solve gives ``X = J_TT^{-1} [J_TF | r_T]``; the local Schur
-    complements ``J_FF - J_FT X_F`` are summed straight into the data of
-    the face system's CSC pattern, through the slot map the space builds
-    once (:meth:`HHOSpace.face_pattern`), and the reduced right-hand sides
-    ``r_F - J_FT X_r`` into its right-hand side.  Rows follow the
-    pattern's ``rows``; boundary face dofs are dropped, their values being
-    zero.  Returns ``(S, g, recover)``: the face system (CSC,
+    ``local`` yields one :class:`_Local` per chunk of ``space._chunks()``, in
+    that order: the residuals and Jacobians of :func:`_assemble` for a
+    Newton step, or the load and class stiffnesses of :func:`_poisson_local`
+    for the Poisson bootstrap.  Each chunk is condensed and dropped before
+    the next is drawn, so the Jacobian stacks of all cells never exist at
+    once.  Per chunk one stacked solve gives ``X = J_TT^{-1} [J_TF | r_T]``;
+    the local Schur complements ``J_FF - J_FT X_F`` are summed straight into
+    the data of the face system's CSC pattern, through the slot map the
+    space builds once (:meth:`HHOSpace.face_pattern`), and the reduced
+    right-hand sides ``r_F - J_FT X_r`` into its right-hand side.  Rows
+    follow the pattern's ``rows``; boundary face dofs are dropped, their
+    values being zero.  Returns ``(S, g, recover)``: the face system (CSC,
     sharing the pattern's index arrays), its right-hand side, and a
     callback mapping a face solution to the full-layout solution ``x``,
     zero on boundary faces.
@@ -425,8 +469,7 @@ def static_condense(space, problem, w):
     nnz = len(pattern.indices)
     data = np.full(nnz + space.nF, -0.0)
     kept = []
-    for chunk, slots in zip(space._chunks(), pattern.slots):
-        c = _assemble(space, problem, w, chunk, need_jacobian=True)
+    for c, slots in zip(local, pattern.slots, strict=True):
         J_FT = c.J[:, Nk:, :Nk]
         rhs = np.concatenate((c.J[:, :Nk, Nk:], c.r[:, :Nk, None]), axis=2)
         X = _solve(c.J[:, :Nk, :Nk], rhs, c.ids, "cell block", CondensationError)
@@ -434,7 +477,7 @@ def static_condense(space, problem, w):
         f = rows[c.gidx[:, Nk:]]
         g += _scatter_vector([(f, c.r[:, Nk:] - (J_FT @ X[..., -1:])[..., 0])], n)
         kept.append((c.gidx, X))
-        del c, J_FT, rhs  # the chunk's Jacobian stack goes before the next one is assembled
+        del c, J_FT, rhs  # the chunk's Jacobian stack goes before the next one is drawn
     S = sparse.csc_matrix((data[:nnz], pattern.indices, pattern.indptr), shape=(n, n))
 
     def recover(uf):
@@ -613,34 +656,31 @@ class _FaceFactor:
 def _increment(space, problem, w, face_factor=None):
     """The Newton increment ``d`` with ``J(w) d = -r(w)`` on the free dofs.
 
-    The face system, condensed chunk by chunk (:func:`static_condense`) and
-    already in the mesh's nested-dissection order, is solved by
-    ``face_factor``, a :class:`_FaceFactor` that may hold a factor from an
-    earlier solve; without one the solve makes and drops its own factor.
+    The local stacks of :func:`_assemble`, condensed chunk by chunk
+    (:func:`static_condense`) into a face system already in the mesh's
+    nested-dissection order, are solved by ``face_factor``, a
+    :class:`_FaceFactor` that may hold a factor from an earlier solve;
+    without one the solve makes and drops its own factor.
     """
-    S, g, recover = static_condense(space, problem, w)
+    local = (_assemble(space, problem, w, chunk, need_jacobian=True) for chunk in space._chunks())
+    S, g, recover = static_condense(space, local)
     return space.vector_from_flat(-recover((face_factor or _FaceFactor()).solve(S, g)))
 
 
 def solve_linear_hho(space, source, face_factor=None):
     """HHO solution of the Poisson problem -div grad u = source with zero Dirichlet data.
 
-    This is the bootstrap of :func:`newton_solve`: the linear flux
-    a(z) = z discretized with the space's reconstructions, stabilization and
-    quadrature, and solved by the same condensed face system as a Newton
-    step.  ``source`` takes an (n, 2) array of points and returns n values.
-    ``face_factor`` is the Newton solve's :class:`_FaceFactor`, which keeps
-    the factor and the record of this solve; by default the solve makes and
-    drops its own.
+    This is the bootstrap of :func:`newton_solve`.  Its local matrices are
+    the HHO stiffnesses ``(G_T u, G_T v)_T + s_T(u, v)`` of the congruence
+    classes, and only the load is integrated at the quadrature points
+    (:func:`_poisson_local`); the face system is condensed and solved as a
+    Newton step's.  ``source`` takes an (n, 2) array of points and returns n
+    values, which must be finite.  ``face_factor`` is the Newton solve's
+    :class:`_FaceFactor`, which keeps the factor and the record of this
+    solve; by default the solve makes and drops its own.
     """
-    lin = NonlinearProblem(
-        a=lambda x, y, z: z,
-        a_z=lambda x, y, z: np.broadcast_to(np.eye(2), (len(x), 2, 2)),
-        a_y=lambda x, y, z: np.zeros((len(x), 2)),
-        f=lambda x, y, z: -np.asarray(source(x), dtype=float),
-        f_z=lambda x, y, z: np.zeros((len(x), 2)),
-        f_y=lambda x, y, z: np.zeros(len(x)))
-    return _increment(space, lin, HybridVector(space), face_factor)
+    S, g, recover = static_condense(space, _poisson_local(space, source))
+    return space.vector_from_flat(recover((face_factor or _FaceFactor()).solve(S, g)))
 
 
 def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,

@@ -1,5 +1,6 @@
 """Nonlinear problem definitions, assembly, condensation, and Newton."""
 
+import dataclasses
 import logging
 import re
 import tracemalloc
@@ -238,6 +239,63 @@ def test_linear_solve_reproduces_manufactured_poisson():
     assert rel < 1e-3
 
 
+def _smooth_source(x):
+    return np.sin(3 * x[:, 0]) * np.cos(2 * x[:, 1]) + 1
+
+
+@pytest.mark.parametrize("family, n, k", [
+    *[(f, n, k) for f, n in (("cartesian", 6), ("triangular", 4), ("hexagonal-files", 1))
+      for k in range(4)],
+    *[("kershaw-files", 1, k) for k in range(3)],
+])
+def test_poisson_bootstrap_equals_the_linear_problem_assembled_at_quadrature_points(
+        family, n, k, monkeypatch, caplog):
+    # The oracle is the linear problem a(z) = z, f = -source taken through
+    # a Newton step's assembly at every quadrature point; the bootstrap
+    # builds each class's stiffness once and integrates only the load.
+    space = HHOSpace(harness.build_mesh(family, n), k)
+    linear = dataclasses.replace(linear_diffusion_problem(), f=lambda x, y, z: -_smooth_source(x))
+    reference = solver_mod._increment(space, linear, HybridVector(space)).to_flat()
+    calls = []
+    assemble = solver_mod._assemble
+
+    def counting_assemble(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "_assemble", counting_assemble)
+    caplog.set_level(logging.DEBUG, logger="hhonl")
+    u = solve_linear_hho(space, _smooth_source).to_flat()
+    assert calls == []
+    assert np.abs(u - reference).max() <= 1e-10 * np.abs(reference).max()
+    built = [rec.getMessage() for rec in caplog.records
+             if rec.getMessage().startswith("Poisson stiffness")]
+    assert len(built) == 1
+    assert re.fullmatch(rf"Poisson stiffness of {len(space._classes)} classes built in "
+                        r"\d+\.\d{3} s", built[0]), built[0]
+
+
+def test_non_finite_poisson_source_names_its_cells():
+    def quadrant_nan_source(x):
+        out = np.ones(len(x))
+        out[(x[:, 0] > 0.5) & (x[:, 1] > 0.5)] = np.nan
+        return out
+
+    mesh = generate_cartesian(4)
+    quadrant = np.flatnonzero((mesh.cell_centroids > 0.5).all(axis=1))
+    with pytest.raises(EvaluationError,
+                       match=rf"returned non-finite values on {len(quadrant)} cells: ") as info:
+        solve_linear_hho(HHOSpace(mesh, 1), quadrant_nan_source)
+    named = [int(c) for c in str(info.value).split(":")[-1].split(",")]
+    assert sorted(named) == list(quadrant)
+
+
+def _newton_stacks(space, problem, w):
+    """The local stacks of a Newton step at ``w``, assembled chunk by chunk as drawn."""
+    return (solver_mod._assemble(space, problem, w, chunk, need_jacobian=True)
+            for chunk in space._chunks())
+
+
 def test_condensed_and_direct_solves_agree():
     problem = mean_curvature_problem()
     mesh = generate_cartesian(4)
@@ -247,7 +305,7 @@ def test_condensed_and_direct_solves_agree():
     free = space.free_dofs()
     J = jacobian(problem, w)[np.ix_(free, free)].tocsr()
     r = residual(problem, w)[free]
-    S, g, recover = static_condense(space, problem, w)
+    S, g, recover = static_condense(space, _newton_stacks(space, problem, w))
     x_schur = recover(spsolve(S, g))[free]
     x_direct = spsolve(J.tocsc(), r)
     scale = np.abs(x_direct).max()
@@ -268,7 +326,7 @@ def test_static_condense_rejects_singular_cell_block(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "_assemble", singular_block)
     with pytest.raises(CondensationError, match=rf"^cell {cell}: singular cell block$"):
-        static_condense(space, problem, w)
+        static_condense(space, _newton_stacks(space, problem, w))
 
 
 def test_callback_failures_carry_cell_context():
@@ -667,7 +725,7 @@ def test_face_system_equals_the_coo_sum_of_the_local_schur_complements(make_mesh
     w = space.vector_from_flat(0.1 * rng.standard_normal(space.num_dofs)).with_zero_boundary()
     problem = mean_curvature_problem()
     # The first call builds the pattern, the second reuses it.
-    systems = [static_condense(space, problem, w)[0] for _ in range(2)]
+    systems = [static_condense(space, _newton_stacks(space, problem, w))[0] for _ in range(2)]
     reference = _condensed_by_coo(space, problem, w)
     for S in systems:
         assert S.format == "csc" and S.shape == reference.shape
@@ -702,10 +760,10 @@ def test_second_condensation_holds_little_beyond_its_result():
     space = HHOSpace(generate_cartesian(64), 3)
     problem = mean_curvature_problem()
     w = space.interpolate(problem.exact_solution).with_zero_boundary()
-    static_condense(space, problem, w)
+    static_condense(space, _newton_stacks(space, problem, w))
     tracemalloc.start()
     try:
-        S, _, _ = static_condense(space, problem, w)
+        S, _, _ = static_condense(space, _newton_stacks(space, problem, w))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
