@@ -2,7 +2,7 @@
 
 The flux a(grad u) = grad u / sqrt(1 + |grad u|^2) is strongly nonlinear;
 the manufactured solution is u = x(1-x)y(1-y) with homogeneous Dirichlet
-data.  Newton starts from a linear Poisson solve with the frozen source
+data.  Newton starts from a linear Poisson solve with the problem's source
 (the bootstrap) and stops once the energy norm of the increment, relative
 to the iterate, drops below the tolerance.  Quadratic convergence makes
 that happen in three steps here.

@@ -42,16 +42,16 @@ def build_parser():
     solve = sub.add_parser("solve", help="solve one problem on one mesh")
     solve.add_argument("--problem", default="mean-curvature",
                        help=f"registered problem name (one of: {', '.join(problem_names())})")
-    solve.add_argument("--k", type=int, default=1, help="polynomial degree (0..3)")
+    solve.add_argument("--k", type=int, default=1, help="polynomial degree (0..8)")
     solve.add_argument("--tol", type=float, default=1e-8,
                        help="relative Newton increment tolerance")
     group = solve.add_mutually_exclusive_group(required=True)
     group.add_argument("--mesh", help="mesh file (native JSON or FVCA typ2)")
     group.add_argument("--family", choices=harness.FAMILIES,
                        help="generated mesh family; combine with --level")
-    solve.add_argument("--level", type=int, default=8,
+    solve.add_argument("--level", type=int,
                        help="cells per side (cartesian, triangular) or level 1..4 "
-                            "(hexagonal-files, kershaw-files)")
+                            "(hexagonal-files, kershaw-files); required with --family")
     solve.set_defaults(func=cmd_solve)
 
     study = sub.add_parser("study", help="run a convergence study")
@@ -84,12 +84,14 @@ def _load_mesh(args):
         if not path.exists():
             _usage_error(f"mesh file not found: {path}")
         return read_mesh(path)
+    if args.level is None:
+        _usage_error(f"--family {args.family} needs --level")
     return harness.build_mesh(args.family, args.level)
 
 
 def cmd_solve(args):
-    problem = get_problem(args.problem)
     mesh = _load_mesh(args)
+    problem = get_problem(args.problem)
     u, report = newton_solve(problem, mesh, args.k, tol=args.tol)
     print(f"problem: {problem.name}")
     print(f"mesh: {mesh.num_cells} cells, {mesh.num_faces} faces, h = {mesh_size(mesh):.4e}")

@@ -3,42 +3,27 @@
 The discrete nonlinear form and its fully discrete linearization are
 evaluated as stacks of local residuals and Jacobians, in vectorized
 chunks of cells with one face count whose local operators are gathered
-from the space's operator stacks.  No global matrix holds cell unknowns.
+from the space's operator stacks.  No global matrix holds cell unknowns:
+they couple only within their own cell, so each chunk is condensed onto
+its faces as soon as it is assembled (:func:`static_condense`), into the
+interior-face system whose rows and pattern the space builds once, in
+the mesh's nested-dissection order (``HHOSpace.face_pattern``).
 
-The cell unknowns couple only within their own cell, so a solve
-eliminates them cell by cell (static condensation): each chunk is
-assembled and condensed by one stacked dense solve before the next chunk
-is assembled, and its local Schur complements on the cell's faces are
-summed straight into the values of the interior-face system's CSC
-arrays, whose rows, pattern and slot map the space builds once
-(``HHOSpace.face_pattern``).  Rows keep each face's ``k+1`` dofs
-together, in the post-order of a median-bisection tree of the cells
-(``PolytopalMesh.interior_face_order``, built once per mesh).  SuperLU
-factors a float32 copy of that system without a column reordering of its
-own (``NATURAL``) in symmetric mode: the diagonal pivot is kept unless it
-is below 0.1 times the largest entry of its column.  Full partial pivoting
-would swap rows freely and destroy the ordering's fill savings; the
-threshold still pivots a nonsymmetric Jacobian where it must.
-
-The face system is solved in float64 by flexible GMRES against the
-float64 system, preconditioned by a float32 factor (GMRES-based iterative
+That system is solved in float64 by flexible GMRES preconditioned by a
+float32 SuperLU factor (:func:`_fgmres`; GMRES-based iterative
 refinement, Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  A Newton
-solve holds its latest float32 factor and preconditions the next system
-with it, a lagged factor as in Newton-Krylov solvers (Knoll & Keyes,
-J. Comput. Phys. 193, 2004): the pattern never changes, and the values
-hardly do once Newton converges.  A fresh factor is made only when the
-held one is projected, from its rate so far, to need more steps than a
-fresh factor and its own steps are worth; a system that float32 cannot
-hold, or on which a fresh float32 factor converges too slowly, is
-factored in float64.  Each cell's unknowns are then recovered from its
-own stored block.  ``residual`` and ``jacobian`` scatter the same local
+solve holds its factor from one system to the next (:class:`_FaceFactor`),
+a lagged factor as in Newton-Krylov solvers (Knoll & Keyes, J. Comput.
+Phys. 193, 2004).  Each cell's unknowns are then recovered from its own
+stored block.  ``residual`` and ``jacobian`` scatter the same local
 stacks into the full layout for verification.
 
 The Poisson bootstrap that starts a Newton solve goes through the same
 condensation and face solve, but its local matrices do not depend on the
 iterate: each is the HHO stiffness of the cell's congruence class, built
-once per class from the space's G, M_k and S stacks, and only its load is
-integrated at the quadrature points.
+once per class from the space's G, M_k and S stacks.  Its residual is the
+source's cell load ``phi^T (w source)``, integrated once per Newton solve
+and subtracted from the cell rows of every Newton residual.
 """
 
 from __future__ import annotations
@@ -116,69 +101,76 @@ class NewtonReport:
     linear_solves: list = field(default_factory=list)
 
 
+# Trailing output shape of each callback: a_z returns (n, 2, 2), source (n,).
+_SHAPES = {"a": (2,), "a_z": (2, 2), "a_y": (2,), "f": (), "f_z": (2,), "f_y": (), "source": ()}
+
+
 @dataclass
 class NonlinearProblem:
-    """Callbacks defining -div a(x, u, grad u) + f(x, u, grad u) = 0.
+    """Callbacks defining -div a(x, u, grad u) + f(x, u, grad u) = source(x).
 
     All callbacks are vectorized over points: ``x`` is (n, 2), ``y`` is (n,),
     ``z`` is (n, 2).  ``a`` returns (n, 2), ``a_z`` returns (n, 2, 2) and must
     be symmetric, ``a_y`` returns (n, 2), ``f`` returns (n,), ``f_z`` returns
-    (n, 2), ``f_y`` returns (n,).  ``exact_solution`` and ``exact_gradient``
-    are optional fields used by error studies.
+    (n, 2), ``f_y`` returns (n,), and ``source(x)`` returns (n,).  The
+    reaction ``f`` may be omitted (None), and so may any of ``a_y``, ``f_z``
+    and ``f_y`` that vanishes identically; assembly skips an omitted term.
+    ``exact_solution`` and ``exact_gradient`` are optional fields used by
+    error studies.
     """
 
     a: callable
     a_z: callable
-    a_y: callable
-    f: callable
-    f_z: callable
-    f_y: callable
+    source: callable
+    a_y: callable = None
+    f: callable = None
+    f_z: callable = None
+    f_y: callable = None
     exact_solution: callable = None
     exact_gradient: callable = None
     name: str = ""
-    _checked: bool = field(default=False, init=False, repr=False)
 
     def check(self):
         """Sample-based guard on user callbacks.
 
-        Verifies output shapes, symmetry of ``a_z``, and that the supplied
-        derivatives match central finite differences of ``a`` and ``f`` at
-        16 fixed random points; a non-finite value fails every comparison.
-        Raises :class:`ProblemDefinitionError` on the first violation.
+        At 16 fixed random points, verifies the output shape of every given
+        callback, the symmetry of ``a_z``, and each derivative of ``a`` and
+        ``f`` against central finite differences, an omitted derivative
+        being zero; ``f_z`` and ``f_y`` need ``f``.  A non-finite value fails
+        every comparison.  Raises :class:`ProblemDefinitionError` on the
+        first violation.
         """
         rng = np.random.default_rng(1905)
         n = 16
         x = rng.random((n, 2))
         y = rng.standard_normal(n)
         z = rng.standard_normal((n, 2))
-        az = np.asarray(self.a_z(x, y, z), dtype=float)
-        if az.shape != (n, 2, 2):
-            raise ProblemDefinitionError("a_z must return an (n, 2, 2) array")
-        scale = 1.0 + np.abs(az).max()
-        if not np.abs(az - np.transpose(az, (0, 2, 1))).max() <= 1e-9 * scale:
+        values = {}  # every given callback at the sample points
+        for name, tail in _SHAPES.items():
+            fn = getattr(self, name)
+            if fn is not None:
+                values[name] = np.asarray(fn(x) if name == "source" else fn(x, y, z), dtype=float)
+                if values[name].shape != (n, *tail):
+                    raise ProblemDefinitionError(f"{name} must return shape {(n, *tail)} at "
+                                                 f"{n} points, got {values[name].shape}")
+        az = values["a_z"]
+        if not np.abs(az - np.transpose(az, (0, 2, 1))).max() <= 1e-9 * (1.0 + np.abs(az).max()):
             raise ProblemDefinitionError("a_z is not symmetric at sampled points")
         eps = 1e-6
-        for j in range(2):
-            dz = np.zeros_like(z)
-            dz[:, j] = eps
-            fd = (np.asarray(self.a(x, y, z + dz)) - np.asarray(self.a(x, y, z - dz))) / (2 * eps)
-            if not np.abs(fd - az[:, :, j]).max() <= 1e-4 * scale:
-                raise ProblemDefinitionError("a_z disagrees with finite differences of a")
-            fdf = (np.asarray(self.f(x, y, z + dz)) - np.asarray(self.f(x, y, z - dz))) / (2 * eps)
-            fz = np.asarray(self.f_z(x, y, z), dtype=float)
-            if fz.shape != (n, 2):
-                raise ProblemDefinitionError("f_z must return an (n, 2) array")
-            if not np.abs(fdf - fz[:, j]).max() <= 1e-4 * (1.0 + np.abs(fz).max()):
-                raise ProblemDefinitionError("f_z disagrees with finite differences of f")
-        fd = (np.asarray(self.a(x, y + eps, z)) - np.asarray(self.a(x, y - eps, z))) / (2 * eps)
-        ay = np.asarray(self.a_y(x, y, z), dtype=float)
-        if not np.abs(fd - ay).max() <= 1e-4 * (1.0 + np.abs(ay).max()):
-            raise ProblemDefinitionError("a_y disagrees with finite differences of a")
-        fdf = (np.asarray(self.f(x, y + eps, z)) - np.asarray(self.f(x, y - eps, z))) / (2 * eps)
-        fy = np.asarray(self.f_y(x, y, z), dtype=float)
-        if not np.abs(fdf - fy).max() <= 1e-4 * (1.0 + np.abs(fy).max()):
-            raise ProblemDefinitionError("f_y disagrees with finite differences of f")
-        self._checked = True
+        for name, of in (("a_z", "a"), ("a_y", "a"), ("f_z", "f"), ("f_y", "f")):
+            fn = getattr(self, of)
+            if fn is None:
+                if name in values:
+                    raise ProblemDefinitionError(f"{name} is given but {of} is omitted")
+                continue
+            exact = values.get(name, np.zeros((n, *_SHAPES[name])))
+            steps = [(0.0, dz) for dz in np.eye(2) * eps] if name.endswith("_z") else [(eps, 0.0)]
+            fd = np.stack([np.asarray(fn(x, y + dy, z + dz)) - np.asarray(fn(x, y - dy, z - dz))
+                           for dy, dz in steps], axis=-1).reshape(exact.shape) / (2 * eps)
+            if not np.abs(fd - exact).max() <= 1e-4 * (1.0 + np.abs(exact).max()):
+                omitted = "" if name in values else " (omitted, so zero)"
+                raise ProblemDefinitionError(
+                    f"{name}{omitted} disagrees with finite differences of {of}")
         return self
 
 
@@ -186,8 +178,8 @@ def mean_curvature_problem():
     """Prescribed-mean-curvature flux a(z) = z (1+|z|^2)^(-1/2) on the unit square.
 
     The source is manufactured so the exact solution is
-    u(x, y) = x (1 - x) y (1 - y); the reaction callback stores the negated
-    source, f(x, y, z) = -f_src(x).
+    u(x, y) = x (1 - x) y (1 - y).  The problem has no reaction, and the
+    flux does not depend on u.
     """
 
     def exact(x):
@@ -201,8 +193,7 @@ def mean_curvature_problem():
 
     def source(x):
         X, Y = x[:, 0], x[:, 1]
-        ux = (1.0 - 2.0 * X) * Y * (1.0 - Y)
-        uy = X * (1.0 - X) * (1.0 - 2.0 * Y)
+        ux, uy = exact_grad(x).T
         uxx = -2.0 * Y * (1.0 - Y)
         uyy = -2.0 * X * (1.0 - X)
         uxy = (1.0 - 2.0 * X) * (1.0 - 2.0 * Y)
@@ -225,17 +216,8 @@ def mean_curvature_problem():
         out[:, 1, 1] = R * (1.0 + z1**2)
         return out
 
-    def zero_vec(x, y, z):
-        return np.zeros((len(x), 2))
-
-    def zero_scal(x, y, z):
-        return np.zeros(len(x))
-
-    return NonlinearProblem(
-        a=a, a_z=a_z, a_y=zero_vec,
-        f=lambda x, y, z: -source(x), f_z=zero_vec, f_y=zero_scal,
-        exact_solution=exact, exact_gradient=exact_grad,
-        name="mean-curvature")
+    return NonlinearProblem(a=a, a_z=a_z, source=source, exact_solution=exact,
+                            exact_gradient=exact_grad, name="mean-curvature")
 
 
 _REGISTRY = {"mean-curvature": mean_curvature_problem}
@@ -290,14 +272,16 @@ class _Local(NamedTuple):
     J: np.ndarray      # (m, nloc, nloc), None when no Jacobian was asked for
 
 
-def _assemble(space, problem, w, chunk, need_jacobian, fields=None):
+def _assemble(space, problem, w, chunk, load, need_jacobian, fields=None):
     """Local residual (and optionally Jacobian) stacks of the discrete form at ``w``.
 
     ``chunk`` is one ``(group, slice)`` pair of ``space._chunks()``: cells
-    of one face count, which gather their operators from the space.  With
-    ``fields=(u, grad_u)`` the Jacobian coefficients are evaluated at the
-    given fields instead of the discrete iterate (semi-discrete
-    linearization).  Returns the chunk's :class:`_Local`.
+    of one face count, which gather their operators from the space.
+    ``load`` is the source's cell load (:func:`_cell_load`), subtracted
+    from the residual's cell rows.  With ``fields=(u, grad_u)`` the
+    Jacobian coefficients are evaluated at the given fields instead of the
+    discrete iterate (semi-discrete linearization).  Returns the chunk's
+    :class:`_Local`.
     """
     Nk = space.Nk
     g, sl = chunk
@@ -324,12 +308,12 @@ def _assemble(space, problem, w, chunk, need_jacobian, fields=None):
     def call(attr, y, z):
         return _call(f"problem callback {attr!r}", getattr(problem, attr), (flat, y, z), ids)
 
-    aval = call("a", yq, zq).reshape(m, -1, 2)
-    fval = call("f", yq, zq).reshape(m, -1, 1)
-    mom = phiT @ (np.concatenate((aval, fval), axis=2) * wq[..., None])  # (m, Nk, 3)
-    r_loc = (np.swapaxes(G, 1, 2) @ mom[:, :, :2].transpose(0, 2, 1).reshape(m, -1, 1)
+    flux = phiT @ (call("a", yq, zq).reshape(m, -1, 2) * wq[..., None])  # (m, Nk, 2)
+    r_loc = (np.swapaxes(G, 1, 2) @ flux.transpose(0, 2, 1).reshape(m, -1, 1)
              + g.S[op] @ loc[..., None])[..., 0]
-    r_loc[:, :Nk] += mom[:, :, 2]
+    r_loc[:, :Nk] -= load[ids]
+    if problem.f is not None:
+        r_loc[:, :Nk] += (phiT @ (call("f", yq, zq).reshape(m, -1) * wq)[..., None])[..., 0]
 
     if not need_jacobian:
         return _Local(ids, g.gidx[sl], r_loc, None)
@@ -348,34 +332,44 @@ def _assemble(space, problem, w, chunk, need_jacobian, fields=None):
     M[:, Nk:, Nk:] = mass(az[..., 1, 1])
     J_loc = np.swapaxes(G, 1, 2) @ (M @ G) + g.S[op]
 
-    ay = call("a_y", y_c, z_c)
-    if np.any(ay):
-        ayw = ay.reshape(m, -1, 2) * wq[..., None]
+    if problem.a_y is not None:
+        ayw = call("a_y", y_c, z_c).reshape(m, -1, 2) * wq[..., None]
         W = np.concatenate((mass(ayw[..., 0]), mass(ayw[..., 1])), axis=1)
         J_loc[:, :, :Nk] += np.swapaxes(G, 1, 2) @ W
-    fz = call("f_z", y_c, z_c)
-    if np.any(fz):
-        fzw = fz.reshape(m, -1, 2) * wq[..., None]
+    if problem.f_z is not None:
+        fzw = call("f_z", y_c, z_c).reshape(m, -1, 2) * wq[..., None]
         W = np.concatenate((mass(fzw[..., 0]), mass(fzw[..., 1])), axis=2)
         J_loc[:, :Nk, :] += W @ G
-    fy = call("f_y", y_c, z_c)
-    if np.any(fy):
-        J_loc[:, :Nk, :Nk] += mass(fy.reshape(m, -1) * wq)
+    if problem.f_y is not None:
+        J_loc[:, :Nk, :Nk] += mass(call("f_y", y_c, z_c).reshape(m, -1) * wq)
     return _Local(ids, g.gidx[sl], r_loc, J_loc)
 
 
-def _poisson_local(space, source):
+def _cell_load(space, source):
+    """The load ``phi^T (w source)`` of every cell, (num_cells, Nk).
+
+    ``source`` is called once per chunk; its values must be finite.
+    """
+    load = np.empty((space.mesh.num_cells, space.Nk))
+    for g, sl in space._chunks():
+        ids, op = g.cells[sl], g.op[sl]
+        flat = (space.mesh.cell_centroids[ids][:, None, :] + g.offsets[op]).reshape(-1, 2)
+        wf = _call("source", source, (flat,), ids).reshape(len(ids), 1, -1) * g.weights[op, None]
+        load[ids] = (wf @ g.phi[op, :, :space.Nk])[:, 0]
+    return load
+
+
+def _poisson_local(space, load):
     """Local stacks of the Poisson problem -div grad u = source, chunk by chunk.
 
     A cell's matrix is the HHO stiffness of its congruence class,
     ``K = G_x^T M_k G_x + G_y^T M_k G_y + S`` with ``G = [G_x; G_y]``,
     formed once per class of each face-count group from the space's
-    operator stacks; only the load ``phi^T (w source)`` of the cell rows is
-    integrated at the quadrature points.  Yields one :class:`_Local` per
-    chunk of ``space._chunks()``, in that order, its residual being the
-    load.  A group's stiffnesses are dropped when the next group's are
-    built, the last ones when the chunks run out, so none outlives the
-    condensation.
+    operator stacks.  Yields one :class:`_Local` per chunk of
+    ``space._chunks()``, in that order, its residual being the source's
+    cell ``load`` (:func:`_cell_load`) on the cell rows.  A group's
+    stiffnesses are dropped when the next group's are built, the last ones
+    when the chunks run out, so none outlives the condensation.
     """
     Nk = space.Nk
     group, classes, spent = None, 0, 0.0
@@ -387,12 +381,10 @@ def _poisson_local(space, source):
                  + g.S)
             spent += time.perf_counter() - start
             group, classes = g, classes + len(K)
-        ids, op, gidx = g.cells[sl], g.op[sl], g.gidx[sl]
-        flat = (space.mesh.cell_centroids[ids][:, None, :] + g.offsets[op]).reshape(-1, 2)
-        wf = _call("source", source, (flat,), ids).reshape(len(ids), 1, -1) * g.weights[op, None]
-        load = np.zeros(gidx.shape)
-        load[:, :Nk] = (wf @ g.phi[op, :, :Nk])[:, 0]
-        yield _Local(ids, gidx, load, K[op])
+        ids, gidx = g.cells[sl], g.gidx[sl]
+        r = np.zeros(gidx.shape)
+        r[:, :Nk] = load[ids]
+        yield _Local(ids, gidx, r, K[g.op[sl]])
     log.debug("Poisson stiffness of %d classes built in %.3f s", classes, spent)
 
 
@@ -408,12 +400,17 @@ def _scatter_vector(blocks, n):
     return out
 
 
-def residual(problem, w):
-    """Vector of the discrete nonlinear form at ``w`` against every test dof."""
+def _residual(problem, w, load):
+    """:func:`residual` with the source's cell ``load`` (:func:`_cell_load`) given."""
     space = w.space
-    local = (_assemble(space, problem, w, chunk, need_jacobian=False)
+    local = (_assemble(space, problem, w, chunk, load, need_jacobian=False)
              for chunk in space._chunks())
     return _scatter_vector(((c.gidx, c.r) for c in local), space.num_dofs)
+
+
+def residual(problem, w):
+    """Vector of the discrete nonlinear form at ``w`` against every test dof."""
+    return _residual(problem, w, _cell_load(w.space, problem.source))
 
 
 def jacobian(problem, w, fields=None):
@@ -425,9 +422,10 @@ def jacobian(problem, w, fields=None):
     condenses the local Jacobians cell by cell (:func:`static_condense`).
     """
     space = w.space
+    no_load = np.zeros((space.mesh.num_cells, space.Nk))
     rows, cols, values = [], [], []
     for chunk in space._chunks():
-        c = _assemble(space, problem, w, chunk, need_jacobian=True, fields=fields)
+        c = _assemble(space, problem, w, chunk, no_load, need_jacobian=True, fields=fields)
         b = c.gidx.shape[1]
         rows.append(np.repeat(c.gidx, b, axis=1).ravel())
         cols.append(np.tile(c.gidx, (1, b)).ravel())
@@ -528,8 +526,12 @@ _MAX_STEPS = 40
 def _factor(S, dtype):
     """Sparse LU factor of the CSC matrix ``S`` in ``dtype``, in the face order.
 
-    Pivoting is in symmetric mode.  The copy in ``dtype`` that SuperLU
-    takes shares the index arrays of ``S``.
+    SuperLU keeps that order (``NATURAL``) and pivots in symmetric mode: the
+    diagonal pivot is kept unless it is below 0.1 times the largest entry
+    of its column.  Full partial pivoting would swap rows freely and
+    destroy the order's fill savings; the threshold still pivots a
+    nonsymmetric Jacobian where it must.  The copy in ``dtype`` that
+    SuperLU takes shares the index arrays of ``S``.
     """
     S.sum_duplicates()  # a no-op on a face system; SuperLU must not sort shared indices
     with np.errstate(over="ignore"):  # entries beyond float32's range become inf
@@ -653,33 +655,34 @@ class _FaceFactor:
         return x
 
 
-def _increment(space, problem, w, face_factor=None):
+def _increment(space, problem, w, load, face_factor=None):
     """The Newton increment ``d`` with ``J(w) d = -r(w)`` on the free dofs.
 
-    The local stacks of :func:`_assemble`, condensed chunk by chunk
-    (:func:`static_condense`) into a face system already in the mesh's
-    nested-dissection order, are solved by ``face_factor``, a
-    :class:`_FaceFactor` that may hold a factor from an earlier solve;
-    without one the solve makes and drops its own factor.
+    The local stacks of :func:`_assemble` with the source's cell ``load``,
+    condensed chunk by chunk (:func:`static_condense`) into a face system
+    already in the mesh's nested-dissection order, are solved by
+    ``face_factor``, a :class:`_FaceFactor` that may hold a factor from an
+    earlier solve; without one the solve makes and drops its own factor.
     """
-    local = (_assemble(space, problem, w, chunk, need_jacobian=True) for chunk in space._chunks())
+    local = (_assemble(space, problem, w, chunk, load, need_jacobian=True)
+             for chunk in space._chunks())
     S, g, recover = static_condense(space, local)
     return space.vector_from_flat(-recover((face_factor or _FaceFactor()).solve(S, g)))
 
 
-def solve_linear_hho(space, source, face_factor=None):
+def solve_linear_hho(space, source, face_factor=None, load=None):
     """HHO solution of the Poisson problem -div grad u = source with zero Dirichlet data.
 
-    This is the bootstrap of :func:`newton_solve`.  Its local matrices are
-    the HHO stiffnesses ``(G_T u, G_T v)_T + s_T(u, v)`` of the congruence
-    classes, and only the load is integrated at the quadrature points
-    (:func:`_poisson_local`); the face system is condensed and solved as a
-    Newton step's.  ``source`` takes an (n, 2) array of points and returns n
-    values, which must be finite.  ``face_factor`` is the Newton solve's
-    :class:`_FaceFactor`, which keeps the factor and the record of this
-    solve; by default the solve makes and drops its own.
+    This is the bootstrap of :func:`newton_solve`: the class stiffnesses
+    and the source's cell load of :func:`_poisson_local`, condensed and
+    solved as a Newton step's.  ``source`` takes an (n, 2) array of points
+    and returns n values, which must be finite; its cell load ``load``
+    (:func:`_cell_load`) is integrated here unless the caller holds it.
+    ``face_factor`` is as for :func:`_increment`.
     """
-    S, g, recover = static_condense(space, _poisson_local(space, source))
+    if load is None:
+        load = _cell_load(space, source)
+    S, g, recover = static_condense(space, _poisson_local(space, load))
     return space.vector_from_flat(recover((face_factor or _FaceFactor()).solve(S, g)))
 
 
@@ -687,10 +690,11 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
                  line_search=False):
     """Newton iteration for the discrete nonlinear problem on ``mesh``.
 
-    Starts from ``initial_guess`` or the Poisson bootstrap (the linear HHO
-    solve with the problem's source).  Each step solves the condensed
-    linearized system for an increment; the iteration stops once the
-    reconstructed-gradient norm of the increment, relative to the new
+    Starts from ``initial_guess`` or the Poisson bootstrap
+    (:func:`solve_linear_hho`); the source's cell load is integrated once
+    and serves the bootstrap and every residual.  Each step solves the
+    condensed linearized system for an increment; the iteration stops once
+    the reconstructed-gradient norm of the increment, relative to the new
     iterate, drops to ``tol``.  The nonlinear coefficients are integrated
     by the space's quadrature: one rule of degree 2k+4 per face-count
     group, the same one its operators are built with.
@@ -701,33 +705,26 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if initial_guess is not None:
-        space = initial_guess.space
-        if space.mesh is not mesh or space.k != k:
-            raise ValueError("initial guess must live on the same mesh and degree")
-    else:
-        space = HHOSpace(mesh, k)
-    if not problem._checked:
-        problem.check()
+    space = HHOSpace(mesh, k) if initial_guess is None else initial_guess.space
+    if space.mesh is not mesh or space.k != k:
+        raise ValueError("initial guess must live on the same mesh and degree")
+    problem.check()
     face_factor = _FaceFactor()
+    load = _cell_load(space, problem.source)
     if initial_guess is None:
-        def bootstrap_source(x):
-            n = len(x)
-            return -np.asarray(problem.f(x, np.zeros(n), np.zeros((n, 2))), dtype=float)
-
-        u = solve_linear_hho(space, bootstrap_source, face_factor)
+        u = solve_linear_hho(space, problem.source, face_factor, load)
     else:
         u = initial_guess.with_zero_boundary()
 
     free = space.free_dofs()
     increments = []
     for it in range(1, max_iter + 1):
-        delta = _increment(space, problem, u, face_factor)
+        delta = _increment(space, problem, u, load, face_factor)
         if line_search:
-            rnorm = np.linalg.norm(residual(problem, u)[free])
+            rnorm = np.linalg.norm(_residual(problem, u, load)[free])
             alpha = 1.0
             while alpha > 1.0 / 256.0:
-                trial = residual(problem, u + alpha * delta)[free]
+                trial = _residual(problem, u + alpha * delta, load)[free]
                 if np.linalg.norm(trial) <= (1.0 - 0.25 * alpha) * rnorm:
                     break
                 alpha *= 0.5

@@ -378,15 +378,15 @@ def _randomized_smooth_problem(rng):
         return (2.0 * c1 * y)[:, None] * z
 
     def f(x, y, z):
-        return c3 * y ** 3 - np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
-
-    def f_z(x, y, z):
-        return np.zeros((len(x), 2))
+        return c3 * y ** 3
 
     def f_y(x, y, z):
         return 3.0 * c3 * y * y
 
-    return NonlinearProblem(a=a, a_z=a_z, a_y=a_y, f=f, f_z=f_z, f_y=f_y,
+    def source(x):
+        return np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
+
+    return NonlinearProblem(a=a, a_z=a_z, source=source, a_y=a_y, f=f, f_y=f_y,
                             name="randomized-smooth")
 
 
@@ -435,11 +435,7 @@ def _direct_newton(problem, mesh, k, tol=1e-8):
     lin = NonlinearProblem(
         a=lambda x, y, z: z,
         a_z=lambda x, y, z: np.broadcast_to(np.eye(2), (len(x), 2, 2)),
-        a_y=lambda x, y, z: np.zeros((len(x), 2)),
-        f=lambda x, y, z: np.asarray(
-            problem.f(x, np.zeros(len(x)), np.zeros((len(x), 2))), dtype=float),
-        f_z=lambda x, y, z: np.zeros((len(x), 2)),
-        f_y=lambda x, y, z: np.zeros(len(x)))
+        source=problem.source)
 
     u = HybridVector(space)
     iterations = 0
@@ -485,7 +481,8 @@ def test_condensed_solve_of_a_nonsymmetric_jacobian():
     jac = jacobian(problem, state)[np.ix_(free, free)].tocsr()
     rhs = residual(problem, state)[free]
     asym = abs(jac - jac.T).max() / abs(jac).max()
-    condensed = solver_mod._increment(space, problem, state).to_flat()[free]
+    load = solver_mod._cell_load(space, problem.source)
+    condensed = solver_mod._increment(space, problem, state, load).to_flat()[free]
     direct = spsolve(jac.tocsc(), -rhs)
     rel = np.abs(condensed - direct).max() / np.abs(direct).max()
     _verdict("condensed and direct solves agree on a nonsymmetric Jacobian",

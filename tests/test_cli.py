@@ -21,6 +21,14 @@ def test_solve_requires_a_mesh_source():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("family", ["cartesian", "kershaw-files"])
+def test_solve_on_a_family_needs_a_level(capsys, family):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--family", family])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == f"error: --family {family} needs --level\n"
+
+
 def test_solve_on_a_generated_mesh(capsys):
     code = main(["solve", "--family", "cartesian", "--level", "4", "--k", "1"])
     out = capsys.readouterr().out

@@ -246,10 +246,7 @@ def test_run_study_requires_an_exact_gradient():
     register_problem("no-exact-test", lambda: NonlinearProblem(
         a=lambda x, y, z: z,
         a_z=lambda x, y, z: np.broadcast_to(np.eye(2), (len(x), 2, 2)),
-        a_y=lambda x, y, z: np.zeros((len(x), 2)),
-        f=lambda x, y, z: np.zeros(len(x)),
-        f_z=lambda x, y, z: np.zeros((len(x), 2)),
-        f_y=lambda x, y, z: np.zeros(len(x))))
+        source=lambda x: np.zeros(len(x))))
     try:
         cfg = StudyConfig("cartesian", [2, 4], [1], problem="no-exact-test")
         with pytest.raises(StudyConfigError, match="exact gradient"):

@@ -33,20 +33,21 @@ from hhonl.solver import (
 )
 
 
-def _zero_vec(x, y, z):
-    return np.zeros((len(x), 2))
+def _no_source(x):
+    return np.zeros(len(x))
 
 
-def _zero_scal(x, y, z):
+def _identity(x, y, z):
+    return np.broadcast_to(np.eye(2), (len(x), 2, 2))
+
+
+def _no_reaction(x, y, z):
     return np.zeros(len(x))
 
 
 def linear_diffusion_problem():
     """a(z) = z with zero source; passes check and is exactly linear."""
-    return NonlinearProblem(
-        a=lambda x, y, z: z,
-        a_z=lambda x, y, z: np.broadcast_to(np.eye(2), (len(x), 2, 2)),
-        a_y=_zero_vec, f=_zero_scal, f_z=_zero_vec, f_y=_zero_scal)
+    return NonlinearProblem(a=lambda x, y, z: z, a_z=_identity, source=_no_source)
 
 
 def steep_mean_curvature_problem(s):
@@ -61,8 +62,7 @@ def steep_mean_curvature_problem(s):
         Q = 1 + ux**2 + uy**2
         return -((uxx + uyy) * Q - (ux**2 * uxx + 2 * ux * uy * uxy + uy**2 * uyy)) * Q**-1.5
 
-    return NonlinearProblem(a=base.a, a_z=base.a_z, a_y=base.a_y,
-                            f=lambda x, y, z: -source(x), f_z=base.f_z, f_y=base.f_y)
+    return NonlinearProblem(a=base.a, a_z=base.a_z, source=source)
 
 
 def test_mean_curvature_problem_passes_check():
@@ -78,28 +78,53 @@ def test_check_rejects_asymmetric_flux_derivative():
         out[:, 0, 1] = 1.0
         return out
 
-    problem = NonlinearProblem(a=lambda x, y, z: z, a_z=bad_az, a_y=_zero_vec,
-                               f=_zero_scal, f_z=_zero_vec, f_y=_zero_scal)
+    problem = NonlinearProblem(a=lambda x, y, z: z, a_z=bad_az, source=_no_source)
     with pytest.raises(ProblemDefinitionError, match="symmetric"):
         problem.check()
 
 
 def test_check_rejects_wrong_derivative():
     # a_z claims the identity but a is 2 * z.
-    problem = NonlinearProblem(
-        a=lambda x, y, z: 2.0 * z,
-        a_z=lambda x, y, z: np.broadcast_to(np.eye(2), (len(x), 2, 2)),
-        a_y=_zero_vec, f=_zero_scal, f_z=_zero_vec, f_y=_zero_scal)
+    problem = NonlinearProblem(a=lambda x, y, z: 2.0 * z, a_z=_identity, source=_no_source)
     with pytest.raises(ProblemDefinitionError, match="finite differences"):
         problem.check()
 
 
-def test_check_rejects_wrong_shapes():
-    problem = NonlinearProblem(
-        a=lambda x, y, z: z, a_z=lambda x, y, z: np.eye(2),
-        a_y=_zero_vec, f=_zero_scal, f_z=_zero_vec, f_y=_zero_scal)
-    with pytest.raises(ProblemDefinitionError, match=r"\(n, 2, 2\)"):
+@pytest.mark.parametrize("fields, message", [
+    ({"a_z": lambda x, y, z: np.eye(2)},
+     r"^a_z must return shape \(16, 2, 2\) at 16 points, got \(2, 2\)$"),
+    ({"a": lambda x, y, z: z[:, 0]}, r"^a must return shape \(16, 2\) at 16 points, got \(16,\)$"),
+    ({"a_y": lambda x, y, z: np.zeros(len(x))}, r"^a_y must return shape \(16, 2\)"),
+    ({"f": lambda x, y, z: np.zeros((len(x), 1))},
+     r"^f must return shape \(16,\) at 16 points, got \(16, 1\)$"),
+    ({"f": _no_reaction, "f_z": lambda x, y, z: np.zeros(len(x))},
+     r"^f_z must return shape \(16, 2\)"),
+    ({"f": _no_reaction, "f_y": lambda x, y, z: np.zeros((len(x), 2))},
+     r"^f_y must return shape \(16,\)"),
+    ({"source": lambda x: np.zeros((len(x), 2))}, r"^source must return shape \(16,\)"),
+], ids=["a_z", "a", "a_y", "f", "f_z", "f_y", "source"])
+def test_check_rejects_wrong_shapes(fields, message):
+    problem = dataclasses.replace(linear_diffusion_problem(), **fields)
+    with pytest.raises(ProblemDefinitionError, match=message):
         problem.check()
+
+
+@pytest.mark.parametrize("fields, omitted, given", [
+    ({"a": lambda x, y, z: (1 + y**2)[:, None] * z,
+      "a_z": lambda x, y, z: (1 + y**2)[:, None, None] * np.eye(2)},
+     "a_y", {"a_y": lambda x, y, z: (2 * y)[:, None] * z}),
+    ({"f": lambda x, y, z: y**2}, "f_y", {"f_y": lambda x, y, z: 2 * y}),
+    ({"f": lambda x, y, z: z[:, 0]}, "f_z",
+     {"f_z": lambda x, y, z: np.tile([1.0, 0.0], (len(x), 1))}),
+    ({"f_z": lambda x, y, z: np.zeros((len(x), 2))}, "f_z", {"f": _no_reaction}),
+], ids=["a_y", "f_y", "f_z", "f_z-without-f"])
+def test_check_rejects_a_wrongly_omitted_derivative(fields, omitted, given):
+    # An omitted derivative is taken as zero and checked like a given one;
+    # the same problem with the missing callback given passes.
+    problem = dataclasses.replace(linear_diffusion_problem(), **fields)
+    with pytest.raises(ProblemDefinitionError, match=rf"^{omitted} "):
+        problem.check()
+    assert dataclasses.replace(problem, **given).check()
 
 
 def test_problem_registry():
@@ -225,6 +250,25 @@ def test_line_search_reaches_the_same_solution():
     assert np.abs(u_ls.to_flat() - u_plain.to_flat()).max() <= 1e-7 * scale
 
 
+@pytest.mark.parametrize("steepness, line_search", [(1, False), (64, False), (64, True)])
+def test_newton_solve_calls_the_source_in_one_pass_over_the_chunks(steepness, line_search):
+    # The source's cell load is integrated once and serves the bootstrap and
+    # every residual, however many Newton steps and line-search trials run.
+    base = steep_mean_curvature_problem(steepness)
+    points = []
+
+    def counting_source(x):
+        points.append(len(x))
+        return base.source(x)
+
+    problem = dataclasses.replace(base, source=counting_source)
+    mesh = harness.build_mesh("hexagonal-files", 1)  # three face-count groups
+    u, report = newton_solve(problem, mesh, 2, line_search=line_search)
+    assert report.iterations == {1: 3, 64: 10}[steepness]
+    # The check samples the source at its 16 points first.
+    assert points == [16] + [g.weights[g.op[sl]].size for g, sl in u.space._chunks()]
+
+
 def test_linear_solve_reproduces_manufactured_poisson():
     def exact(x):
         return x[:, 0] * (1 - x[:, 0]) * x[:, 1] * (1 - x[:, 1])
@@ -250,12 +294,14 @@ def _smooth_source(x):
 ])
 def test_poisson_bootstrap_equals_the_linear_problem_assembled_at_quadrature_points(
         family, n, k, monkeypatch, caplog):
-    # The oracle is the linear problem a(z) = z, f = -source taken through
-    # a Newton step's assembly at every quadrature point; the bootstrap
-    # builds each class's stiffness once and integrates only the load.
+    # The oracle is the linear problem a(z) = z with zero source and the
+    # reaction f = -source, taken through a Newton step's assembly, which
+    # integrates f at every quadrature point; the bootstrap builds each
+    # class's stiffness once and takes the source's cell load as it is.
     space = HHOSpace(harness.build_mesh(family, n), k)
     linear = dataclasses.replace(linear_diffusion_problem(), f=lambda x, y, z: -_smooth_source(x))
-    reference = solver_mod._increment(space, linear, HybridVector(space)).to_flat()
+    no_load = solver_mod._cell_load(space, linear.source)
+    reference = solver_mod._increment(space, linear, HybridVector(space), no_load).to_flat()
     calls = []
     assemble = solver_mod._assemble
 
@@ -292,7 +338,8 @@ def test_non_finite_poisson_source_names_its_cells():
 
 def _newton_stacks(space, problem, w):
     """The local stacks of a Newton step at ``w``, assembled chunk by chunk as drawn."""
-    return (solver_mod._assemble(space, problem, w, chunk, need_jacobian=True)
+    load = solver_mod._cell_load(space, problem.source)
+    return (solver_mod._assemble(space, problem, w, chunk, load, need_jacobian=True)
             for chunk in space._chunks())
 
 
@@ -335,10 +382,7 @@ def test_callback_failures_carry_cell_context():
             raise RuntimeError("boom")
         return z
 
-    problem = NonlinearProblem(
-        a=fragile_a,
-        a_z=lambda x, y, z: np.broadcast_to(np.eye(2), (len(x), 2, 2)),
-        a_y=_zero_vec, f=_zero_scal, f_z=_zero_vec, f_y=_zero_scal)
+    problem = NonlinearProblem(a=fragile_a, a_z=_identity, source=_no_source)
     space = HHOSpace(generate_cartesian(4), 1)
     with pytest.raises(EvaluationError, match="'a'.*boom"):
         residual(problem, HybridVector(space))
@@ -351,10 +395,7 @@ def _quadrant_nan_flux(x, y, z):
 
 
 def test_non_finite_callback_values_name_the_callback_and_cells():
-    problem = NonlinearProblem(
-        a=_quadrant_nan_flux,
-        a_z=lambda x, y, z: np.broadcast_to(np.eye(2), (len(x), 2, 2)),
-        a_y=_zero_vec, f=_zero_scal, f_z=_zero_vec, f_y=_zero_scal)
+    problem = NonlinearProblem(a=_quadrant_nan_flux, a_z=_identity, source=_no_source)
     mesh = generate_cartesian(4)
     space = HHOSpace(mesh, 1)
     with pytest.raises(EvaluationError, match="'a' returned non-finite") as info:
@@ -370,8 +411,7 @@ def test_check_rejects_non_finite_flux_derivative():
         out[0] = np.nan
         return out
 
-    problem = NonlinearProblem(a=lambda x, y, z: z, a_z=nan_az, a_y=_zero_vec,
-                               f=_zero_scal, f_z=_zero_vec, f_y=_zero_scal)
+    problem = NonlinearProblem(a=lambda x, y, z: z, a_z=nan_az, source=_no_source)
     with pytest.raises(ProblemDefinitionError):
         problem.check()
 
@@ -450,7 +490,7 @@ def _cartesian_32_k3_factor(monkeypatch):
     space = HHOSpace(generate_cartesian(32), 3)
     w = space.interpolate(problem.exact_solution).with_zero_boundary()
     seen = _capture_solve(monkeypatch)
-    d = solver_mod._increment(space, problem, w)
+    d = solver_mod._increment(space, problem, w, solver_mod._cell_load(space, problem.source))
     (S, g, recover), = seen["systems"]
     lu, = seen["factors"]
     return S, lu, (g, recover, d)
@@ -687,9 +727,10 @@ def _condensed_by_coo(space, problem, w):
     """The face system of :func:`static_condense`, its triplets summed by ``tocsc``."""
     Nk, rows = space.Nk, space.face_pattern().rows
     n = len(space.mesh.interior_faces) * space.nF
+    load = solver_mod._cell_load(space, problem.source)
     parts = []
     for chunk in space._chunks():
-        c = solver_mod._assemble(space, problem, w, chunk, need_jacobian=True)
+        c = solver_mod._assemble(space, problem, w, chunk, load, need_jacobian=True)
         rhs = np.concatenate((c.J[:, :Nk, Nk:], c.r[:, :Nk, None]), axis=2)
         X = np.linalg.solve(c.J[:, :Nk, :Nk], rhs)
         schur = c.J[:, Nk:, Nk:] - c.J[:, Nk:, :Nk] @ X[..., :-1]
