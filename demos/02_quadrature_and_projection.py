@@ -1,10 +1,11 @@
-"""Quadrature on polygons and L2 projection onto monomial bases.
+"""Quadrature on polygons and L2 projection onto orthonormal cell bases.
 
 Cell rules are built by fanning the polygon into triangles around its
 centroid and mapping a conical-product Gauss rule to each triangle; they
-integrate polynomials up to the requested degree exactly.  The monomial
-bases are scaled to the cell (shifted by the center, divided by the
-diameter), which keeps mass matrices well conditioned on small cells.
+integrate polynomials up to the requested degree exactly.  A cell basis
+is made orthonormal from the cell's own rule: the monomials of the
+whitened coordinates, orthonormalized by one QR, so its mass matrix is
+the identity on any cell, however small or stretched.
 """
 
 import numpy as np

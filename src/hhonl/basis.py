@@ -1,16 +1,18 @@
-"""Scaled monomial bases on cells and faces, mass matrices, cell projection.
+"""Orthonormal hierarchical bases on cells and faces, and the cell L2 projection.
 
-Cell basis functions are ((x - x_T)/h_T)^a ((y - y_T)/h_T)^b with a + b <= l
-in graded lexicographic order, so the degree-l basis is a prefix of the
-degree-(l+1) basis.  Face basis functions are powers of the arc-length
-coordinate measured from the face midpoint, scaled by the face length.
+A cell basis of degree l is phi(x) = m(A (x - x_T)) T: the graded monomials
+m of whitened coordinates times an upper triangular T that makes them
+orthonormal in L^2(T) (:func:`orthonormal_frame`).  As T is triangular, the
+first dim P_j functions span P_j, and phi_0 = |T|^(-1/2).  Face bases are
+the Legendre polynomials sqrt(2j+1) P_j(2s) of the arc-length coordinate s
+from the face midpoint in units of the face length: their Gram matrix is |F| I.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import polygon_centroid, polygon_diameter
+from .mesh import polygon_centroid
 from .quadrature import cell_quadrature
 
 __all__ = [
@@ -18,11 +20,11 @@ __all__ = [
     "BasisDegenerateError",
     "graded_lex_exponents",
     "space_dimension",
-    "scaled_monomials",
+    "monomials",
+    "legendre",
+    "orthonormal_frame",
     "CellBasis",
     "FaceBasis",
-    "cell_mass_matrix",
-    "face_mass_matrix",
     "l2_project_cell",
 ]
 
@@ -46,16 +48,8 @@ def space_dimension(degree):
     return (degree + 1) * (degree + 2) // 2
 
 
-def _powers(t, degree):
-    """Powers t^0 .. t^degree along a new last axis."""
-    out = np.ones(np.shape(t) + (degree + 1,))
-    for j in range(1, degree + 1):
-        out[..., j] = out[..., j - 1] * t
-    return out
-
-
-def scaled_monomials(xi, degree, gradient=False):
-    """Monomials xi^a eta^b, a + b <= ``degree``, at scaled points ``xi`` of shape (..., 2).
+def monomials(xi, degree, gradient=False):
+    """Monomials xi^a eta^b, a + b <= ``degree``, at points ``xi`` of shape (..., 2).
 
     Values come out with shape (..., N) in graded lexicographic order; with
     ``gradient`` the derivatives with respect to (xi, eta) come out with
@@ -63,8 +57,8 @@ def scaled_monomials(xi, degree, gradient=False):
     """
     exps = graded_lex_exponents(degree)
     a, b = exps[:, 0], exps[:, 1]
-    px = _powers(xi[..., 0], degree)
-    py = _powers(xi[..., 1], degree)
+    px = np.polynomial.polynomial.polyvander(xi[..., 0], degree)
+    py = np.polynomial.polynomial.polyvander(xi[..., 1], degree)
     if not gradient:
         return px[..., a] * py[..., b]
     gx = a * px[..., np.maximum(a - 1, 0)] * py[..., b]
@@ -72,43 +66,73 @@ def scaled_monomials(xi, degree, gradient=False):
     return np.stack((gx, gy), axis=-1)
 
 
+def legendre(t, degree):
+    """Legendre polynomials sqrt(2j+1) P_j(2t - 1), j <= ``degree``, orthonormal on [0, 1].
+
+    Values come out along a new last axis.
+    """
+    x = 2.0 * np.asarray(t, dtype=float) - 1.0
+    return np.polynomial.legendre.legvander(x, degree) * np.sqrt(2 * np.arange(degree + 1) + 1.0)
+
+
+def orthonormal_frame(points, weights, degree):
+    """Frame (A, T) of the orthonormal degree-``degree`` basis phi(x) = m(A x) T.
+
+    ``points`` (..., nq, 2), relative to the cell centroid, and ``weights``
+    (..., nq) are a cell rule exact to degree 2 ``degree``; leading axes
+    stack cells.  A = L^-1 for the Cholesky factor L L^T of the second
+    moments per unit area; T = R^-1 for the Householder QR of sqrt(w) m(A x)
+    with the diagonal of R made positive.
+    """
+    w = weights[..., None]
+    moment = np.swapaxes(points, -1, -2) @ (points * w) / w.sum(axis=-2)[..., None]
+    A = np.linalg.inv(np.linalg.cholesky(moment))
+    R = np.linalg.qr(np.sqrt(w) * monomials(points @ np.swapaxes(A, -1, -2), degree),
+                     mode="r")
+    R *= np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None]
+    return A, np.linalg.inv(R)
+
+
 class CellBasis:
-    """Scaled monomials on one polygonal cell.
+    """Orthonormal hierarchical basis of P_degree on one polygonal cell.
 
     Parameters
     ----------
     vertices : (m, 2) array
         Cell corners, counterclockwise; used for quadrature.
     degree : int
-    center, diameter : optional
-        Scaling data; default to the area centroid and the cell diameter.
+    frame : optional
+        (A, T) of :func:`orthonormal_frame` for this cell's shape, of this
+        degree or higher; by default built from the cell's own rule.
     """
 
-    def __init__(self, vertices, degree, center=None, diameter=None, cell_index=None):
+    def __init__(self, vertices, degree, frame=None, cell_index=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.degree = int(degree)
-        self.center = (polygon_centroid(self.vertices) if center is None
-                       else np.asarray(center, dtype=float))
-        self.diameter = (polygon_diameter(self.vertices) if diameter is None
-                         else float(diameter))
+        self.center = polygon_centroid(self.vertices)
         self.cell_index = cell_index
-        self.exponents = graded_lex_exponents(self.degree)
-        self.dimension = len(self.exponents)
+        self.dimension = space_dimension(self.degree)
+        if frame is None:
+            rule = cell_quadrature(self.vertices - self.center, max(2 * self.degree, 2))
+            frame = orthonormal_frame(rule.points, rule.weights, self.degree)
+        self.A = frame[0]
+        self.T = frame[1][:self.dimension, :self.dimension]
+
+    def _whitened(self, points):
+        return (np.asarray(points, dtype=float).reshape(-1, 2) - self.center) @ self.A.T
 
     def evaluate(self, points):
         """Basis values, shape (npoints, dimension)."""
-        p = np.asarray(points, dtype=float).reshape(-1, 2)
-        return scaled_monomials((p - self.center) / self.diameter, self.degree)
+        return monomials(self._whitened(points), self.degree) @ self.T
 
     def gradient(self, points):
         """Basis gradients, shape (npoints, dimension, 2)."""
-        p = np.asarray(points, dtype=float).reshape(-1, 2)
-        return scaled_monomials((p - self.center) / self.diameter, self.degree,
-                                gradient=True) / self.diameter
+        grad = monomials(self._whitened(points), self.degree, gradient=True) @ self.A
+        return np.swapaxes(np.swapaxes(grad, 1, 2) @ self.T, 1, 2)
 
 
 class FaceBasis:
-    """Powers of the scaled arc-length coordinate on one straight face.
+    """Orthonormal Legendre polynomials of the scaled arc-length coordinate on one face.
 
     The coordinate runs from the face midpoint in the direction of the
     owner cell's traversal, divided by the face length, so it spans
@@ -132,27 +156,7 @@ class FaceBasis:
 
     def evaluate(self, points):
         """Basis values, shape (npoints, degree + 1)."""
-        return _powers(self.parameter(points), self.degree)
-
-
-def cell_mass_matrix(basis):
-    """Gram matrix of the basis over its cell."""
-    rule = cell_quadrature(basis.vertices, 2 * basis.degree)
-    phi = basis.evaluate(rule.points)
-    mat = phi.T @ (rule.weights[:, None] * phi)
-    return 0.5 * (mat + mat.T)
-
-
-def _unit_face_mass(dimension):
-    """Gram matrix of the face basis of ``dimension`` functions on a face of unit length."""
-    i = np.arange(dimension)
-    p = i[:, None] + i[None, :]
-    return np.where(p % 2 == 0, 1.0 / (2.0**p * (p + 1)), 0.0)
-
-
-def face_mass_matrix(basis):
-    """Gram matrix of a face basis; closed form in the scaled coordinate."""
-    return basis.length * _unit_face_mass(basis.dimension)
+        return legendre(self.parameter(points) + 0.5, self.degree)
 
 
 def l2_project_cell(f, basis, degree=None):
@@ -165,9 +169,8 @@ def l2_project_cell(f, basis, degree=None):
     phi = basis.evaluate(rule.points)
     mass = phi.T @ (rule.weights[:, None] * phi)
     rhs = phi.T @ (rule.weights * np.asarray(f(rule.points), dtype=float))
-    try:
-        return np.linalg.solve(0.5 * (mass + mass.T), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise BasisDegenerateError(
-            f"singular mass matrix on cell {basis.cell_index}") from exc
-
+    # A rule that cannot resolve the basis leaves a singular mass matrix that round-off hides.
+    eig = np.linalg.eigvalsh(mass)
+    if not eig[0] > 1e-10 * eig[-1]:
+        raise BasisDegenerateError(f"singular mass matrix on cell {basis.cell_index}")
+    return np.linalg.solve(0.5 * (mass + mass.T), rhs)

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 from . import harness
+from .hho import MAX_DEGREE
 from .mesh import MeshError, mesh_regularity, mesh_size, quasi_uniformity, read_mesh
 from .solver import SolverError, get_problem, newton_solve, problem_names
 
@@ -42,7 +43,7 @@ def build_parser():
     solve = sub.add_parser("solve", help="solve one problem on one mesh")
     solve.add_argument("--problem", default="mean-curvature",
                        help=f"registered problem name (one of: {', '.join(problem_names())})")
-    solve.add_argument("--k", type=int, default=1, help="polynomial degree (0..8)")
+    solve.add_argument("--k", type=int, default=1, help=f"polynomial degree (0..{MAX_DEGREE})")
     solve.add_argument("--tol", type=float, default=1e-8,
                        help="relative Newton increment tolerance")
     group = solve.add_mutually_exclusive_group(required=True)
@@ -57,7 +58,7 @@ def build_parser():
     study = sub.add_parser("study", help="run a convergence study")
     study.add_argument("--config", help="JSON file with StudyConfig fields")
     study.add_argument("--family", choices=harness.FAMILIES)
-    study.add_argument("--k", type=_int_list, help="degrees, e.g. 1,2,3")
+    study.add_argument("--k", type=_int_list, help=f"degrees in 0..{MAX_DEGREE}, e.g. 1,2,3")
     study.add_argument("--levels", type=_level_list,
                        help="refinement levels: integers or mesh-file paths")
     study.add_argument("--problem", default="mean-curvature")

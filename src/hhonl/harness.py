@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hho import _is_whole
+from .hho import MAX_DEGREE, _is_whole
 from .mesh import (generate_cartesian, generate_hexagonal, generate_kershaw,
                    generate_triangular, mesh_size, read_mesh)
 from .solver import get_problem, newton_solve
@@ -101,8 +101,8 @@ class StudyConfig:
             raise StudyConfigError(f"degrees must be integers, not {self.degrees!r}")
         self.degrees = [int(k) for k in self.degrees]
         for k in self.degrees:
-            if not 0 <= k <= 3:
-                raise StudyConfigError(f"degree k={k} outside the supported range 0..3")
+            if not 0 <= k <= MAX_DEGREE:
+                raise StudyConfigError(f"degree k={k} outside the supported range 0..{MAX_DEGREE}")
         if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) \
                 or not self.tol > 0:
             raise StudyConfigError(f"tol must be a positive number, not {self.tol!r}")

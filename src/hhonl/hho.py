@@ -5,11 +5,15 @@ the layer builds the gradient reconstruction G_T into P_k(T)^2, the
 potential reconstruction R_T into P_{k+1}(T), and the stabilization S_T
 penalizing the face/cell mismatch left after reconstruction.
 
+Each congruence class has one orthonormal hierarchical cell basis of
+degree k+1, and faces have orthonormal Legendre bases (see
+:mod:`hhonl.basis`), so cell mass matrices are identities and face mass
+matrices |F| I.
+
 Cells are grouped by face count.  Each group has one cell rule of degree
-2k+4 and one batched basis evaluation at its points, which serve the
-operator build (stacked solves per stage), assembly, interpolation, norms
-and errors.  Every loop over cells runs over the groups in chunks of
-bounded size.
+2k+4, which yields the class bases and their values at its points for
+assembly, interpolation, norms and errors.  Every loop over cells runs
+over the groups in chunks of bounded size.
 Congruence only deduplicates: cells with the same shape, size and face
 ownership share one row of their group's operator stacks, so uniform
 meshes store a handful of operator sets.
@@ -26,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import (CellBasis, FaceBasis, _powers, _unit_face_mass, graded_lex_exponents,
-                    scaled_monomials, space_dimension)
+from .basis import (CellBasis, FaceBasis, graded_lex_exponents, legendre, monomials,
+                    orthonormal_frame, space_dimension)
 from .quadrature import MAX_TRIANGLE_DEGREE, QuadratureError, cell_quadrature, face_quadrature
 
 __all__ = [
@@ -35,9 +39,13 @@ __all__ = [
     "OperatorBuildError",
     "HybridVector",
     "HHOSpace",
+    "MAX_DEGREE",
 ]
 
 log = logging.getLogger(__name__)
+
+# Degrees k the space supports: cell rules of degree 2k+4 go up to MAX_TRIANGLE_DEGREE.
+MAX_DEGREE = (MAX_TRIANGLE_DEGREE - 4) // 2
 
 # Arrays gathered for one chunk of cells stay under about this many bytes.
 _CHUNK_BYTES = 1 << 22
@@ -73,13 +81,14 @@ class _Group:
     face_ids: np.ndarray   # (m, nf) global face ids per slot
     gidx: np.ndarray       # (m, nloc) global dof indices
     op: np.ndarray         # (m,) stack row of each cell
-    Mk: np.ndarray         # (c, Nk, Nk) cell mass matrices
     G: np.ndarray          # (c, 2 Nk, nloc)
     R: np.ndarray          # (c, Nk1, nloc)
     S: np.ndarray          # (c, nloc, nloc)
+    A: np.ndarray          # (c, 2, 2) whitening of the class basis (orthonormal_frame)
+    T: np.ndarray          # (c, Nk1, Nk1) its triangular orthonormalization
     offsets: np.ndarray    # (c, nq, 2) assembly quadrature points minus the centroid
     weights: np.ndarray    # (c, nq)
-    phi: np.ndarray        # (c, nq, Nk1) degree-(k+1) basis values at those points
+    phi: np.ndarray        # (c, nq, Nk1) class basis values at those points
 
 
 class _FacePattern(NamedTuple):
@@ -151,9 +160,10 @@ class HybridVector:
 
 
 def _derivative_matrices(degree):
-    """Coefficient maps of d/dxi and d/deta in the graded scaled-monomial basis.
+    """Coefficient maps of d/dxi and d/deta in the graded monomial basis.
 
-    Divide by the cell diameter for the derivatives in x and y.
+    (xi, eta) are a class basis's whitened coordinates A (x - x_T); see
+    :meth:`HHOSpace._build_operators` for the derivatives in x and y.
     """
     exponents = graded_lex_exponents(degree)
     n = len(exponents)
@@ -166,10 +176,6 @@ def _derivative_matrices(degree):
         if b > 0:
             Dy[index[(a, b - 1)], j] = b
     return Dx, Dy
-
-
-def _sym(a):
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def _gauss(degree):
@@ -235,20 +241,20 @@ class HHOSpace:
     ----------
     mesh : PolytopalMesh
     k : int
-        Polynomial degree of the cell and face unknowns.  The shipped
-        studies use 0 to 3; the cell rules allow up to 8.
+        Polynomial degree of the cell and face unknowns, 0..MAX_DEGREE.
 
     ``quad_degree`` is 2k+4.  Each face-count group of cells has one cell
     rule of that degree, and faces use the Gauss rule of that degree.
-    The rule serves the operator build, whose integrands have degree at
-    most 2(k+1), as well as assembly, interpolation, norms and errors.
+    The rule orthonormalizes the class bases, whose products have degree
+    2(k+1), and serves the operator build, assembly, interpolation, norms
+    and errors.  Cell blocks hold coefficients in the first dim P_k
+    functions of :meth:`cell_basis`, face blocks in :meth:`face_basis`.
     """
 
     def __init__(self, mesh, k):
-        top = (MAX_TRIANGLE_DEGREE - 4) // 2
-        if not (_is_whole(k) and 0 <= k <= top):
-            raise ValueError(f"k must be an integer in 0..{top} (cell rules of degree 2k+4 "
-                             f"go up to {MAX_TRIANGLE_DEGREE}), got {k!r}")
+        if not (_is_whole(k) and 0 <= k <= MAX_DEGREE):
+            raise ValueError(f"k must be an integer in 0..{MAX_DEGREE} (cell rules of degree "
+                             f"2k+4 go up to {MAX_TRIANGLE_DEGREE}), got {k!r}")
         self.mesh = mesh
         self.k = int(k)
         self.quad_degree = 2 * self.k + 4
@@ -265,15 +271,16 @@ class HHOSpace:
     # -- bases --------------------------------------------------------------
 
     def cell_basis(self, ci, degree=None):
-        """Scaled monomial basis of ``degree`` (default k+1) on cell ``ci``."""
-        self._check_cell(ci)
+        """Cell ``ci``'s class basis of ``degree`` <= k+1 (default k+1), truncated if lower."""
+        g, i = self._locate(ci)
         degree = self.k + 1 if degree is None else degree
+        if not 0 <= degree <= self.k + 1:
+            raise ValueError(f"the class bases have degree {self.k + 1}, got {degree}")
         return CellBasis(self.mesh.cell_vertices(ci), degree,
-                         center=self.mesh.cell_centroids[ci],
-                         diameter=self.mesh.cell_diameters[ci], cell_index=ci)
+                         frame=(g.A[g.op[i]], g.T[g.op[i]]), cell_index=ci)
 
     def face_basis(self, fi):
-        """Degree-k basis on face ``fi`` in the owner cell's direction."""
+        """Degree-k Legendre basis on face ``fi`` in the owner cell's direction."""
         return FaceBasis(self.mesh.vertices[self.mesh.faces[fi]], self.k)
 
     # -- operator build --------------------------------------------------------
@@ -313,41 +320,42 @@ class HHOSpace:
                   time.perf_counter() - start)
 
     def _build_stacks(self, verts, h, signs, cells):
-        """Operator stacks and quadrature of the cells ``cells``.
+        """Operator stacks, class bases and quadrature of the cells ``cells``.
 
         ``verts`` holds their centroid-relative corners (c, nf, 2), ``h``
         their diameters and ``signs`` +1 where the cell owns the face of a
-        slot, -1 where its neighbor does.  One rule serves the operator
-        build, a chunk of cells at a time, and is kept for assembly.
+        slot, -1 where its neighbor does.  One rule yields each cell's
+        orthonormal basis of degree k+1 and is kept for assembly; the
+        operators are built from the bases a chunk of cells at a time.
         """
         try:
             rule = cell_quadrature(verts, self.quad_degree)
         except QuadratureError as exc:
             raise OperatorBuildError(f"cell {cells[exc.index]}: {exc}") from exc
-        phi = scaled_monomials(rule.points / h[:, None, None], self.k + 1)   # (c, nq, Nk1)
+        A, T = orthonormal_frame(rule.points, rule.weights, self.k + 1)
+        phi = monomials(rule.points @ np.swapaxes(A, 1, 2), self.k + 1) @ T  # (c, nq, Nk1)
         c, nq = rule.weights.shape
         stacks = None
         for sl in _slices(c, _step(2 * nq * self.Nk1)):
-            part = self._build_operators(verts[sl], h[sl], signs[sl], cells[sl],
-                                         rule.points[sl], rule.weights[sl], phi[sl])
+            part = self._build_operators(verts[sl], h[sl], signs[sl], cells[sl], A[sl], T[sl])
             if stacks is None:
                 stacks = [np.empty((c,) + a.shape[1:]) for a in part]
             for whole, a in zip(stacks, part):
                 whole[sl] = a
-        return stacks + [rule.points, rule.weights, phi]
+        return stacks + [A, T, rule.points, rule.weights, phi]
 
-    def _build_operators(self, verts, h, signs, cells, points, weights, phi):
-        """Mk, G, R and S of a stack of cells from their cell rule (see _build_stacks)."""
+    def _build_operators(self, verts, h, signs, cells, A, T):
+        """G, R and S of a stack of cells in their orthonormal class bases (see _build_stacks)."""
         k, Nk, Nk1, nF = self.k, self.Nk, self.Nk1, self.nF
         c, nf = verts.shape[:2]
         nloc = Nk + nf * nF
-        hh = h[:, None, None]
 
-        M1 = _sym(np.swapaxes(phi * weights[..., None], 1, 2) @ phi)
-        grad = scaled_monomials(points / hh, k + 1, gradient=True) / hh[..., None]
-        grad = np.swapaxes(grad, 2, 3).reshape(c, -1, Nk1)                 # (c, 2q, Nk1)
-        K1 = _sym(np.swapaxes(grad * np.repeat(weights, 2, axis=1)[..., None], 1, 2) @ grad)
-        Mk = M1[:, :Nk, :Nk]
+        # d/dx_d maps coefficients by T^-1 (sum_e A_ed D_e) T, where D_e
+        # differentiates the monomials in the whitened coordinate e.
+        DA = np.einsum("ced,eij->cdij", A, np.stack(_derivative_matrices(k + 1)))
+        D = np.linalg.inv(T)[:, None] @ DA @ T[:, None]                     # (c, 2, Nk1, Nk1)
+        K1 = (np.swapaxes(D, -1, -2) @ D).sum(axis=1)                      # stiffness
+        lap = (D @ D).sum(axis=1)                                          # Laplacian
 
         # Face slots in the cell's counterclockwise order: the outward normal
         # of the edge a -> b is (dy, -dx); the face basis runs in the owner's
@@ -361,47 +369,39 @@ class HHOSpace:
         fstart = np.where(own, a, b)
         t, wt = _gauss(self.quad_degree)
         fpts = fstart[:, :, None] + t[:, None] * np.where(own, edge, -edge)[:, :, None]
-        phiF = scaled_monomials(fpts / hh[..., None], k + 1)               # (c, nf, qF, Nk1)
+        phiF = monomials(fpts @ np.swapaxes(A, 1, 2)[:, None], k + 1) @ T[:, None]
         wphiF = np.swapaxes(phiF * (wt * length[..., None])[..., None], -1, -2)
-        TF1 = wphiF @ _powers(t - 0.5, k)                                  # (c, nf, Nk1, nF)
-        TC1 = _sym(wphiF @ phiF)                                           # (c, nf, Nk1, Nk1)
-        MF = length[..., None, None] * _unit_face_mass(nF)                 # (c, nf, nF, nF)
-
-        Dx, Dy = _derivative_matrices(k + 1)
-        D = np.stack((Dx, Dy)) / hh[:, None]                               # (c, 2, Nk1, Nk1)
+        TF1 = wphiF @ legendre(t, k)                                       # (c, nf, Nk1, nF)
 
         # Gradient reconstruction: (G v, tau)_T = (grad v_T, tau)_T
-        #                                        + sum_F (v_F - v_T, tau.n)_F.
-        B = np.empty((c, 2, Nk, nloc))
-        B[..., :Nk] = (Mk[:, None] @ D[:, :, :Nk, :Nk]
-                       - np.einsum("csd,csij->cdij", normal, TC1[:, :, :Nk, :Nk]))
-        B[..., Nk:] = np.einsum("csd,csij->cdisj", normal,
+        # + sum_F (v_F - v_T, tau.n)_F, by parts -(v_T, div tau)_T + sum_F (v_F, tau.n)_F.
+        G = np.empty((c, 2, Nk, nloc))
+        G[..., :Nk] = -np.swapaxes(D[:, :, :Nk, :Nk], -1, -2)
+        G[..., Nk:] = np.einsum("csd,csij->cdisj", normal,
                                 TF1[:, :, :Nk]).reshape(c, 2, Nk, nf * nF)
-        G = _solve(Mk[:, None], B, cells, "cell mass matrix").reshape(c, 2 * Nk, nloc)
 
-        # Potential reconstruction: Neumann-type system in P_{k+1} closed by
-        # the mean constraint (R v, 1)_T = (v_T, 1)_T via one multiplier row.
-        An = np.swapaxes(np.einsum("csd,cdij->csij", normal, D), -1, -2)   # (c, nf, Nk1, Nk1)
-        Baug = np.zeros((c, Nk1 + 1, nloc))
-        Baug[:, :Nk1, :Nk] = K1[:, :, :Nk] - (An @ TC1).sum(axis=1)[:, :, :Nk]
-        Baug[:, :Nk1, Nk:] = np.swapaxes(An @ TF1, 1, 2).reshape(c, Nk1, nf * nF)
-        Baug[:, Nk1, :Nk] = M1[:, 0, :Nk]
-        Kaug = np.zeros((c, Nk1 + 1, Nk1 + 1))
-        Kaug[:, :Nk1, :Nk1] = K1
-        Kaug[:, :Nk1, Nk1] = M1[:, :, 0]
-        Kaug[:, Nk1, :Nk1] = M1[:, :, 0]
-        R = _solve(Kaug, Baug, cells, "potential reconstruction system")[:, :Nk1]
+        # Potential reconstruction: (grad R v, grad q)_T = -(v_T, lap q)_T
+        # + sum_F (v_F, grad q.n)_F for q in P_{k+1}.  phi_0 is constant, so
+        # its row is void and the mean constraint (R v, 1)_T = (v_T, 1)_T
+        # reads R_0 = v_T,0; the other rows are solved.
+        An = np.swapaxes(np.einsum("csd,cdij->csij", normal, D[..., 1:]), -1, -2)
+        B = np.empty((c, Nk1 - 1, nloc))
+        B[..., :Nk] = -np.swapaxes(lap[:, :Nk, 1:], 1, 2)
+        B[..., Nk:] = np.swapaxes(An @ TF1, 1, 2).reshape(c, Nk1 - 1, nf * nF)
+        R = np.zeros((c, Nk1, nloc))
+        R[:, 0, 0] = 1.0
+        R[:, 1:] = _solve(K1[:, 1:, 1:], B, cells, "potential reconstruction system")
 
-        # Stabilization: face projections of v_F - v_T - (R v - pi_T^k R v),
-        # squared against the face mass and scaled by 1/h_T.
-        Pk = _solve(Mk, M1[:, :Nk, :], cells, "cell mass matrix")
-        PT1 = np.linalg.solve(MF, np.swapaxes(TF1, -1, -2))               # (c, nf, nF, Nk1)
-        delta = PT1[..., :Nk] @ (Pk @ R)[:, None] - PT1 @ R[:, None]       # (c, nf, nF, nloc)
+        # Stabilization: face projections TF1^T / |F| of v_F - v_T - (R v - pi_T^k R v),
+        # pi_T^k a truncation, squared against the face mass |F| I and scaled by 1/h_T.
+        PT1 = np.swapaxes(TF1, -1, -2) / length[..., None, None]           # (c, nf, nF, Nk1)
+        delta = -PT1[..., Nk:] @ R[:, None, Nk:]                           # (c, nf, nF, nloc)
         delta[..., :Nk] -= PT1[..., :Nk]
         slot = np.arange(nf)[:, None]
         delta[:, slot, np.arange(nF), Nk + slot * nF + np.arange(nF)] += 1.0
-        S = _sym((np.swapaxes(delta, -1, -2) @ MF @ delta).sum(axis=1) / hh)
-        return Mk, G, R, S
+        S = (np.swapaxes(delta, -1, -2) @ (length[..., None, None] * delta)).sum(axis=1)
+        S /= h[:, None, None]
+        return G.reshape(c, 2 * Nk, nloc), R, 0.5 * (S + np.swapaxes(S, 1, 2))
 
     def _check_cell(self, ci):
         """Raise IndexError unless ``ci`` is a cell id of the mesh."""
@@ -465,17 +465,14 @@ class HHOSpace:
             pts = mesh.cell_centroids[ids][:, None, :] + g.offsets[op]
             w = g.weights[op]
             vals = np.asarray(v(pts.reshape(-1, 2)), dtype=float).reshape(w.shape) * w
-            rhs = g.phi[op, :, :self.Nk].transpose(0, 2, 1) @ vals[..., None]
-            cell_blocks[ids] = np.linalg.solve(g.Mk[op], rhs)[..., 0]
+            cell_blocks[ids] = (vals[:, None] @ g.phi[op, :, :self.Nk])[:, 0]
 
         t, wt = _gauss(self.quad_degree)
         p0 = mesh.vertices[mesh.faces[:, 0]]
         p1 = mesh.vertices[mesh.faces[:, 1]]
         pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
         vals = np.asarray(v(pts.reshape(-1, 2)), dtype=float).reshape(mesh.num_faces, len(t))
-        rhs = (vals * wt) @ _powers(t - 0.5, self.k)
-        face_blocks = np.linalg.solve(_unit_face_mass(self.nF), rhs.T).T
-        return HybridVector(self, cell_blocks, face_blocks)
+        return HybridVector(self, cell_blocks, (vals * wt) @ legendre(t, self.k))
 
     # -- norms and reconstructions -------------------------------------------
 
@@ -484,12 +481,10 @@ class HHOSpace:
         return float(np.sqrt(max(self._gradient_energy(v), 0.0)))
 
     def _gradient_energy(self, v):
-        """sum_T ||G_T v||^2_T, with G_T v contracted against the cell mass matrix."""
+        """sum_T ||G_T v||^2_T, the squared coefficients of G_T v in the orthonormal bases."""
         total = 0.0
         for g, sl in self._chunks():
-            op = g.op[sl]
-            q = (g.G[op] @ self._local_values(g, sl, v)[..., None]).reshape(-1, 2, self.Nk)
-            total += float(np.sum(q * (q @ g.Mk[op])))
+            total += float(np.sum((g.G[g.op[sl]] @ self._local_values(g, sl, v)[..., None])**2))
         return total
 
     def _face_jumps(self, v):
@@ -499,15 +494,15 @@ class HHOSpace:
         """
         mesh = self.mesh
         t, wt = _gauss(self.quad_degree)
-        psi = _powers(t - 0.5, self.k)
+        psi = legendre(t, self.k)
         total = 0.0
         for g, sl in self._chunks():
-            ids, fids = g.cells[sl], g.face_ids[sl]
+            ids, fids, op = g.cells[sl], g.face_ids[sl], g.op[sl]
             ends = mesh.vertices[mesh.faces[fids]]                          # (m, nf, 2, 2)
             fpts = ends[:, :, :1] + t[:, None] * (ends[:, :, 1:] - ends[:, :, :1])
-            x = (fpts - mesh.cell_centroids[ids, None, None]) \
-                / mesh.cell_diameters[ids, None, None, None]
-            vT = scaled_monomials(x, self.k) @ v.cell_blocks[ids][:, None, :, None]
+            x = (fpts - mesh.cell_centroids[ids, None, None]) @ np.swapaxes(g.A[op, None], 2, 3)
+            vT = monomials(x, self.k) @ (g.T[op, None, :self.Nk, :self.Nk]
+                                         @ v.cell_blocks[ids, None, :, None])
             d = v.face_blocks[fids] @ psi.T - vT[..., 0]                     # (m, nf, qF)
             total += float(np.sum(d**2 @ wt))
         return total
@@ -519,7 +514,8 @@ class HHOSpace:
     def reconstruct_gradient_global(self, v):
         """Coefficients of G_T v in every cell's degree-k basis, (num_cells, 2, Nk).
 
-        Row ``[ci, 0]`` holds the x component, ``[ci, 1]`` the y component.
+        Row ``[ci, 0]`` holds the x component, ``[ci, 1]`` the y component,
+        each in the first Nk functions of ``cell_basis(ci)``.
         """
         coeffs = np.empty((self.mesh.num_cells, 2, self.Nk))
         for g, sl in self._chunks():
@@ -528,7 +524,7 @@ class HHOSpace:
         return coeffs
 
     def reconstruct_potential_global(self, v):
-        """Coefficients of R_T v in every cell's degree-(k+1) basis, (num_cells, Nk1)."""
+        """Coefficients of R_T v in every cell's ``cell_basis(ci)``, (num_cells, Nk1)."""
         coeffs = np.empty((self.mesh.num_cells, self.Nk1))
         for g, sl in self._chunks():
             r = g.R[g.op[sl]] @ self._local_values(g, sl, v)[..., None]

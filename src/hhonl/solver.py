@@ -363,22 +363,20 @@ def _poisson_local(space, load):
     """Local stacks of the Poisson problem -div grad u = source, chunk by chunk.
 
     A cell's matrix is the HHO stiffness of its congruence class,
-    ``K = G_x^T M_k G_x + G_y^T M_k G_y + S`` with ``G = [G_x; G_y]``,
-    formed once per class of each face-count group from the space's
-    operator stacks.  Yields one :class:`_Local` per chunk of
-    ``space._chunks()``, in that order, its residual being the source's
-    cell ``load`` (:func:`_cell_load`) on the cell rows.  A group's
-    stiffnesses are dropped when the next group's are built, the last ones
-    when the chunks run out, so none outlives the condensation.
+    ``K = G^T G + S`` in the orthonormal cell bases, formed once per class
+    of each face-count group from the space's operator stacks.  Yields one
+    :class:`_Local` per chunk of ``space._chunks()``, in that order, its
+    residual being the source's cell ``load`` (:func:`_cell_load`) on the
+    cell rows.  A group's stiffnesses are dropped when the next group's are
+    built, the last ones when the chunks run out, so none outlives the
+    condensation.
     """
     Nk = space.Nk
     group, classes, spent = None, 0, 0.0
     for g, sl in space._chunks():
         if g is not group:
             start = time.perf_counter()
-            Gx, Gy = g.G[:, :Nk], g.G[:, Nk:]
-            K = (np.swapaxes(Gx, 1, 2) @ (g.Mk @ Gx) + np.swapaxes(Gy, 1, 2) @ (g.Mk @ Gy)
-                 + g.S)
+            K = np.swapaxes(g.G, 1, 2) @ g.G + g.S
             spent += time.perf_counter() - start
             group, classes = g, classes + len(K)
         ids, gidx = g.cells[sl], g.gidx[sl]

@@ -1,4 +1,4 @@
-"""Scaled monomial bases: ordering, Gram matrices, and the cell L2 projector."""
+"""Orthonormal bases: ordering, Gram matrices, and the cell L2 projector."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from hhonl.basis import (
     BasisDegenerateError,
     CellBasis,
     FaceBasis,
-    cell_mass_matrix,
-    face_mass_matrix,
     graded_lex_exponents,
     l2_project_cell,
     space_dimension,
@@ -36,17 +34,31 @@ def test_lower_degree_basis_is_a_prefix():
 
 
 def test_unit_square_mass_and_stiffness():
-    # Scaled coordinates on the unit square run over [-1/2, 1/2] / sqrt(2),
-    # so the degree-1 mass matrix is diag(1, 1/24, 1/24) and the stiffness
-    # matrix is diag(0, 1/2, 1/2).
+    # The degree-1 basis on the unit square is 1, sqrt(12) (x - 1/2) and
+    # sqrt(12) (y - 1/2): the mass matrix is the identity and the
+    # stiffness matrix diag(0, 12, 12).
     basis = CellBasis(UNIT_SQUARE, 1)
-    np.testing.assert_allclose(cell_mass_matrix(basis),
-                               np.diag([1.0, 1.0 / 24.0, 1.0 / 24.0]),
-                               atol=1e-15)
-    rule = cell_quadrature(UNIT_SQUARE, 0)
+    rule = cell_quadrature(UNIT_SQUARE, 2)
+    phi = basis.evaluate(rule.points)
+    np.testing.assert_allclose(phi.T @ (rule.weights[:, None] * phi), np.eye(3), atol=1e-15)
     grad = basis.gradient(rule.points)
     np.testing.assert_allclose(np.einsum("qid,q,qjd->ij", grad, rule.weights, grad),
-                               np.diag([0.0, 0.5, 0.5]), atol=1e-15)
+                               np.diag([0.0, 12.0, 12.0]), atol=1e-14)
+
+
+@pytest.mark.parametrize("degree", range(10))
+def test_cell_basis_is_orthonormal_and_hierarchical(degree):
+    basis = CellBasis(PENTAGON, degree)
+    rule = cell_quadrature(PENTAGON, 2 * degree + 2)
+    phi = basis.evaluate(rule.points)
+    np.testing.assert_allclose(phi.T @ (rule.weights[:, None] * phi), np.eye(basis.dimension),
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(phi[:, 0], rule.weights.sum() ** -0.5, rtol=1e-14)
+    # The first dim P_l functions span P_l: x^l is reproduced by them alone.
+    lower = phi[:, :space_dimension(degree)]
+    target = rule.points[:, 0] ** degree
+    fit = np.linalg.lstsq(lower, target, rcond=None)[0]
+    np.testing.assert_allclose(lower @ fit, target, atol=1e-10 * np.abs(target).max())
 
 
 def test_gradient_matches_finite_differences():
@@ -120,18 +132,15 @@ def test_face_parameter_spans_centered_interval():
     assert fb.length == pytest.approx(5.0)
     ends = fb.parameter(np.array([[0.0, 0.0], [1.5, 2.0], [3.0, 4.0]]))
     np.testing.assert_allclose(ends, [-0.5, 0.0, 0.5], atol=1e-15)
+    # sqrt(2j+1) P_j(2s) at the end s = 1/2.
     vals = fb.evaluate(np.array([[3.0, 4.0]]))
-    np.testing.assert_allclose(vals, [[1.0, 0.5, 0.25]])
+    np.testing.assert_allclose(vals, [[1.0, np.sqrt(3.0), np.sqrt(5.0)]], rtol=1e-15)
 
 
-def test_face_mass_matrix_matches_quadrature():
-    fb = FaceBasis(np.array([[0.2, -0.1], [1.0, 0.5]]), 3)
-    analytic = face_mass_matrix(fb)
+def test_face_basis_is_orthonormal_by_quadrature():
+    fb = FaceBasis(np.array([[0.2, -0.1], [1.0, 0.5]]), 8)
     rule = face_quadrature((fb.start, fb.end), 2 * fb.degree)
     psi = fb.evaluate(rule.points)
-    numeric = psi.T @ (rule.weights[:, None] * psi)
-    np.testing.assert_allclose(analytic, numeric, atol=1e-14)
-    # Odd-power moments vanish in the centered coordinate.
-    assert analytic[0, 1] == 0.0
-    assert analytic[1, 2] == 0.0
+    np.testing.assert_allclose(psi.T @ (rule.weights[:, None] * psi) / fb.length,
+                               np.eye(fb.dimension), rtol=0, atol=1e-13)
 

@@ -164,10 +164,15 @@ def test_study_rejects_a_malformed_config(tmp_path, capsys, fields, problem):
 def test_study_flags_that_break_the_config_are_a_usage_error(capsys):
     # The same checks as a --config file, with the same exit code.
     with pytest.raises(SystemExit) as info:
-        main(["study", "--family", "cartesian", "--k", "5", "--levels", "2,4"])
+        main(["study", "--family", "cartesian", "--k", "9", "--levels", "2,4"])
     assert info.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "outside the supported range 0..3" in err
+    assert err.startswith("error: ") and "outside the supported range 0..8" in err
+
+
+def test_study_accepts_the_degrees_the_space_does(capsys):
+    assert main(["study", "--family", "cartesian", "--k", "5", "--levels", "2,4"]) == 0
+    assert "cartesian" in capsys.readouterr().out
 
 
 def test_study_failures_exit_nonzero(capsys):

@@ -37,8 +37,9 @@ def test_family_list_and_config_validation():
         StudyConfig("voronoi", [2, 4], [1])
     with pytest.raises(StudyConfigError, match="at least 2"):
         StudyConfig("cartesian", [8], [1])
-    with pytest.raises(StudyConfigError, match="0..3"):
-        StudyConfig("cartesian", [2, 4], [4])
+    assert StudyConfig("cartesian", [2, 4], [8]).degrees == [8]
+    with pytest.raises(StudyConfigError, match=r"0\.\.8"):
+        StudyConfig("cartesian", [2, 4], [9])
     # A whole float is kept as an int, as for degrees; paths only where files are read.
     assert StudyConfig("cartesian", [4, 8.0], [1]).levels == [4, 8]
     assert StudyConfig("kershaw-files", [1, "k.json"], [1]).levels == [1, "k.json"]

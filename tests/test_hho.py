@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hhonl import hho
-from hhonl.basis import CellBasis, cell_mass_matrix, graded_lex_exponents, l2_project_cell
+from hhonl.basis import graded_lex_exponents, l2_project_cell
 from hhonl.harness import build_mesh
 from hhonl.hho import (
     HHOSpace,
@@ -267,10 +267,26 @@ def test_one_cell_rule_per_face_count_group_serves_operators_and_assembly(monkey
     space._ensure_classes()
     # 4-, 5- and 6-gons: three groups, each with one rule of degree 2k+4.
     assert degrees == [space.quad_degree] * 3
+    # The rule orthonormalizes every class basis: its mass matrix is I.
     for g in space._groups:
-        phi = g.phi[..., :space.Nk]
-        mass = np.swapaxes(phi * g.weights[..., None], 1, 2) @ phi
-        np.testing.assert_allclose(g.Mk, mass, rtol=0, atol=1e-13 * np.abs(mass).max())
+        mass = np.swapaxes(g.phi * g.weights[..., None], 1, 2) @ g.phi
+        np.testing.assert_allclose(mass, np.broadcast_to(np.eye(space.Nk1), mass.shape),
+                                   rtol=0, atol=1e-13)
+
+
+def test_cell_basis_is_the_class_basis_of_degree_k_plus_1():
+    # The basis the space hands out is the one its stacks hold, truncated
+    # below k+1, and there is none above.
+    space = HHOSpace(build_mesh("hexagonal-files", 1), 2)
+    for ci in (0, 40):
+        g, i = space._locate(ci)
+        points = space.mesh.cell_centroids[ci] + g.offsets[g.op[i]]
+        np.testing.assert_allclose(space.cell_basis(ci).evaluate(points), g.phi[g.op[i]],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(space.cell_basis(ci, 1).evaluate(points),
+                                   g.phi[g.op[i], :, :3], rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="degree 3, got 4"):
+        space.cell_basis(0, 4)
 
 
 def u_shaped_mesh():
@@ -297,18 +313,16 @@ def test_interpolation_matches_blockwise_projection():
     value, _ = random_polynomial(rng, k)
     v = space.interpolate(value)
     for ci in range(mesh.num_cells):
-        basis = CellBasis(mesh.cell_vertices(ci), k,
-                          center=mesh.cell_centroids[ci],
-                          diameter=mesh.cell_diameters[ci])
-        proj = l2_project_cell(value, basis, degree=space.quad_degree)
+        proj = l2_project_cell(value, space.cell_basis(ci, k), degree=space.quad_degree)
         np.testing.assert_allclose(v.cell_blocks[ci], proj, atol=1e-12)
     for fi in range(mesh.num_faces):
         fb = space.face_basis(fi)
         rule = face_quadrature((fb.start, fb.end), space.quad_degree)
         psi = fb.evaluate(rule.points)
-        from hhonl.basis import face_mass_matrix
-        coeffs = np.linalg.solve(face_mass_matrix(fb),
-                                 psi.T @ (rule.weights * value(rule.points)))
+        # The face basis is orthonormal up to the factor |F|.
+        np.testing.assert_allclose(psi.T @ (rule.weights[:, None] * psi),
+                                   fb.length * np.eye(space.nF), rtol=0, atol=1e-13)
+        coeffs = psi.T @ (rule.weights * value(rule.points)) / fb.length
         np.testing.assert_allclose(v.face_blocks[fi], coeffs, atol=1e-12)
 
 
@@ -438,7 +452,9 @@ def test_trace_constant_is_scale_invariant():
             worst = 0.0
             for ci in {0, mesh.num_cells - 1}:
                 cb = space.cell_basis(ci, space.k)
-                Minv = np.linalg.inv(cell_mass_matrix(cb))
+                crule = cell_quadrature(mesh.cell_vertices(ci), 2 * space.k)
+                phi = cb.evaluate(crule.points)
+                Minv = np.linalg.inv(phi.T @ (crule.weights[:, None] * phi))
                 for fi in mesh.cell_faces[ci]:
                     fb = space.face_basis(fi)
                     rule = face_quadrature((fb.start, fb.end), 2 * space.k)

@@ -13,7 +13,7 @@ from scipy.sparse.linalg import splu, spsolve
 import hhonl.mesh as mesh_mod
 import hhonl.solver as solver_mod
 from hhonl import harness
-from hhonl.hho import HHOSpace, HybridVector
+from hhonl.hho import MAX_DEGREE, HHOSpace, HybridVector
 from hhonl.mesh import PolytopalMesh, generate_cartesian, generate_triangular
 from hhonl.solver import (
     CondensationError,
@@ -211,6 +211,24 @@ def test_newton_solves_the_discrete_equations():
     v = space.interpolate(problem.exact_solution)
     rel = space.gradient_norm(u - v) / space.gradient_norm(v)
     assert rel < 0.05
+
+
+@pytest.mark.parametrize("family, level", [("cartesian", 4), ("triangular", 8),
+                                           ("hexagonal-files", 1), ("kershaw-files", 1)])
+def test_every_degree_converges_and_the_gradient_error_falls(family, level):
+    # The orthonormal class bases keep the local systems conditioned up to
+    # k = MAX_DEGREE, even on the distorted Kershaw cells: every solve takes
+    # 3 Newton steps and the gradient error falls strictly with k until it
+    # is below 1e-10.
+    problem = mean_curvature_problem()
+    mesh = harness.build_mesh(family, level)
+    errors = []
+    for k in range(MAX_DEGREE + 1):
+        u, report = newton_solve(problem, mesh, k)
+        assert report.converged and report.iterations == 3, (k, report)
+        errors.append(harness.gradient_error(u, problem.exact_gradient))
+    for k in range(1, MAX_DEGREE + 1):
+        assert errors[k - 1] < 1e-10 or errors[k] < errors[k - 1], (k, errors)
 
 
 def test_newton_accepts_a_warm_start():
