@@ -43,7 +43,8 @@ def build_parser():
     solve = sub.add_parser("solve", help="solve one problem on one mesh")
     solve.add_argument("--problem", default="mean-curvature",
                        help=f"registered problem name (one of: {', '.join(problem_names())})")
-    solve.add_argument("--k", type=int, default=1, help=f"polynomial degree (0..{MAX_DEGREE})")
+    solve.add_argument("--k", type=int, default=1, choices=range(MAX_DEGREE + 1),
+                       help=f"polynomial degree (0..{MAX_DEGREE})")
     solve.add_argument("--tol", type=float, default=1e-8,
                        help="relative Newton increment tolerance")
     group = solve.add_mutually_exclusive_group(required=True)
@@ -87,7 +88,10 @@ def _load_mesh(args):
         return read_mesh(path)
     if args.level is None:
         _usage_error(f"--family {args.family} needs --level")
-    return harness.build_mesh(args.family, args.level)
+    try:
+        return harness.build_mesh(args.family, args.level)
+    except harness.StudyConfigError as exc:
+        _usage_error(str(exc))
 
 
 def cmd_solve(args):

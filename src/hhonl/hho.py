@@ -12,8 +12,9 @@ matrices |F| I.
 
 Cells are grouped by face count.  Each group has one cell rule of degree
 2k+4, which yields the class bases and their values at its points for
-assembly, interpolation, norms and errors.  Every loop over cells runs
-over the groups in chunks of bounded size.
+assembly, interpolation, loads and errors; the energy norm reads the
+face traces the operator build keeps.  Every loop over cells runs over
+the groups in chunks of bounded size.
 Congruence only deduplicates: cells with the same shape, size and face
 ownership share one row of their group's operator stacks, so uniform
 meshes store a handful of operator sets.
@@ -84,6 +85,7 @@ class _Group:
     G: np.ndarray          # (c, 2 Nk, nloc)
     R: np.ndarray          # (c, Nk1, nloc)
     S: np.ndarray          # (c, nloc, nloc)
+    P: np.ndarray          # (c, nf, nF, Nk) face traces of the degree-k class basis
     A: np.ndarray          # (c, 2, 2) whitening of the class basis (orthonormal_frame)
     T: np.ndarray          # (c, Nk1, Nk1) its triangular orthonormalization
     offsets: np.ndarray    # (c, nq, 2) assembly quadrature points minus the centroid
@@ -246,7 +248,7 @@ class HHOSpace:
     ``quad_degree`` is 2k+4.  Each face-count group of cells has one cell
     rule of that degree, and faces use the Gauss rule of that degree.
     The rule orthonormalizes the class bases, whose products have degree
-    2(k+1), and serves the operator build, assembly, interpolation, norms
+    2(k+1), and serves the operator build, assembly, interpolation, loads
     and errors.  Cell blocks hold coefficients in the first dim P_k
     functions of :meth:`cell_basis`, face blocks in :meth:`face_basis`.
     """
@@ -345,7 +347,7 @@ class HHOSpace:
         return stacks + [A, T, rule.points, rule.weights, phi]
 
     def _build_operators(self, verts, h, signs, cells, A, T):
-        """G, R and S of a stack of cells in their orthonormal class bases (see _build_stacks)."""
+        """G, R, S and degree-k face traces P of a stack of cells, in their class bases."""
         k, Nk, Nk1, nF = self.k, self.Nk, self.Nk1, self.nF
         c, nf = verts.shape[:2]
         nloc = Nk + nf * nF
@@ -401,7 +403,7 @@ class HHOSpace:
         delta[:, slot, np.arange(nF), Nk + slot * nF + np.arange(nF)] += 1.0
         S = (np.swapaxes(delta, -1, -2) @ (length[..., None, None] * delta)).sum(axis=1)
         S /= h[:, None, None]
-        return G.reshape(c, 2 * Nk, nloc), R, 0.5 * (S + np.swapaxes(S, 1, 2))
+        return G.reshape(c, 2 * Nk, nloc), R, 0.5 * (S + np.swapaxes(S, 1, 2)), PT1[..., :Nk]
 
     def _check_cell(self, ci):
         """Raise IndexError unless ``ci`` is a cell id of the mesh."""
@@ -459,20 +461,27 @@ class HHOSpace:
         ``v`` takes an (n, 2) array of points and returns n values.
         """
         mesh = self.mesh
-        cell_blocks = np.empty((mesh.num_cells, self.Nk))
-        for g, sl in self._chunks():
-            ids, op = g.cells[sl], g.op[sl]
-            pts = mesh.cell_centroids[ids][:, None, :] + g.offsets[op]
-            w = g.weights[op]
-            vals = np.asarray(v(pts.reshape(-1, 2)), dtype=float).reshape(w.shape) * w
-            cell_blocks[ids] = (vals[:, None] @ g.phi[op, :, :self.Nk])[:, 0]
-
+        cell_blocks = self._cell_moments(lambda points, ids: v(points))
         t, wt = _gauss(self.quad_degree)
         p0 = mesh.vertices[mesh.faces[:, 0]]
         p1 = mesh.vertices[mesh.faces[:, 1]]
         pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
         vals = np.asarray(v(pts.reshape(-1, 2)), dtype=float).reshape(mesh.num_faces, len(t))
         return HybridVector(self, cell_blocks, (vals * wt) @ legendre(t, self.k))
+
+    def _cell_moments(self, values):
+        """The moments phi^T (w values) against every cell's degree-k basis, (num_cells, Nk).
+
+        ``values(points, ids)`` returns values at the (m nq, 2) points of a chunk's cells ``ids``.
+        """
+        out = np.empty((self.mesh.num_cells, self.Nk))
+        for g, sl in self._chunks():
+            ids, op = g.cells[sl], g.op[sl]
+            pts = (self.mesh.cell_centroids[ids][:, None, :] + g.offsets[op]).reshape(-1, 2)
+            w = g.weights[op]
+            vals = np.asarray(values(pts, ids), dtype=float).reshape(w.shape) * w
+            out[ids] = (vals[:, None] @ g.phi[op, :, :self.Nk])[:, 0]
+        return out
 
     # -- norms and reconstructions -------------------------------------------
 
@@ -488,27 +497,19 @@ class HHOSpace:
         return total
 
     def _face_jumps(self, v):
-        """sum_T sum_F h_F^(-1) ||v_F - v_T||^2_F, by quadrature of ``quad_degree``.
+        """sum_T sum_F h_F^(-1) ||v_F - v_T||^2_F, with h_F = |F|, from the stored face traces.
 
-        The Gauss weights on [0, 1] are the face's weights divided by h_F.
+        On a straight face v_T lies in P_k(F), so its trace is exactly
+        ``P v_T`` in the face basis, whose mass matrix |F| I cancels h_F.
         """
-        mesh = self.mesh
-        t, wt = _gauss(self.quad_degree)
-        psi = legendre(t, self.k)
         total = 0.0
         for g, sl in self._chunks():
-            ids, fids, op = g.cells[sl], g.face_ids[sl], g.op[sl]
-            ends = mesh.vertices[mesh.faces[fids]]                          # (m, nf, 2, 2)
-            fpts = ends[:, :, :1] + t[:, None] * (ends[:, :, 1:] - ends[:, :, :1])
-            x = (fpts - mesh.cell_centroids[ids, None, None]) @ np.swapaxes(g.A[op, None], 2, 3)
-            vT = monomials(x, self.k) @ (g.T[op, None, :self.Nk, :self.Nk]
-                                         @ v.cell_blocks[ids, None, :, None])
-            d = v.face_blocks[fids] @ psi.T - vT[..., 0]                     # (m, nf, qF)
-            total += float(np.sum(d**2 @ wt))
+            trace = g.P[g.op[sl]] @ v.cell_blocks[g.cells[sl], None, :, None]  # (m, nf, nF, 1)
+            total += float(np.sum((v.face_blocks[g.face_ids[sl]] - trace[..., 0])**2))
         return total
 
     def discrete_norm_1h(self, v):
-        """Energy-type seminorm: gradient reconstructions plus scaled face jumps."""
+        """Energy-type seminorm from the operator stacks: G_T v plus the scaled face jumps."""
         return float(np.sqrt(max(self._gradient_energy(v) + self._face_jumps(v), 0.0)))
 
     def reconstruct_gradient_global(self, v):

@@ -348,15 +348,10 @@ def _assemble(space, problem, w, chunk, load, need_jacobian, fields=None):
 def _cell_load(space, source):
     """The load ``phi^T (w source)`` of every cell, (num_cells, Nk).
 
-    ``source`` is called once per chunk; its values must be finite.
+    These are the cell blocks of ``space.interpolate(source)``.  ``source``
+    is called once per chunk; its values must be finite.
     """
-    load = np.empty((space.mesh.num_cells, space.Nk))
-    for g, sl in space._chunks():
-        ids, op = g.cells[sl], g.op[sl]
-        flat = (space.mesh.cell_centroids[ids][:, None, :] + g.offsets[op]).reshape(-1, 2)
-        wf = _call("source", source, (flat,), ids).reshape(len(ids), 1, -1) * g.weights[op, None]
-        load[ids] = (wf @ g.phi[op, :, :space.Nk])[:, 0]
-    return load
+    return space._cell_moments(lambda points, ids: _call("source", source, (points,), ids))
 
 
 def _poisson_local(space, load):

@@ -29,6 +29,21 @@ def test_solve_on_a_family_needs_a_level(capsys, family):
     assert capsys.readouterr().err == f"error: --family {family} needs --level\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "cartesian", "--level", "2", "--k", "9"],
+     "error: argument --k: invalid choice: 9"),
+    (["--family", "kershaw-files", "--level", "9"],
+     "error: kershaw-files has 4 shipped levels, requested 9"),
+    (["--family", "cartesian", "--level", "0"],
+     "error: cartesian levels must be at least 1, not 0"),
+])
+def test_solve_arguments_out_of_range_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", *argv])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_solve_on_a_generated_mesh(capsys):
     code = main(["solve", "--family", "cartesian", "--level", "4", "--k", "1"])
     out = capsys.readouterr().out

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hhonl import hho
-from hhonl.basis import graded_lex_exponents, l2_project_cell
+from hhonl.basis import graded_lex_exponents, l2_project_cell, legendre, monomials
 from hhonl.harness import build_mesh
 from hhonl.hho import (
     HHOSpace,
@@ -439,6 +439,43 @@ def test_discrete_norms():
     # Interpolated constants have zero energy.
     const = space.interpolate(lambda p: np.full(len(p), 4.2))
     assert space.discrete_norm_1h(const) <= 1e-11
+
+
+def _quadrature_face_jumps(space, v):
+    """sum_T sum_F h_F^(-1) ||v_F - v_T||^2_F by Gauss quadrature of ``quad_degree``.
+
+    The reference for the stored face traces: v_T is evaluated from its
+    class basis at the face points, each face runs from its first to its
+    second vertex as its basis does, and the Gauss weights on [0, 1] are
+    the face's weights divided by h_F = |F|.
+    """
+    mesh = space.mesh
+    t, wt = hho._gauss(space.quad_degree)
+    psi = legendre(t, space.k)
+    total = 0.0
+    for g, sl in space._chunks():
+        ids, fids, op = g.cells[sl], g.face_ids[sl], g.op[sl]
+        ends = mesh.vertices[mesh.faces[fids]]                          # (m, nf, 2, 2)
+        fpts = ends[:, :, :1] + t[:, None] * (ends[:, :, 1:] - ends[:, :, :1])
+        x = (fpts - mesh.cell_centroids[ids, None, None]) @ np.swapaxes(g.A[op, None], 2, 3)
+        vT = monomials(x, space.k) @ (g.T[op, None, :space.Nk, :space.Nk]
+                                      @ v.cell_blocks[ids, None, :, None])
+        d = v.face_blocks[fids] @ psi.T - vT[..., 0]                     # (m, nf, qF)
+        total += float(np.sum(d**2 @ wt))
+    return total
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 8])
+@pytest.mark.parametrize("family, n", [("cartesian", 4), ("triangular", 4),
+                                       ("hexagonal-files", 1), ("kershaw-files", 1)])
+def test_face_jumps_match_quadrature_of_the_cell_traces(family, n, k):
+    # A random hybrid vector: every face is seen from its owner and, unless
+    # it is a boundary face, from the neighbor that runs it backwards.
+    space = HHOSpace(build_mesh(family, n), k)
+    rng = np.random.default_rng(k)
+    v = space.vector_from_flat(rng.standard_normal(space.num_dofs))
+    reference = _quadrature_face_jumps(space, v)
+    assert space._face_jumps(v) == pytest.approx(reference, rel=1e-11 if k == 8 else 1e-12)
 
 
 def test_trace_constant_is_scale_invariant():

@@ -2,12 +2,11 @@
 
 Reference values come from two independent sources: the factorial formula
 for monomial integrals over the reference triangle, and a divergence
-theorem line-integral oracle evaluated in exact rational arithmetic
-(binomial expansion over fractions, no quadrature and no roundoff).
+theorem line-integral oracle evaluated in exact integer arithmetic
+(:mod:`exact_integrals`: no quadrature and no roundoff).
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,45 +21,7 @@ from hhonl.quadrature import (
     face_quadrature,
 )
 
-
-def _edge_monomial_integral(p, q, a, b):
-    """Exact int_0^1 x(t)^a y(t)^b dt on the affine edge p -> q, as a Fraction.
-
-    Floats convert to fractions without loss, so the binomial expansion
-    below has no roundoff; high-degree monomials would lose several digits
-    in ordinary floating point.
-    """
-    px, py = Fraction(float(p[0])), Fraction(float(p[1]))
-    dx = Fraction(float(q[0])) - px
-    dy = Fraction(float(q[1])) - py
-    total = Fraction(0)
-    for i in range(a + 1):
-        ci = math.comb(a, i) * px ** (a - i) * dx**i
-        for j in range(b + 1):
-            cj = math.comb(b, j) * py ** (b - j) * dy**j
-            total += ci * cj / (i + j + 1)
-    return total
-
-
-def polygon_monomial_integral(vertices, a, b):
-    """Exact integral of x^a y^b over a polygon.
-
-    Divergence theorem: int_P x^a y^b dA = 1/(a+1) * sum over edges of
-    (y1 - y0) * int_0^1 x(t)^(a+1) y(t)^b dt.
-    """
-    v = np.asarray(vertices, dtype=float)
-    total = Fraction(0)
-    for i in range(len(v)):
-        p, q = v[i], v[(i + 1) % len(v)]
-        dy = Fraction(float(q[1])) - Fraction(float(p[1]))
-        total += dy * _edge_monomial_integral(p, q, a + 1, b)
-    return float(total / (a + 1))
-
-
-def segment_monomial_integral(p, q, a, b):
-    """Exact arc-length integral of x^a y^b along the segment p -> q."""
-    return math.hypot(q[0] - p[0], q[1] - p[1]) * float(
-        _edge_monomial_integral(p, q, a, b))
+from exact_integrals import polygon_monomial_integral, segment_monomial_integral
 
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
