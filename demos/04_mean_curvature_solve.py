@@ -3,9 +3,12 @@
 The flux a(grad u) = grad u / sqrt(1 + |grad u|^2) is strongly nonlinear;
 the manufactured solution is u = x(1-x)y(1-y) with homogeneous Dirichlet
 data.  Newton starts from a linear Poisson solve with the problem's source
-(the bootstrap) and stops once the energy norm of the increment, relative
-to the iterate, drops below the tolerance.  Quadratic convergence makes
-that happen in three steps here.
+(the bootstrap) and stops once the reconstructed-gradient norm of the
+increment (``HHOSpace.gradient_norm``), relative to the iterate, drops
+below the tolerance.  Quadratic convergence makes that happen in three
+steps here.  Each face system is solved only to the tolerance its step
+needs, and the last step is a chord step: the second increment is so
+small that the third reuses the second step's Jacobian.
 """
 
 import numpy as np
@@ -25,8 +28,12 @@ space = solution.space
 print(f"mesh: {mesh.num_cells} cells, h = {mesh_size(mesh):.4e}")
 print(f"space: k = {k}, {space.num_dofs} unknowns")
 print(f"\nnewton converged in {report.iterations} iterations:")
+# linear_solves[0] is the bootstrap's face solve, linear_solves[i] step i's.
 for i, inc in enumerate(report.increments, start=1):
-    print(f"  step {i}: relative increment {inc:.3e}")
+    solve = report.linear_solves[i]
+    chord = ", chord step" if i in report.chord_steps else ""
+    print(f"  step {i}: relative increment {inc:.3e}, face solve to {solve.rtol:.1e} "
+          f"in {solve.steps} Krylov steps{chord}")
 
 # Accuracy against the manufactured solution, measured the way the
 # convergence studies do: |grad u - G u_h| / |grad u|.

@@ -104,9 +104,11 @@ def cmd_solve(args):
     print(f"newton: converged in {report.iterations} iterations")
     for i, inc in enumerate(report.increments, start=1):
         print(f"  iter {i}: relative increment {inc:.3e}")
-    print("face solves (bootstrap first):")
+    print("face solves (bootstrap first; a chord step reuses the previous step's Jacobian):")
     for i, solve in enumerate(report.linear_solves):
-        print(f"  solve {i}: {solve.factor} factor, {solve.steps} Krylov steps, "
+        chord = " (chord step)" if i in report.chord_steps else ""
+        print(f"  solve {i}{chord}: {solve.factor} factor, {solve.steps} Krylov steps, "
+              f"tolerance {solve.rtol:.1e}, "
               f"relative residual {solve.residual:.1e} (face system {solve.rows} rows, "
               f"{solve.nnz} nonzeros; factor fill {solve.fill})")
     if problem.exact_gradient is not None:

@@ -18,12 +18,27 @@ Phys. 193, 2004).  Each cell's unknowns are then recovered from its own
 stored block.  ``residual`` and ``jacobian`` scatter the same local
 stacks into the full layout for verification.
 
+A Newton solve pays only for the accuracy each step needs.  Its face
+systems are solved to forcing terms (inexact Newton, which keeps local
+quadratic convergence while the linear residual stays below a multiple
+of the nonlinear one; Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
+19, 1982): the bootstrap and the first Newton system to
+``_FORCING_CAP`` of the condensed right-hand side g, each later one to
+``0.9 (|g_k| / |g_{k-1}|)^2``, kept within ``[_RTOL, _FORCING_CAP]``.  A
+full step whose relative increment is at most ``_CHORD_INCREMENT`` is
+followed by a chord step, which keeps that step's Jacobian (Kelley,
+*Solving Nonlinear Equations with Newton's Method*, SIAM 2003): it
+assembles only the residual and condenses it with the cell blocks the
+step kept.  Once increments are that small it changes the iterate only
+at round-off.
+
 The Poisson bootstrap that starts a Newton solve goes through the same
 condensation and face solve, but its local matrices do not depend on the
-iterate: each is the HHO stiffness of the cell's congruence class, built
-once per class from the space's G, M_k and S stacks.  Its residual is the
-source's cell load ``phi^T (w source)``, integrated once per Newton solve
-and subtracted from the cell rows of every Newton residual.
+iterate: each is the HHO stiffness ``G^T G + S`` of the cell's
+congruence class, built once per class from the space's operator stacks.
+Its residual is the source's cell load ``phi^T (w source)``, integrated
+once per Newton solve and subtracted from the cell rows of every Newton
+residual.
 """
 
 from __future__ import annotations
@@ -92,13 +107,16 @@ class NewtonReport:
     """Iteration count, per-iteration relative increments, and convergence flag.
 
     ``linear_solves`` holds one :class:`LinearSolve` per face-system solve,
-    the Poisson bootstrap first when there is one.
+    the Poisson bootstrap first when there is one.  ``chord_steps`` lists
+    the iterations, counted from 1, that were chord steps: they reused the
+    previous step's Jacobian and assembled only the residual.
     """
 
     iterations: int
     increments: list
     converged: bool
     linear_solves: list = field(default_factory=list)
+    chord_steps: list = field(default_factory=list)
 
 
 # Trailing output shape of each callback: a_z returns (n, 2, 2), source (n,).
@@ -431,7 +449,15 @@ def jacobian(problem, w, fields=None):
 # -- linear algebra ----------------------------------------------------------
 
 
-def static_condense(space, local):
+class _Kept:
+    """A Newton step's face system and cell blocks, kept for a chord step after it."""
+
+    def __init__(self):
+        self.S = None
+        self.blocks = []  # per chunk: J_TT, J_FT and X_F = J_TT^-1 J_TF
+
+
+def static_condense(space, local, kept=None):
     """The system ``J x = r`` of local stacks with each cell's unknowns eliminated.
 
     ``local`` yields one :class:`_Local` per chunk of ``space._chunks()``, in
@@ -445,48 +471,80 @@ def static_condense(space, local):
     space builds once (:meth:`HHOSpace.face_pattern`), and the reduced
     right-hand sides ``r_F - J_FT X_r`` into its right-hand side.  Rows
     follow the pattern's ``rows``; boundary face dofs are dropped, their
-    values being zero.  Returns ``(S, g, recover)``: the face system (CSC,
-    sharing the pattern's index arrays), its right-hand side, and a
-    callback mapping a face solution to the full-layout solution ``x``,
-    zero on boundary faces.
+    values being zero.
+
+    ``kept``, a :class:`_Kept`, serves a chord step.  An empty one takes
+    the face system and each chunk's ``J_TT``, ``J_FT`` and ``X_F``; one
+    that holds them condenses residual-only chunks (no Jacobian) with
+    them, one column per cell, dropping each chunk's blocks once used, and
+    returns the kept face system.  The bootstrap keeps nothing.
+
+    Returns ``(S, g, recover)``: the face system (CSC, sharing the
+    pattern's index arrays), its right-hand side, and a callback mapping a
+    face solution to the full-layout solution ``x``, zero on boundary
+    faces.
     """
     Nk = space.Nk
     pattern = space.face_pattern()
     rows = pattern.rows
     n = len(pattern.indptr) - 1
     g = np.zeros(n)
+    chord = kept is not None and kept.S is not None
     # -0.0 + v is v for every v, so each slot ends up with exactly the sum
     # of its entries; the nF slots past the pattern take the dropped ones.
     nnz = len(pattern.indices)
-    data = np.full(nnz + space.nF, -0.0)
-    kept = []
+    data = None if chord else np.full(nnz + space.nF, -0.0)
+    cells = []  # per chunk: gidx, X_F and X_r, for the recovery
     for c, slots in zip(local, pattern.slots, strict=True):
-        J_FT = c.J[:, Nk:, :Nk]
-        rhs = np.concatenate((c.J[:, :Nk, Nk:], c.r[:, :Nk, None]), axis=2)
-        X = _solve(c.J[:, :Nk, :Nk], rhs, c.ids, "cell block", CondensationError)
-        np.add.at(data, slots, (c.J[:, Nk:, Nk:] - J_FT @ X[..., :-1]).ravel())
+        if chord:
+            # A chord step is taken once, so each chunk's blocks go as they are
+            # used.  Dropped only after the pass, they fragmented the heap: the
+            # peak RSS of 20 kershaw 4, k=1 solves in one process rose by 13 to
+            # 20 MB in 7 of 12 processes; in this order 2 of 38 rose (10, 18 MB).
+            J_TT, J_FT, X_F = kept.blocks.pop(0)
+            X_r = _solve(J_TT, c.r[:, :Nk, None], c.ids, "cell block", CondensationError)
+        else:
+            J_TT, J_FT = c.J[:, :Nk, :Nk], c.J[:, Nk:, :Nk]
+            rhs = np.concatenate((c.J[:, :Nk, Nk:], c.r[:, :Nk, None]), axis=2)
+            X = _solve(J_TT, rhs, c.ids, "cell block", CondensationError)
+            X_F, X_r = X[..., :-1], X[..., -1:]
+            np.add.at(data, slots, (c.J[:, Nk:, Nk:] - J_FT @ X_F).ravel())
+            if kept is not None:  # copies, so that the chunk's Jacobian stack can go
+                kept.blocks.append((J_TT.copy(), J_FT.copy(), X_F))
         f = rows[c.gidx[:, Nk:]]
-        g += _scatter_vector([(f, c.r[:, Nk:] - (J_FT @ X[..., -1:])[..., 0])], n)
-        kept.append((c.gidx, X))
-        del c, J_FT, rhs  # the chunk's Jacobian stack goes before the next one is drawn
-    S = sparse.csc_matrix((data[:nnz], pattern.indices, pattern.indptr), shape=(n, n))
+        g += _scatter_vector([(f, c.r[:, Nk:] - (J_FT @ X_r)[..., 0])], n)
+        cells.append((c.gidx, X_F, X_r[..., 0]))
+        del c, J_TT, J_FT  # the chunk's Jacobian stack goes before the next one is drawn
+    if chord:
+        S = kept.S
+    else:
+        S = sparse.csc_matrix((data[:nnz], pattern.indices, pattern.indptr), shape=(n, n))
+        if kept is not None:
+            kept.S = S
 
     def recover(uf):
         x = np.zeros(space.num_dofs)
         face = rows >= 0
         x[face] = uf[rows[face]]
-        for gidx, X in kept:
-            x[gidx[:, :Nk]] = X[..., -1] - (X[..., :-1] @ x[gidx[:, Nk:], None])[..., 0]
+        for gidx, X_F, X_r in cells:
+            x[gidx[:, :Nk]] = X_r - (X_F @ x[gidx[:, Nk:], None])[..., 0]
         return x
 
     return S, g, recover
 
 
 class LinearSolve(NamedTuple):
-    """How one linear solve of the condensed face system went."""
+    """How one linear solve of the condensed face system went.
+
+    ``rtol`` is the relative tolerance the solve was given: ``_RTOL`` for a
+    solve on its own, a forcing term inside :func:`newton_solve`.  The
+    residual it reached may lie below ``rtol`` (a Krylov step overshoots)
+    and, near ``_RTOL``, somewhat above it (the float64 floor).
+    """
 
     factor: str       # "fresh float32", "held float32" or "float64": the factor that finished
     steps: int        # flexible GMRES steps, over every factor the solve tried
+    rtol: float       # the relative tolerance the solve was given
     residual: float   # true relative residual |g - S x| / |g| at the end
     rows: int         # rows of the face system
     nnz: int          # stored entries of the face system
@@ -494,9 +552,25 @@ class LinearSolve(NamedTuple):
 
 
 # A face solve stops once the flexible GMRES estimate of |g - S x| is at
-# most this fraction of |g|.  The true residual then sits at its float64
-# floor: 4e-16 to 1.2e-12 of |g| over the benchmark's 184 face solves.
+# most its relative tolerance times |g|.  On its own it is solved to
+# _RTOL, where the true residual sits at its float64 floor: 4e-16 to
+# 1.2e-12 of |g| over the benchmark's 184 face solves at that tolerance.
 _RTOL = 1e-14
+
+# The forcing terms of newton_solve never exceed this: the bootstrap and
+# the first Newton system are solved to it, each later one to
+# 0.9 (|g_k| / |g_{k-1}|)^2 within [_RTOL, _FORCING_CAP].  A cap of 1e-2
+# turned 10 Newton steps into 11 on cartesian 16, k=1, u = 64 x(1-x)y(1-y),
+# and 1e-4 turned 11 into 10 on cartesian 48, k=3; 1e-6 keeps every count
+# of the benchmark, the steep sweep and the tests.
+_FORCING_CAP = 1e-6
+
+# A full Newton step whose relative increment is at most this is followed
+# by a chord step.  Past it, Newton converges quadratically: on every
+# benchmark solve the increments read 1.6e-2, 1.7e-5, 3.6e-11, and the
+# chord step's change to the iterate, about |J_k - J_{k-1}| |d_k|, is
+# round-off.
+_CHORD_INCREMENT = 1e-4
 
 # A float32 factor of the face system costs about as much as 16 Krylov
 # steps on cartesian 64 and 96, k=3.  A factor is dropped once the steps it
@@ -509,7 +583,8 @@ _RTOL = 1e-14
 _REFACTOR_STEPS = 8
 
 # The residual reduction per step of a fresh float32 factor: it reaches
-# _RTOL in about four steps.
+# _RTOL in about four steps and _FORCING_CAP in about two.  A held factor
+# is judged by the steps it still needs to the solve's own tolerance.
 _FRESH_RATE = 3e-4
 
 # No attempt with one factor takes more steps than this.
@@ -610,10 +685,13 @@ class _FaceFactor:
         self.lu = None
         self.solves = []  # one LinearSolve per solve
 
-    def solve(self, S, g):
-        """The solution ``x`` of ``S x = g``; its :class:`LinearSolve` goes on ``solves``."""
+    def solve(self, S, g, rtol=_RTOL):
+        """The solution ``x`` of ``S x = g`` to ``rtol`` of ``|g|``.
+
+        Its :class:`LinearSolve` goes on ``solves``.
+        """
         gnorm = np.linalg.norm(g)
-        tol = _RTOL * gnorm
+        tol = rtol * gnorm
         x = np.zeros_like(g)
         steps = 0
         for kind in ("held float32", "fresh float32", "float64"):
@@ -642,41 +720,45 @@ class _FaceFactor:
         if dtype is np.float32:
             self.lu = lu
         residual = float(np.linalg.norm(g - S @ x) / gnorm) if gnorm > 0 else 0.0
-        self.solves.append(LinearSolve(kind, steps, residual, S.shape[0], S.nnz, lu.nnz))
+        self.solves.append(LinearSolve(kind, steps, rtol, residual, S.shape[0], S.nnz, lu.nnz))
         log.debug("face system: %d rows, %d nonzeros, %s factor, %d Krylov steps, "
-                  "relative residual %.1e", S.shape[0], S.nnz, kind, steps, residual)
+                  "tolerance %.1e, relative residual %.1e",
+                  S.shape[0], S.nnz, kind, steps, rtol, residual)
         return x
 
 
-def _increment(space, problem, w, load, face_factor=None):
-    """The Newton increment ``d`` with ``J(w) d = -r(w)`` on the free dofs.
+def _increment(space, problem, w, load):
+    """The exact Newton increment ``d`` with ``J(w) d = -r(w)`` on the free dofs.
 
     The local stacks of :func:`_assemble` with the source's cell ``load``,
     condensed chunk by chunk (:func:`static_condense`) into a face system
-    already in the mesh's nested-dissection order, are solved by
-    ``face_factor``, a :class:`_FaceFactor` that may hold a factor from an
-    earlier solve; without one the solve makes and drops its own factor.
+    already in the mesh's nested-dissection order, whose solve to
+    ``_RTOL`` makes and drops its own factor.  :func:`newton_solve` takes
+    the same step, but to a forcing term and with a held factor.
     """
     local = (_assemble(space, problem, w, chunk, load, need_jacobian=True)
              for chunk in space._chunks())
     S, g, recover = static_condense(space, local)
-    return space.vector_from_flat(-recover((face_factor or _FaceFactor()).solve(S, g)))
+    return space.vector_from_flat(-recover(_FaceFactor().solve(S, g)))
 
 
-def solve_linear_hho(space, source, face_factor=None, load=None):
+def solve_linear_hho(space, source, face_factor=None, load=None, rtol=_RTOL):
     """HHO solution of the Poisson problem -div grad u = source with zero Dirichlet data.
 
     This is the bootstrap of :func:`newton_solve`: the class stiffnesses
     and the source's cell load of :func:`_poisson_local`, condensed and
     solved as a Newton step's.  ``source`` takes an (n, 2) array of points
-    and returns n values, which must be finite; its cell load ``load``
-    (:func:`_cell_load`) is integrated here unless the caller holds it.
-    ``face_factor`` is as for :func:`_increment`.
+    and returns n values, which must be finite.  The face system is solved
+    to ``rtol`` of its right-hand side.  :func:`newton_solve` passes the
+    rest: the source's cell load ``load`` (:func:`_cell_load`), otherwise
+    integrated here, and its ``face_factor``, a :class:`_FaceFactor` that
+    holds the factor on for the Newton steps; without one the solve makes
+    and drops its own.
     """
     if load is None:
         load = _cell_load(space, source)
     S, g, recover = static_condense(space, _poisson_local(space, load))
-    return space.vector_from_flat(recover((face_factor or _FaceFactor()).solve(S, g)))
+    return space.vector_from_flat(recover((face_factor or _FaceFactor()).solve(S, g, rtol)))
 
 
 def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
@@ -686,11 +768,15 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
     Starts from ``initial_guess`` or the Poisson bootstrap
     (:func:`solve_linear_hho`); the source's cell load is integrated once
     and serves the bootstrap and every residual.  Each step solves the
-    condensed linearized system for an increment; the iteration stops once
-    the reconstructed-gradient norm of the increment, relative to the new
-    iterate, drops to ``tol``.  The nonlinear coefficients are integrated
-    by the space's quadrature: one rule of degree 2k+4 per face-count
-    group, the same one its operators are built with.
+    condensed linearized system for an increment, to the forcing term of
+    the module's rule; the iteration stops once the reconstructed-gradient
+    norm of the increment, relative to the new iterate, drops to ``tol``.
+    A full (undamped) step whose relative increment is at most
+    ``_CHORD_INCREMENT`` is followed by a chord step, which condenses the
+    new residual with that step's kept Jacobian blocks, face system and
+    factor.  The nonlinear coefficients are integrated by the space's
+    quadrature: one rule of degree 2k+4 per face-count group, the same one
+    its operators are built with.
 
     Returns ``(solution, NewtonReport)``; raises
     :class:`NewtonDivergedError` after ``max_iter`` steps without
@@ -705,17 +791,30 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
     face_factor = _FaceFactor()
     load = _cell_load(space, problem.source)
     if initial_guess is None:
-        u = solve_linear_hho(space, problem.source, face_factor, load)
+        u = solve_linear_hho(space, problem.source, face_factor, load, _FORCING_CAP)
     else:
         u = initial_guess.with_zero_boundary()
 
     free = space.free_dofs()
-    increments = []
+    increments, chord_steps = [], []
+    chord, last = False, 0.0  # last: |g| of the previous Newton system
     for it in range(1, max_iter + 1):
-        delta = _increment(space, problem, u, load, face_factor)
+        if chord:
+            chord_steps.append(it)
+        else:
+            kept = _Kept()  # the last step's blocks go before this Jacobian is condensed
+        local = (_assemble(space, problem, u, chunk, load, need_jacobian=not chord)
+                 for chunk in space._chunks())
+        S, g, recover = static_condense(space, local, kept)
+        gnorm = np.linalg.norm(g)
+        rtol = _FORCING_CAP if last == 0 else min(_FORCING_CAP,
+                                                  max(_RTOL, 0.9 * (gnorm / last) ** 2))
+        last = gnorm
+        delta = space.vector_from_flat(-recover(face_factor.solve(S, g, rtol)))
+        del S, g, recover  # so that this step's blocks go with kept, before the next condensation
+        alpha = 1.0
         if line_search:
             rnorm = np.linalg.norm(_residual(problem, u, load)[free])
-            alpha = 1.0
             while alpha > 1.0 / 256.0:
                 trial = _residual(problem, u + alpha * delta, load)[free]
                 if np.linalg.norm(trial) <= (1.0 - 0.25 * alpha) * rnorm:
@@ -727,8 +826,9 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
         inc = space.gradient_norm(delta) / denom if denom > 0 else space.gradient_norm(delta)
         increments.append(inc)
         if inc <= tol:
-            return u, NewtonReport(it, increments, True, face_factor.solves)
-    report = NewtonReport(max_iter, increments, False, face_factor.solves)
+            return u, NewtonReport(it, increments, True, face_factor.solves, chord_steps)
+        chord = not chord and alpha == 1.0 and inc <= _CHORD_INCREMENT
+    report = NewtonReport(max_iter, increments, False, face_factor.solves, chord_steps)
     raise NewtonDivergedError(
         f"no convergence to {tol:g} within {max_iter} iterations "
         f"(last increment {increments[-1]:.3e})", report)

@@ -54,11 +54,18 @@ def test_solve_on_a_generated_mesh(capsys):
     assert "relative gradient error:" in out
     # One line per face solve: the bootstrap, then each Newton step.
     iterations = int(re.search(r"converged in (\d+) iterations", out)[1])
-    solves = re.findall(r"solve (\d+): (fresh float32|held float32|float64) factor, "
-                        r"(\d+) Krylov steps, relative residual (\S+)", out)
+    solves = re.findall(r"solve (\d+)( \(chord step\))?: (fresh float32|held float32|float64) "
+                        r"factor, (\d+) Krylov steps, tolerance (\S+), relative residual (\S+)",
+                        out)
     assert [int(s[0]) for s in solves] == list(range(iterations + 1))
-    assert solves[0][1] == "fresh float32"
-    assert all(float(s[3]) <= 1e-12 for s in solves)
+    assert solves[0][2] == "fresh float32"
+    assert all(float(s[5]) <= max(float(s[4]), 1e-12) for s in solves)
+    # The step after one whose increment is at most 1e-4 is a chord step.
+    increments = [float(x) for x in re.findall(r"iter \d+: relative increment (\S+)", out)]
+    chord = [bool(s[1]) for s in solves[1:]]
+    assert chord == [i > 0 and not chord[i - 1] and increments[i - 1] <= 1e-4
+                     for i in range(iterations)]
+    assert any(chord)
     # 24 interior faces of two dofs each, and the fill of each solve's factor.
     sizes = re.findall(r"relative residual \S+ \(face system (\d+) rows, (\d+) nonzeros; "
                        r"factor fill (\d+)\)", out)

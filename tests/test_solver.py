@@ -31,6 +31,7 @@ from hhonl.solver import (
     solve_linear_hho,
     static_condense,
 )
+from test_acceptance import _direct_newton, _randomized_smooth_problem
 
 
 def _no_source(x):
@@ -354,10 +355,10 @@ def test_non_finite_poisson_source_names_its_cells():
     assert sorted(named) == list(quadrant)
 
 
-def _newton_stacks(space, problem, w):
+def _newton_stacks(space, problem, w, need_jacobian=True):
     """The local stacks of a Newton step at ``w``, assembled chunk by chunk as drawn."""
     load = solver_mod._cell_load(space, problem.source)
-    return (solver_mod._assemble(space, problem, w, chunk, load, need_jacobian=True)
+    return (solver_mod._assemble(space, problem, w, chunk, load, need_jacobian)
             for chunk in space._chunks())
 
 
@@ -375,6 +376,27 @@ def test_condensed_and_direct_solves_agree():
     x_direct = spsolve(J.tocsc(), r)
     scale = np.abs(x_direct).max()
     assert np.abs(x_schur - x_direct).max() <= 1e-10 * scale
+
+
+def test_a_residual_only_pass_condenses_with_the_kept_jacobian():
+    # J(w) d = r(v) through the blocks kept at w, on a nonsymmetric
+    # Jacobian (a_y, f_y): J_FT J_TT^-1 r_T is not X_F^T r_T there.
+    problem = _randomized_smooth_problem(np.random.default_rng(4242))
+    space = HHOSpace(generate_cartesian(8), 2)
+    rng = np.random.default_rng(32)
+    w, v = (space.vector_from_flat(0.1 * rng.standard_normal(space.num_dofs)) for _ in range(2))
+    kept = solver_mod._Kept()
+    S, _, _ = static_condense(space, _newton_stacks(space, problem, w), kept)
+    assert kept.S is S and len(kept.blocks) == len(list(space._chunks()))
+    chord_S, g, recover = static_condense(
+        space, _newton_stacks(space, problem, v, need_jacobian=False), kept)
+    assert chord_S is S and kept.blocks == []
+    free = space.free_dofs()
+    J = jacobian(problem, w)[np.ix_(free, free)].tocsc()
+    assert abs(J - J.T).max() > 1e-6 * abs(J).max()
+    x_direct = spsolve(J, residual(problem, v)[free])
+    x_chord = recover(spsolve(S, g))[free]
+    assert np.abs(x_chord - x_direct).max() <= 1e-10 * np.abs(x_direct).max()
 
 
 def test_static_condense_rejects_singular_cell_block(monkeypatch):
@@ -608,14 +630,14 @@ def test_a_held_factor_is_kept_only_while_it_pays(monkeypatch, held, used):
 
 
 def _record_face_solves(monkeypatch):
-    """Every face system, its right-hand side and solution, and every factor."""
+    """Every face system, its right-hand side, tolerance and solution, and every factor."""
     seen = _capture_solve(monkeypatch)
     seen["solutions"] = []
     solve = solver_mod._FaceFactor.solve
 
-    def capture_solve(self, S, g):
-        x = solve(self, S, g)
-        seen["solutions"].append((S, g, x))
+    def capture_solve(self, S, g, rtol=solver_mod._RTOL):
+        x = solve(self, S, g, rtol)
+        seen["solutions"].append((S, g, rtol, x))
         return x
 
     monkeypatch.setattr(solver_mod._FaceFactor, "solve", capture_solve)
@@ -641,11 +663,17 @@ def test_each_linear_solve_makes_at_most_one_factor(monkeypatch):
         if solve.factor != "held float32":
             lu = next(fresh)
         assert (solve.rows, solve.nnz, solve.fill) == (S.shape[0], S.nnz, lu.nnz)
-    # Every face solve reaches double precision, whichever factor it used.
-    for S, g, x in seen["solutions"]:
-        reference = spsolve(S, g)
-        assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
-        assert np.linalg.norm(g - S @ x) <= 1e-12 * np.linalg.norm(g)
+    # Every face solve reaches its tolerance, whichever factor it used:
+    # the Poisson solve on its own goes to double precision, and the
+    # solves of a Newton solve to their forcing terms.
+    rtols = [rtol for _, _, rtol, _ in seen["solutions"]]
+    assert rtols == [solver_mod._RTOL] + [s.rtol for s in solves]
+    assert rtols[1] == rtols[2] == solver_mod._FORCING_CAP  # the bootstrap and first step
+    for S, g, rtol, x in seen["solutions"]:
+        assert np.linalg.norm(g - S @ x) <= max(rtol, 1e-12) * np.linalg.norm(g)
+        if rtol == solver_mod._RTOL:
+            reference = spsolve(S, g)
+            assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_steep_problem_replaces_a_held_factor_and_keeps_the_solution(monkeypatch):
@@ -657,8 +685,8 @@ def test_steep_problem_replaces_a_held_factor_and_keeps_the_solution(monkeypatch
     kinds = [s.factor for s in report.linear_solves]
     assert "fresh float32" in kinds[1:]  # a factor was held from the bootstrap on
     assert "held float32" in kinds
-    assert max(s.residual for s in report.linear_solves) <= 1e-12
-    monkeypatch.setattr(solver_mod._FaceFactor, "solve", lambda self, S, g: spsolve(S, g))
+    assert all(s.residual <= max(s.rtol, 1e-12) for s in report.linear_solves)
+    monkeypatch.setattr(solver_mod._FaceFactor, "solve", lambda self, S, g, rtol: spsolve(S, g))
     reference, direct = newton_solve(problem, mesh, 1)
     assert direct.iterations == 10
     scale = np.abs(reference.to_flat()).max()
@@ -687,11 +715,12 @@ def test_solve_logs_face_system_and_ordering_at_debug(caplog):
     for solve, message in zip(report.linear_solves, systems):
         match = re.fullmatch(rf"face system: {264 * 2} rows, {nnz} nonzeros, "
                              r"(fresh|held) float32 factor, (\d+) Krylov steps, "
-                             r"relative residual (\S+)", message)
+                             r"tolerance (\S+), relative residual (\S+)", message)
         assert match, message
         assert (f"{match[1]} float32", int(match[2])) == (solve.factor, solve.steps)
         assert (solve.rows, solve.nnz) == (264 * 2, nnz)
-        assert float(match[3]) <= 1e-12
+        assert float(match[3]) == float(f"{solve.rtol:.1e}")
+        assert float(match[4]) <= max(float(match[3]), 1e-12)
     kinds = [s.factor for s in report.linear_solves]
     assert kinds == ["fresh float32"] + ["held float32"] * report.iterations
     assert 2 <= report.linear_solves[0].steps <= 4
@@ -701,6 +730,80 @@ def test_solve_logs_face_system_and_ordering_at_debug(caplog):
     # 144 cells take 8 levels of halving; the top split is the middle grid line.
     assert orders[0].startswith("nested-dissection order of 264 interior faces: "
                                 "cell tree depth 8, top separator 12 faces, built in ")
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_chord_step_of_a_nonsymmetric_jacobian_matches_direct_newton(k):
+    # a_y and f_y do not vanish, so the kept J_FT is not J_TF^T: a chord
+    # step that condensed with X_F^T instead would leave the direct solve.
+    problem = _randomized_smooth_problem(np.random.default_rng(4242))
+    mesh = generate_cartesian(8)
+    u, report = newton_solve(problem, mesh, k)
+    direct, iterations = _direct_newton(problem, mesh, k)
+    assert report.chord_steps == [report.iterations] == [iterations]
+    rel = np.abs(u.to_flat() - direct.to_flat()).max() / np.abs(direct.to_flat()).max()
+    assert rel <= 1e-10
+
+
+def test_a_chord_step_assembles_no_jacobian_and_makes_no_factor(monkeypatch):
+    calls, kept = [], []
+    assemble, condense = solver_mod._assemble, solver_mod.static_condense
+
+    def recording_assemble(*args, need_jacobian, **kwargs):
+        calls.append(need_jacobian)
+        return assemble(*args, need_jacobian=need_jacobian, **kwargs)
+
+    def recording_condense(space, local, *rest):
+        kept.append(rest[0] if rest else None)
+        return condense(space, local, *rest)
+
+    monkeypatch.setattr(solver_mod, "_assemble", recording_assemble)
+    monkeypatch.setattr(solver_mod, "static_condense", recording_condense)
+    seen = _capture_solve(monkeypatch)
+    mesh = harness.build_mesh("hexagonal-files", 1)  # three face-count groups
+    u, report = newton_solve(mean_curvature_problem(), mesh, 2)
+    chunks = len(list(u.space._chunks()))
+    assert chunks > 1
+    assert report.chord_steps == [report.iterations] == [3]
+    assert calls.count(True) == (report.iterations - len(report.chord_steps)) * chunks
+    assert calls.count(False) == len(report.chord_steps) * chunks
+    # The bootstrap keeps no cell blocks; each Jacobian step keeps its own,
+    # and the chord step condenses with those of the step before it.
+    assert kept[0] is None
+    assert kept[1] is not kept[2] is kept[3]
+    assert kept[2].S is kept[3].S and kept[3].blocks == []  # used up by the chord step
+    solves = report.linear_solves
+    assert all(solves[i].factor == "held float32" for i in report.chord_steps)
+    assert len(seen["factors"]) == sum(s.factor != "held float32" for s in solves)
+
+
+def test_a_damped_step_is_not_followed_by_a_chord_step(monkeypatch):
+    # With every increment small enough, each full step is followed by a
+    # chord step; a step the line search shortened is not.  u = 256
+    # x(1-x)y(1-y) on cartesian 8 makes the line search halve some steps.
+    monkeypatch.setattr(solver_mod, "_CHORD_INCREMENT", np.inf)
+    log = []
+    evaluate, solve = solver_mod._residual, solver_mod._FaceFactor.solve
+
+    def counting_residual(*args):
+        log[-1] += 1
+        return evaluate(*args)
+
+    def marking_solve(self, *args):
+        log.append(0)
+        return solve(self, *args)
+
+    monkeypatch.setattr(solver_mod, "_residual", counting_residual)
+    monkeypatch.setattr(solver_mod._FaceFactor, "solve", marking_solve)
+    _, report = newton_solve(steep_mean_curvature_problem(256), generate_cartesian(8), 1,
+                             line_search=True)
+    # Each step evaluates the residual at the iterate and at each trial.
+    damped = [n > 2 for n in log[1:]]
+    assert len(damped) == report.iterations
+    chord = [it in report.chord_steps for it in range(1, report.iterations + 1)]
+    full = [not c and not d for c, d in zip(chord, damped)]
+    assert chord == [False] + full[:-1]
+    assert any(d and not c for c, d in zip(chord[:-1], damped[:-1]))  # a damped full step
 
 
 def test_solve_builds_no_sparse_matrix_but_the_face_system(monkeypatch):
@@ -725,8 +828,12 @@ def test_solve_builds_no_sparse_matrix_but_the_face_system(monkeypatch):
     assert built["coo"] == built["csr"] == []
     systems = [S for S, _, _ in seen["systems"]]
     assert len(systems) == report.iterations + 1  # bootstrap plus each step
+    # A chord step builds no system: it solves the one its Jacobian step built.
+    assert report.chord_steps == [report.iterations]
+    assert [systems[i] is systems[i - 1] for i in range(1, len(systems))] == [
+        i in report.chord_steps for i in range(1, len(systems))]
     copies = [A for A in built["csc"] if not any(A is S for S in systems)]
-    assert len(built["csc"]) == len(systems) + len(copies)
+    assert len(built["csc"]) == len(systems) - len(report.chord_steps) + len(copies)
     assert {A.shape for A in built["csc"]} == {(face_dofs, face_dofs)}
     assert all(S.dtype == np.float64 for S in systems)
     assert len(copies) == len(seen["factors"]) >= 1
