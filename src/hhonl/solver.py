@@ -14,8 +14,8 @@ float32 SuperLU factor (:func:`_fgmres`; GMRES-based iterative
 refinement, Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  A Newton
 solve holds its factor from one system to the next (:class:`_FaceFactor`),
 a lagged factor as in Newton-Krylov solvers (Knoll & Keyes, J. Comput.
-Phys. 193, 2004).  Each cell's unknowns are then recovered from its own
-stored block.  ``residual`` and ``jacobian`` scatter the same local
+Phys. 193, 2004).  Each cell's unknowns are then recovered from its
+eliminated block.  ``residual`` and ``jacobian`` scatter the same local
 stacks into the full layout for verification.
 
 A Newton solve pays only for the accuracy each step needs.  Its face
@@ -28,17 +28,19 @@ of the nonlinear one; Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
 full step whose relative increment is at most ``_CHORD_INCREMENT`` is
 followed by a chord step, which keeps that step's Jacobian (Kelley,
 *Solving Nonlinear Equations with Newton's Method*, SIAM 2003): it
-assembles only the residual and condenses it with the cell blocks the
-step kept.  Once increments are that small it changes the iterate only
-at round-off.
+assembles only the residual, condenses it with the inverted cell blocks
+the step kept, a product per cell, and solves its face system to
+``_FORCING_CAP``.  Once increments are that small it changes the iterate
+only at round-off, and a lagged Jacobian makes its increment no more
+exact than about the previous one, so a tighter solve would be wasted.
 
 The Poisson bootstrap that starts a Newton solve goes through the same
 condensation and face solve, but its local matrices do not depend on the
 iterate: each is the HHO stiffness ``G^T G + S`` of the cell's
-congruence class, built once per class from the space's operator stacks.
-Its residual is the source's cell load ``phi^T (w source)``, integrated
-once per Newton solve and subtracted from the cell rows of every Newton
-residual.
+congruence class, built once per class from the space's operator stacks
+and eliminated once per class, not once per cell.  Its residual is the
+source's cell load ``phi^T (w source)``, integrated once per Newton
+solve and subtracted from the cell rows of every Newton residual.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from scipy import sparse
 from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
-from .hho import HHOSpace, _solve
+from .hho import HHOSpace
 
 __all__ = [
     "SolverError",
@@ -282,12 +284,19 @@ def _call(what, fn, args, cells):
 
 
 class _Local(NamedTuple):
-    """Local residuals and Jacobians of one chunk of cells with one face count."""
+    """Local residuals and Jacobians of one chunk of cells with one face count.
+
+    Cell ``i`` of the chunk has the block ``J[op[i]]``.  With ``op`` None,
+    ``J`` holds one block per cell, the chunk's own; otherwise it is a
+    stack that several chunks share, such as their group's class
+    stiffnesses.
+    """
 
     ids: np.ndarray    # (m,) cell ids
     gidx: np.ndarray   # (m, nloc) global dofs of each local block, cell dofs first
     r: np.ndarray      # (m, nloc)
-    J: np.ndarray      # (m, nloc, nloc), None when no Jacobian was asked for
+    J: np.ndarray      # (b, nloc, nloc), None when no Jacobian was asked for
+    op: np.ndarray = None  # (m,) the stack row of each cell, None for one block per cell
 
 
 def _assemble(space, problem, w, chunk, load, need_jacobian, fields=None):
@@ -378,11 +387,12 @@ def _poisson_local(space, load):
     A cell's matrix is the HHO stiffness of its congruence class,
     ``K = G^T G + S`` in the orthonormal cell bases, formed once per class
     of each face-count group from the space's operator stacks.  Yields one
-    :class:`_Local` per chunk of ``space._chunks()``, in that order, its
-    residual being the source's cell ``load`` (:func:`_cell_load`) on the
-    cell rows.  A group's stiffnesses are dropped when the next group's are
-    built, the last ones when the chunks run out, so none outlives the
-    condensation.
+    :class:`_Local` per chunk of ``space._chunks()``, in that order: the
+    group's stack of class stiffnesses, the same array for each of its
+    chunks, with the class of each cell (``op``), and as residual the
+    source's cell ``load`` (:func:`_cell_load`) on the cell rows.  A
+    group's stiffnesses are dropped when the next group's are built, the
+    last ones when the chunks run out, so none outlives the condensation.
     """
     Nk = space.Nk
     group, classes, spent = None, 0, 0.0
@@ -395,7 +405,7 @@ def _poisson_local(space, load):
         ids, gidx = g.cells[sl], g.gidx[sl]
         r = np.zeros(gidx.shape)
         r[:, :Nk] = load[ids]
-        yield _Local(ids, gidx, r, K[g.op[sl]])
+        yield _Local(ids, gidx, r, K, g.op[sl])
     log.debug("Poisson stiffness of %d classes built in %.3f s", classes, spent)
 
 
@@ -450,33 +460,60 @@ def jacobian(problem, w, fields=None):
 
 
 class _Kept:
-    """A Newton step's face system and cell blocks, kept for a chord step after it."""
+    """A Newton step's face system and eliminated cell blocks, kept for a chord step after it.
+
+    The cell blocks are kept inverted, so that the chord step's cell solves
+    are products.
+    """
 
     def __init__(self):
         self.S = None
-        self.blocks = []  # per chunk: J_TT, J_FT and X_F = J_TT^-1 J_TF
+        self.blocks = []  # per chunk: J_TT^-1, J_FT and X_F = J_TT^-1 J_TF
+
+
+def _eliminate(J, Nk, cell_of):
+    """``J_TT^-1``, ``J_FT``, ``X_F = J_TT^-1 J_TF`` and ``J_FF - J_FT X_F`` of a block stack.
+
+    One stacked inverse serves both the face block and, later, every
+    right-hand side.  A singular ``J_TT`` raises :class:`CondensationError`
+    naming ``cell_of(i)``, a cell that uses the singular block ``i``.
+    """
+    J_TT, J_FT = J[:, :Nk, :Nk], J[:, Nk:, :Nk]
+    try:
+        inv = np.linalg.inv(J_TT)
+    except np.linalg.LinAlgError:
+        for i, block in enumerate(J_TT):
+            try:
+                np.linalg.inv(block)
+            except np.linalg.LinAlgError as exc:
+                raise CondensationError(f"cell {cell_of(i)}: singular cell block") from exc
+        raise
+    X_F = inv @ J[:, :Nk, Nk:]
+    return inv, J_FT, X_F, J[:, Nk:, Nk:] - J_FT @ X_F
 
 
 def static_condense(space, local, kept=None):
     """The system ``J x = r`` of local stacks with each cell's unknowns eliminated.
 
     ``local`` yields one :class:`_Local` per chunk of ``space._chunks()``, in
-    that order: the residuals and Jacobians of :func:`_assemble` for a
-    Newton step, or the load and class stiffnesses of :func:`_poisson_local`
-    for the Poisson bootstrap.  Each chunk is condensed and dropped before
-    the next is drawn, so the Jacobian stacks of all cells never exist at
-    once.  Per chunk one stacked solve gives ``X = J_TT^{-1} [J_TF | r_T]``;
-    the local Schur complements ``J_FF - J_FT X_F`` are summed straight into
-    the data of the face system's CSC pattern, through the slot map the
-    space builds once (:meth:`HHOSpace.face_pattern`), and the reduced
-    right-hand sides ``r_F - J_FT X_r`` into its right-hand side.  Rows
-    follow the pattern's ``rows``; boundary face dofs are dropped, their
-    values being zero.
+    that order: the residuals and per-cell Jacobians of :func:`_assemble`
+    for a Newton step, or the load and class stiffnesses of
+    :func:`_poisson_local` for the Poisson bootstrap.  Each distinct block
+    is eliminated once (:func:`_eliminate`): a chunk's own blocks as it
+    comes, a shared stack when its first chunk comes, so the bootstrap
+    inverts one block per congruence class.  Each chunk is condensed and
+    dropped before the next is drawn, so the Jacobian stacks of all cells
+    never exist at once.  Per cell, ``X_r = J_TT^-1 r_T``; the local Schur
+    complements ``J_FF - J_FT X_F`` are summed straight into the data of
+    the face system's CSC pattern, through the slot map the space builds
+    once (:meth:`HHOSpace.face_pattern`), and the reduced right-hand sides
+    ``r_F - J_FT X_r`` into its right-hand side.  Rows follow the pattern's
+    ``rows``; boundary face dofs are dropped, their values being zero.
 
     ``kept``, a :class:`_Kept`, serves a chord step.  An empty one takes
-    the face system and each chunk's ``J_TT``, ``J_FT`` and ``X_F``; one
+    the face system and each chunk's ``J_TT^-1``, ``J_FT`` and ``X_F``; one
     that holds them condenses residual-only chunks (no Jacobian) with
-    them, one column per cell, dropping each chunk's blocks once used, and
+    them, a product per cell, dropping each chunk's blocks once used, and
     returns the kept face system.  The bootstrap keeps nothing.
 
     Returns ``(S, g, recover)``: the face system (CSC, sharing the
@@ -494,27 +531,36 @@ def static_condense(space, local, kept=None):
     # of its entries; the nF slots past the pattern take the dropped ones.
     nnz = len(pattern.indices)
     data = None if chord else np.full(nnz + space.nF, -0.0)
-    cells = []  # per chunk: gidx, X_F and X_r, for the recovery
-    for c, slots in zip(local, pattern.slots, strict=True):
+    cells = []  # per chunk: gidx, X_F, the stack row of each cell and X_r, for the recovery
+    stack, blocks, condensed, eliminated = None, None, 0, 0
+    for (group, _), c, slots in zip(space._chunks(), local, pattern.slots, strict=True):
+        at = slice(None) if c.op is None else c.op  # each cell's row of the block stack
         if chord:
             # A chord step is taken once, so each chunk's blocks go as they are
             # used.  Dropped only after the pass, they fragmented the heap: the
             # peak RSS of 20 kershaw 4, k=1 solves in one process rose by 13 to
             # 20 MB in 7 of 12 processes; in this order 2 of 38 rose (10, 18 MB).
-            J_TT, J_FT, X_F = kept.blocks.pop(0)
-            X_r = _solve(J_TT, c.r[:, :Nk, None], c.ids, "cell block", CondensationError)
-        else:
-            J_TT, J_FT = c.J[:, :Nk, :Nk], c.J[:, Nk:, :Nk]
-            rhs = np.concatenate((c.J[:, :Nk, Nk:], c.r[:, :Nk, None]), axis=2)
-            X = _solve(J_TT, rhs, c.ids, "cell block", CondensationError)
-            X_F, X_r = X[..., :-1], X[..., -1:]
-            np.add.at(data, slots, (c.J[:, Nk:, Nk:] - J_FT @ X_F).ravel())
-            if kept is not None:  # copies, so that the chunk's Jacobian stack can go
-                kept.blocks.append((J_TT.copy(), J_FT.copy(), X_F))
+            blocks = (*kept.blocks.pop(0), None)  # no Schur complement: S is kept too
+        elif c.op is None or c.J is not stack:  # a shared stack is eliminated once
+            stack = None if c.op is None else c.J
+            blocks = _eliminate(c.J, Nk, c.ids.__getitem__ if c.op is None
+                                else lambda i: group.cells[np.argmax(group.op == i)])
+            eliminated += len(c.J)
+            if kept is not None:  # a copy of J_FT, so that the chunk's Jacobian stack can go
+                kept.blocks.append((blocks[0], blocks[1].copy(), blocks[2]))
+        inv, J_FT, X_F, schur = blocks
+        if schur is not None:
+            np.add.at(data, slots, schur[at].ravel())
+        X_r = inv[at] @ c.r[:, :Nk, None]
         f = rows[c.gidx[:, Nk:]]
-        g += _scatter_vector([(f, c.r[:, Nk:] - (J_FT @ X_r)[..., 0])], n)
-        cells.append((c.gidx, X_F, X_r[..., 0]))
-        del c, J_TT, J_FT  # the chunk's Jacobian stack goes before the next one is drawn
+        g += _scatter_vector([(f, c.r[:, Nk:] - (J_FT[at] @ X_r)[..., 0])], n)
+        cells.append((c.gidx, X_F, at, X_r[..., 0]))
+        condensed += len(c.ids)
+        # A chunk's own blocks and Jacobian stack go before the next chunk is drawn.
+        del c, inv, J_FT, X_F, schur
+        if stack is None:
+            blocks = None
+    log.debug("condensed %d cells, %d distinct cell blocks eliminated", condensed, eliminated)
     if chord:
         S = kept.S
     else:
@@ -526,8 +572,8 @@ def static_condense(space, local, kept=None):
         x = np.zeros(space.num_dofs)
         face = rows >= 0
         x[face] = uf[rows[face]]
-        for gidx, X_F, X_r in cells:
-            x[gidx[:, :Nk]] = X_r - (X_F @ x[gidx[:, Nk:], None])[..., 0]
+        for gidx, X_F, at, X_r in cells:
+            x[gidx[:, :Nk]] = X_r - (X_F[at] @ x[gidx[:, Nk:], None])[..., 0]
         return x
 
     return S, g, recover
@@ -557,12 +603,15 @@ class LinearSolve(NamedTuple):
 # 1.2e-12 of |g| over the benchmark's 184 face solves at that tolerance.
 _RTOL = 1e-14
 
-# The forcing terms of newton_solve never exceed this: the bootstrap and
-# the first Newton system are solved to it, each later one to
-# 0.9 (|g_k| / |g_{k-1}|)^2 within [_RTOL, _FORCING_CAP].  A cap of 1e-2
-# turned 10 Newton steps into 11 on cartesian 16, k=1, u = 64 x(1-x)y(1-y),
-# and 1e-4 turned 11 into 10 on cartesian 48, k=3; 1e-6 keeps every count
-# of the benchmark, the steep sweep and the tests.
+# The forcing terms of newton_solve never exceed this: the bootstrap, the
+# first Newton system and every chord step are solved to it, each later
+# Newton system to 0.9 (|g_k| / |g_{k-1}|)^2 within [_RTOL, _FORCING_CAP].
+# A cap of 1e-2 turned 10 Newton steps into 11 on cartesian 16, k=1,
+# u = 64 x(1-x)y(1-y), and 1e-4 turned 11 into 10 on cartesian 48, k=3;
+# 1e-6 keeps every count of the benchmark, the steep sweep and the tests.
+# A chord step's increment, its Jacobian lagged, is only about as exact
+# as the previous increment, at most _CHORD_INCREMENT: the cap does not
+# oversolve it, and took its Krylov steps from 7 to 4 on the benchmark.
 _FORCING_CAP = 1e-6
 
 # A full Newton step whose relative increment is at most this is followed
@@ -611,6 +660,8 @@ def _factor(S, dtype):
 def _fgmres(S, g, x, lu, dtype, tol, patient):
     """Flexible GMRES for ``S x = g`` from ``x``, preconditioned by the factor ``lu``.
 
+    ``x`` None starts from zero, whose residual is ``g`` itself.
+
     Step ``j`` solves with the factor (of precision ``dtype``) for
     ``z_j ~ S^-1 v_j``, the right-hand side scaled so that it neither
     overflows nor falls into subnormals in single precision, and extends
@@ -621,12 +672,13 @@ def _fgmres(S, g, x, lu, dtype, tol, patient):
     it gives up as soon as the steps still needed at its average rate so
     far exceed ``_REFACTOR_STEPS`` plus the steps a fresh factor would
     need at ``_FRESH_RATE``.  Returns ``(x, steps, converged)``: the
-    iterate, the steps taken and whether the estimate reached ``tol``.
+    iterate (None while it is still zero), the steps taken and whether the
+    estimate reached ``tol``.
     """
-    r = g - S @ x
+    r = g if x is None else g - S @ x
     beta = np.linalg.norm(r)
     if beta <= tol:
-        return x, 0, True
+        return np.zeros_like(g) if x is None else x, 0, True
     V, Z = [r / beta], []
     R = np.zeros((_MAX_STEPS + 1, _MAX_STEPS))  # the Hessenberg matrix, rotated to triangular
     cs, sn = np.zeros(_MAX_STEPS), np.zeros(_MAX_STEPS)
@@ -665,7 +717,8 @@ def _fgmres(S, g, x, lu, dtype, tol, patient):
         V.append(w / wnorm)
     n = len(Z)
     if n:
-        x = x + np.column_stack(Z) @ solve_triangular(R[:n, :n], e[:n])
+        dx = np.column_stack(Z) @ solve_triangular(R[:n, :n], e[:n])
+        x = dx if x is None else x + dx
     return x, n, converged
 
 
@@ -692,7 +745,7 @@ class _FaceFactor:
         """
         gnorm = np.linalg.norm(g)
         tol = rtol * gnorm
-        x = np.zeros_like(g)
+        x = None  # zero
         steps = 0
         for kind in ("held float32", "fresh float32", "float64"):
             dtype = np.float64 if kind == "float64" else np.float32
@@ -761,6 +814,12 @@ def solve_linear_hho(space, source, face_factor=None, load=None, rtol=_RTOL):
     return space.vector_from_flat(recover((face_factor or _FaceFactor()).solve(S, g, rtol)))
 
 
+def _relative_increment(space, u, delta):
+    """The gradient norm of ``delta`` relative to that of the iterate ``u`` it led to."""
+    denom = space.gradient_norm(u)
+    return space.gradient_norm(delta) / denom if denom > 0 else space.gradient_norm(delta)
+
+
 def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
                  line_search=False):
     """Newton iteration for the discrete nonlinear problem on ``mesh``.
@@ -773,8 +832,11 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
     norm of the increment, relative to the new iterate, drops to ``tol``.
     A full (undamped) step whose relative increment is at most
     ``_CHORD_INCREMENT`` is followed by a chord step, which condenses the
-    new residual with that step's kept Jacobian blocks, face system and
-    factor.  The nonlinear coefficients are integrated by the space's
+    new residual with that step's kept cell-block inverses, face system and
+    factor, and solves to ``_FORCING_CAP``.  With ``line_search``, a step
+    is halved, at most 8 times, until the free residual falls by a
+    sufficient decrease; a full step whose increment already meets ``tol``
+    is taken without a search.  The nonlinear coefficients are integrated by the space's
     quadrature: one rule of degree 2k+4 per face-count group, the same one
     its operators are built with.
 
@@ -807,23 +869,28 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
                  for chunk in space._chunks())
         S, g, recover = static_condense(space, local, kept)
         gnorm = np.linalg.norm(g)
-        rtol = _FORCING_CAP if last == 0 else min(_FORCING_CAP,
-                                                  max(_RTOL, 0.9 * (gnorm / last) ** 2))
+        if chord or last == 0:
+            rtol = _FORCING_CAP
+        else:
+            rtol = min(_FORCING_CAP, max(_RTOL, 0.9 * (gnorm / last) ** 2))
         last = gnorm
         delta = space.vector_from_flat(-recover(face_factor.solve(S, g, rtol)))
         del S, g, recover  # so that this step's blocks go with kept, before the next condensation
         alpha = 1.0
-        if line_search:
+        trial = u + delta
+        inc = _relative_increment(space, trial, delta)
+        if line_search and inc > tol:  # a full step that converges needs no search
             rnorm = np.linalg.norm(_residual(problem, u, load)[free])
             while alpha > 1.0 / 256.0:
-                trial = _residual(problem, u + alpha * delta, load)[free]
-                if np.linalg.norm(trial) <= (1.0 - 0.25 * alpha) * rnorm:
+                r = _residual(problem, u + alpha * delta, load)[free]
+                if np.linalg.norm(r) <= (1.0 - 0.25 * alpha) * rnorm:
                     break
                 alpha *= 0.5
-            delta = alpha * delta
-        u = u + delta
-        denom = space.gradient_norm(u)
-        inc = space.gradient_norm(delta) / denom if denom > 0 else space.gradient_norm(delta)
+            if alpha < 1.0:
+                delta = alpha * delta
+                trial = u + delta
+                inc = _relative_increment(space, trial, delta)
+        u = trial
         increments.append(inc)
         if inc <= tol:
             return u, NewtonReport(it, increments, True, face_factor.solves, chord_steps)

@@ -416,6 +416,29 @@ def test_static_condense_rejects_singular_cell_block(monkeypatch):
         static_condense(space, _newton_stacks(space, problem, w))
 
 
+def test_a_singular_class_block_in_the_bootstrap_names_a_cell_of_its_class(monkeypatch):
+    # Chunks of three cells, so that the class whose block is singular
+    # first appears in a later chunk than the one that eliminates the stack.
+    space = HHOSpace(generate_cartesian(4), 1)
+    space._ensure_classes()
+    (group,) = space._groups
+    group.step = 3
+    bad = group.op[-1]
+    assert bad not in group.op[:3]
+    poisson = solver_mod._poisson_local
+
+    def singular_class(space, load):
+        for c in poisson(space, load):
+            c.J[bad, :space.Nk, :space.Nk] = 0.0
+            yield c
+
+    monkeypatch.setattr(solver_mod, "_poisson_local", singular_class)
+    with pytest.raises(CondensationError, match=r"^cell (\d+): singular cell block$") as info:
+        solve_linear_hho(space, _smooth_source)
+    cell = int(re.match(r"cell (\d+)", str(info.value))[1])
+    assert group.op[np.searchsorted(group.cells, cell)] == bad
+
+
 def test_callback_failures_carry_cell_context():
     def fragile_a(x, y, z):
         if len(x) > 64:
@@ -698,8 +721,15 @@ def test_solve_logs_face_system_and_ordering_at_debug(caplog):
                for h in logging.getLogger("hhonl").handlers)
     caplog.set_level(logging.DEBUG, logger="hhonl")
     mesh = generate_cartesian(12)
-    _, report = newton_solve(mean_curvature_problem(), mesh, 1)
+    u, report = newton_solve(mean_curvature_problem(), mesh, 1)
     messages = [rec.getMessage() for rec in caplog.records]
+    # The bootstrap eliminates one block per class, a Newton step one per
+    # cell, a chord step none.
+    condensed = [m for m in messages if m.startswith("condensed ")]
+    blocks = [len(u.space._classes)] + [0 if it in report.chord_steps else 144
+                                        for it in range(1, report.iterations + 1)]
+    assert condensed == [f"condensed 144 cells, {b} distinct cell blocks eliminated"
+                         for b in blocks]
     systems = [m for m in messages if m.startswith("face system:")]
     assert len(systems) == report.iterations + 1
     # Two dofs per face, coupled to every face of the cells around it.
@@ -777,6 +807,39 @@ def test_a_chord_step_assembles_no_jacobian_and_makes_no_factor(monkeypatch):
     assert len(seen["factors"]) == sum(s.factor != "held float32" for s in solves)
 
 
+def test_each_distinct_cell_block_is_eliminated_once(monkeypatch):
+    # The bootstrap inverts one block per congruence class, each Newton
+    # step one per cell, and a chord step none: it reuses its step's.
+    eliminated = []
+    eliminate, condense = solver_mod._eliminate, solver_mod.static_condense
+
+    def counting_eliminate(J, *args):
+        eliminated[-1] += len(J)
+        return eliminate(J, *args)
+
+    def marking_condense(*args):
+        eliminated.append(0)
+        return condense(*args)
+
+    monkeypatch.setattr(solver_mod, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(solver_mod, "static_condense", marking_condense)
+    monkeypatch.setattr("hhonl.hho._CHUNK_BYTES", 1 << 14)  # one or two cells per chunk
+    mesh = harness.build_mesh("hexagonal-files", 1)  # three face-count groups
+    u, report = newton_solve(mean_curvature_problem(), mesh, 2)
+    assert report.chord_steps == [report.iterations] == [3]
+    classes = len(u.space._classes)
+    assert classes < len(list(u.space._chunks())) < mesh.num_cells
+    assert eliminated == [classes] + [mesh.num_cells] * 2 + [0]
+
+
+def test_a_chord_step_is_solved_to_the_forcing_cap():
+    _, report = newton_solve(mean_curvature_problem(), generate_cartesian(8), 2)
+    assert report.chord_steps == [report.iterations]
+    solves = report.linear_solves
+    assert [solves[i].rtol for i in report.chord_steps] == [solver_mod._FORCING_CAP]
+    assert all(s.residual <= solver_mod._FORCING_CAP for s in solves)
+
+
 def test_a_damped_step_is_not_followed_by_a_chord_step(monkeypatch):
     # With every increment small enough, each full step is followed by a
     # chord step; a step the line search shortened is not.  u = 256
@@ -804,6 +867,30 @@ def test_a_damped_step_is_not_followed_by_a_chord_step(monkeypatch):
     full = [not c and not d for c, d in zip(chord, damped)]
     assert chord == [False] + full[:-1]
     assert any(d and not c for c, d in zip(chord[:-1], damped[:-1]))  # a damped full step
+
+
+def test_a_full_step_that_converges_evaluates_no_residual_in_the_line_search(monkeypatch):
+    # At round-off no trial decreases the residual enough, so a search
+    # would evaluate all 8 trials and shrink the converging step to 1/256.
+    log = []
+    evaluate, solve = solver_mod._residual, solver_mod._FaceFactor.solve
+
+    def counting_residual(*args):
+        log[-1] += 1
+        return evaluate(*args)
+
+    def marking_solve(self, *args):
+        log.append(0)
+        return solve(self, *args)
+
+    monkeypatch.setattr(solver_mod, "_residual", counting_residual)
+    monkeypatch.setattr(solver_mod._FaceFactor, "solve", marking_solve)
+    _, report = newton_solve(steep_mean_curvature_problem(256), generate_cartesian(8), 1,
+                             line_search=True)
+    assert report.converged and report.iterations == 14
+    assert len(log) == report.iterations + 1  # the bootstrap's solve, then each step's
+    assert log[-1] == 0 and report.increments[-1] <= 1e-8
+    assert max(log[1:-1]) > 2  # earlier steps searched
 
 
 def test_solve_builds_no_sparse_matrix_but_the_face_system(monkeypatch):
@@ -856,9 +943,8 @@ def _condensed_by_coo(space, problem, w):
     parts = []
     for chunk in space._chunks():
         c = solver_mod._assemble(space, problem, w, chunk, load, need_jacobian=True)
-        rhs = np.concatenate((c.J[:, :Nk, Nk:], c.r[:, :Nk, None]), axis=2)
-        X = np.linalg.solve(c.J[:, :Nk, :Nk], rhs)
-        schur = c.J[:, Nk:, Nk:] - c.J[:, Nk:, :Nk] @ X[..., :-1]
+        X_F = np.linalg.inv(c.J[:, :Nk, :Nk]) @ c.J[:, :Nk, Nk:]
+        schur = c.J[:, Nk:, Nk:] - c.J[:, Nk:, :Nk] @ X_F
         f = rows[c.gidx[:, Nk:]]
         b = f.shape[1]
         r, col = np.repeat(f, b, axis=1).ravel(), np.tile(f, (1, b)).ravel()
