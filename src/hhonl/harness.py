@@ -254,9 +254,12 @@ def run_study(config):
     return result
 
 
+_CSV_HEADER = "family,k,h,error,rate,newton_iters"
+
+
 def write_csv(records, path):
     """Emit records as CSV with fixed %.4e float formatting (deterministic bytes)."""
-    lines = ["family,k,h,error,rate,newton_iters"]
+    lines = [_CSV_HEADER]
     for r in records:
         rate = "" if r.rate is None else f"{r.rate:.4e}"
         lines.append(f"{r.family},{r.k},{r.h:.4e},{r.error:.4e},{rate},{r.newton_iters}")
@@ -267,8 +270,7 @@ def write_csv(records, path):
 def read_csv(path):
     """Parse a CSV written by :func:`write_csv` back into records."""
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = "family,k,h,error,rate,newton_iters"
-    if not lines or lines[0] != header:
+    if not lines or lines[0] != _CSV_HEADER:
         raise StudyConfigError(f"{path}: not a study CSV (missing header)")
     records = []
     for line in lines[1:]:

@@ -195,8 +195,8 @@ def _step(floats_per_row):
     return max(1, _CHUNK_BYTES // (8 * floats_per_row))
 
 
-def _solve(A, B, cells, what, error=OperatorBuildError):
-    """Stacked ``np.linalg.solve``; a singular system raises ``error`` naming its cell."""
+def _solve(A, B, cells, what):
+    """Stacked ``np.linalg.solve``; a singular system raises OperatorBuildError naming its cell."""
     try:
         return np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
@@ -204,7 +204,7 @@ def _solve(A, B, cells, what, error=OperatorBuildError):
             try:
                 np.linalg.solve(A[i], B[i])
             except np.linalg.LinAlgError as exc:
-                raise error(f"cell {cells[i]}: singular {what}") from exc
+                raise OperatorBuildError(f"cell {cells[i]}: singular {what}") from exc
         raise
 
 

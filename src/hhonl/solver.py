@@ -25,7 +25,7 @@ of the nonlinear one; Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
 19, 1982): the bootstrap and the first Newton system to
 ``_FORCING_CAP`` of the condensed right-hand side g, each later one to
 ``0.9 (|g_k| / |g_{k-1}|)^2``, kept within ``[_RTOL, _FORCING_CAP]``.  A
-full step whose relative increment is at most ``_CHORD_INCREMENT`` is
+Newton step whose relative increment is at most ``_CHORD_INCREMENT`` is
 followed by a chord step, which keeps that step's Jacobian (Kelley,
 *Solving Nonlinear Equations with Newton's Method*, SIAM 2003): it
 assembles only the residual, condenses it with the inverted cell blocks
@@ -421,17 +421,13 @@ def _scatter_vector(blocks, n):
     return out
 
 
-def _residual(problem, w, load):
-    """:func:`residual` with the source's cell ``load`` (:func:`_cell_load`) given."""
+def residual(problem, w):
+    """Vector of the discrete nonlinear form at ``w`` against every test dof."""
     space = w.space
+    load = _cell_load(space, problem.source)
     local = (_assemble(space, problem, w, chunk, load, need_jacobian=False)
              for chunk in space._chunks())
     return _scatter_vector(((c.gidx, c.r) for c in local), space.num_dofs)
-
-
-def residual(problem, w):
-    """Vector of the discrete nonlinear form at ``w`` against every test dof."""
-    return _residual(problem, w, _cell_load(w.space, problem.source))
 
 
 def jacobian(problem, w, fields=None):
@@ -614,8 +610,8 @@ _RTOL = 1e-14
 # oversolve it, and took its Krylov steps from 7 to 4 on the benchmark.
 _FORCING_CAP = 1e-6
 
-# A full Newton step whose relative increment is at most this is followed
-# by a chord step.  Past it, Newton converges quadratically: on every
+# A Newton step whose relative increment is at most this is followed by a
+# chord step.  Past it, Newton converges quadratically: on every
 # benchmark solve the increments read 1.6e-2, 1.7e-5, 3.6e-11, and the
 # chord step's change to the iterate, about |J_k - J_{k-1}| |d_k|, is
 # round-off.
@@ -657,7 +653,7 @@ def _factor(S, dtype):
                 permc_spec="NATURAL", diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
 
 
-def _fgmres(S, g, x, lu, dtype, tol, patient):
+def _fgmres(S, g, x, lu, dtype, tol):
     """Flexible GMRES for ``S x = g`` from ``x``, preconditioned by the factor ``lu``.
 
     ``x`` None starts from zero, whose residual is ``g`` itself.
@@ -668,12 +664,12 @@ def _fgmres(S, g, x, lu, dtype, tol, patient):
     the Arnoldi basis with ``S z_j`` in float64.  The iterate is
     ``x + Z y``, with ``y`` minimizing the residual: every ``z_j`` is kept,
     since a single-precision solve is not a linear operator.  The attempt
-    ends once the residual estimate is at most ``tol``.  Unless ``patient``,
-    it gives up as soon as the steps still needed at its average rate so
-    far exceed ``_REFACTOR_STEPS`` plus the steps a fresh factor would
-    need at ``_FRESH_RATE``.  Returns ``(x, steps, converged)``: the
-    iterate (None while it is still zero), the steps taken and whether the
-    estimate reached ``tol``.
+    ends once the residual estimate is at most ``tol``.  A float32 attempt
+    gives up as soon as the steps still needed at its average rate so far
+    exceed ``_REFACTOR_STEPS`` plus the steps a fresh factor would need at
+    ``_FRESH_RATE``; a float64 attempt, the last resort, never gives up
+    early.  Returns ``(x, steps, converged)``: the iterate (None while it
+    is still zero), the steps taken and whether the estimate reached ``tol``.
     """
     r = g if x is None else g - S @ x
     beta = np.linalg.norm(r)
@@ -709,7 +705,7 @@ def _fgmres(S, g, x, lu, dtype, tol, patient):
         if est <= tol:
             converged = True
             break
-        if not patient:
+        if dtype is not np.float64:
             rho = est / beta
             left = (j + 1) * np.log(tol / est) / np.log(rho) if rho < 1 else np.inf
             if left > _REFACTOR_STEPS + np.log(tol / est) / np.log(_FRESH_RATE):
@@ -762,7 +758,7 @@ class _FaceFactor:
                         raise SolverError(f"condensed face system is singular: {exc}") from exc
                     log.debug("float32 factor of the face system failed (%s)", exc)
                     continue
-            x, n, converged = _fgmres(S, g, x, lu, dtype, tol, patient=dtype is np.float64)
+            x, n, converged = _fgmres(S, g, x, lu, dtype, tol)
             steps += n
             if converged:
                 break
@@ -814,14 +810,7 @@ def solve_linear_hho(space, source, face_factor=None, load=None, rtol=_RTOL):
     return space.vector_from_flat(recover((face_factor or _FaceFactor()).solve(S, g, rtol)))
 
 
-def _relative_increment(space, u, delta):
-    """The gradient norm of ``delta`` relative to that of the iterate ``u`` it led to."""
-    denom = space.gradient_norm(u)
-    return space.gradient_norm(delta) / denom if denom > 0 else space.gradient_norm(delta)
-
-
-def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
-                 line_search=False):
+def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None):
     """Newton iteration for the discrete nonlinear problem on ``mesh``.
 
     Starts from ``initial_guess`` or the Poisson bootstrap
@@ -830,15 +819,13 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
     condensed linearized system for an increment, to the forcing term of
     the module's rule; the iteration stops once the reconstructed-gradient
     norm of the increment, relative to the new iterate, drops to ``tol``.
-    A full (undamped) step whose relative increment is at most
-    ``_CHORD_INCREMENT`` is followed by a chord step, which condenses the
-    new residual with that step's kept cell-block inverses, face system and
-    factor, and solves to ``_FORCING_CAP``.  With ``line_search``, a step
-    is halved, at most 8 times, until the free residual falls by a
-    sufficient decrease; a full step whose increment already meets ``tol``
-    is taken without a search.  The nonlinear coefficients are integrated by the space's
-    quadrature: one rule of degree 2k+4 per face-count group, the same one
-    its operators are built with.
+    A Newton step whose relative increment is at most ``_CHORD_INCREMENT``
+    is followed by a chord step, which condenses the new residual with that
+    step's kept cell-block inverses, face system and factor, and solves to
+    ``_FORCING_CAP``.  The method is local: no step is damped.  The
+    nonlinear coefficients are integrated by the space's quadrature: one
+    rule of degree 2k+4 per face-count group, the same one its operators
+    are built with.
 
     Returns ``(solution, NewtonReport)``; raises
     :class:`NewtonDivergedError` after ``max_iter`` steps without
@@ -857,7 +844,6 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
     else:
         u = initial_guess.with_zero_boundary()
 
-    free = space.free_dofs()
     increments, chord_steps = [], []
     chord, last = False, 0.0  # last: |g| of the previous Newton system
     for it in range(1, max_iter + 1):
@@ -876,25 +862,13 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None,
         last = gnorm
         delta = space.vector_from_flat(-recover(face_factor.solve(S, g, rtol)))
         del S, g, recover  # so that this step's blocks go with kept, before the next condensation
-        alpha = 1.0
-        trial = u + delta
-        inc = _relative_increment(space, trial, delta)
-        if line_search and inc > tol:  # a full step that converges needs no search
-            rnorm = np.linalg.norm(_residual(problem, u, load)[free])
-            while alpha > 1.0 / 256.0:
-                r = _residual(problem, u + alpha * delta, load)[free]
-                if np.linalg.norm(r) <= (1.0 - 0.25 * alpha) * rnorm:
-                    break
-                alpha *= 0.5
-            if alpha < 1.0:
-                delta = alpha * delta
-                trial = u + delta
-                inc = _relative_increment(space, trial, delta)
-        u = trial
+        u = u + delta
+        denom = space.gradient_norm(u)  # the increment is relative to the iterate it led to
+        inc = space.gradient_norm(delta) / denom if denom > 0 else space.gradient_norm(delta)
         increments.append(inc)
         if inc <= tol:
             return u, NewtonReport(it, increments, True, face_factor.solves, chord_steps)
-        chord = not chord and alpha == 1.0 and inc <= _CHORD_INCREMENT
+        chord = not chord and inc <= _CHORD_INCREMENT
     report = NewtonReport(max_iter, increments, False, face_factor.solves, chord_steps)
     raise NewtonDivergedError(
         f"no convergence to {tol:g} within {max_iter} iterations "

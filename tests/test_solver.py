@@ -259,20 +259,10 @@ def test_newton_divergence_carries_report():
         newton_solve(problem, generate_cartesian(4), 1, max_iter=0)
 
 
-def test_line_search_reaches_the_same_solution():
-    problem = mean_curvature_problem()
-    mesh = generate_cartesian(4)
-    u_plain, _ = newton_solve(problem, mesh, 1)
-    u_ls, report = newton_solve(problem, mesh, 1, line_search=True)
-    assert report.converged
-    scale = np.abs(u_plain.to_flat()).max()
-    assert np.abs(u_ls.to_flat() - u_plain.to_flat()).max() <= 1e-7 * scale
-
-
-@pytest.mark.parametrize("steepness, line_search", [(1, False), (64, False), (64, True)])
-def test_newton_solve_calls_the_source_in_one_pass_over_the_chunks(steepness, line_search):
+@pytest.mark.parametrize("steepness", [1, 64])
+def test_newton_solve_calls_the_source_in_one_pass_over_the_chunks(steepness):
     # The source's cell load is integrated once and serves the bootstrap and
-    # every residual, however many Newton steps and line-search trials run.
+    # every residual, however many Newton steps run.
     base = steep_mean_curvature_problem(steepness)
     points = []
 
@@ -282,7 +272,7 @@ def test_newton_solve_calls_the_source_in_one_pass_over_the_chunks(steepness, li
 
     problem = dataclasses.replace(base, source=counting_source)
     mesh = harness.build_mesh("hexagonal-files", 1)  # three face-count groups
-    u, report = newton_solve(problem, mesh, 2, line_search=line_search)
+    u, report = newton_solve(problem, mesh, 2)
     assert report.iterations == {1: 3, 64: 10}[steepness]
     # The check samples the source at its 16 points first.
     assert points == [16] + [g.weights[g.op[sl]].size for g, sl in u.space._chunks()]
@@ -840,57 +830,14 @@ def test_a_chord_step_is_solved_to_the_forcing_cap():
     assert all(s.residual <= solver_mod._FORCING_CAP for s in solves)
 
 
-def test_a_damped_step_is_not_followed_by_a_chord_step(monkeypatch):
-    # With every increment small enough, each full step is followed by a
-    # chord step; a step the line search shortened is not.  u = 256
-    # x(1-x)y(1-y) on cartesian 8 makes the line search halve some steps.
+def test_a_chord_step_is_never_followed_by_another(monkeypatch):
+    # With every increment small enough, each Newton step is followed by a
+    # chord step and each chord step by a Newton step, which refreshes the
+    # Jacobian the chord step lagged.
     monkeypatch.setattr(solver_mod, "_CHORD_INCREMENT", np.inf)
-    log = []
-    evaluate, solve = solver_mod._residual, solver_mod._FaceFactor.solve
-
-    def counting_residual(*args):
-        log[-1] += 1
-        return evaluate(*args)
-
-    def marking_solve(self, *args):
-        log.append(0)
-        return solve(self, *args)
-
-    monkeypatch.setattr(solver_mod, "_residual", counting_residual)
-    monkeypatch.setattr(solver_mod._FaceFactor, "solve", marking_solve)
-    _, report = newton_solve(steep_mean_curvature_problem(256), generate_cartesian(8), 1,
-                             line_search=True)
-    # Each step evaluates the residual at the iterate and at each trial.
-    damped = [n > 2 for n in log[1:]]
-    assert len(damped) == report.iterations
-    chord = [it in report.chord_steps for it in range(1, report.iterations + 1)]
-    full = [not c and not d for c, d in zip(chord, damped)]
-    assert chord == [False] + full[:-1]
-    assert any(d and not c for c, d in zip(chord[:-1], damped[:-1]))  # a damped full step
-
-
-def test_a_full_step_that_converges_evaluates_no_residual_in_the_line_search(monkeypatch):
-    # At round-off no trial decreases the residual enough, so a search
-    # would evaluate all 8 trials and shrink the converging step to 1/256.
-    log = []
-    evaluate, solve = solver_mod._residual, solver_mod._FaceFactor.solve
-
-    def counting_residual(*args):
-        log[-1] += 1
-        return evaluate(*args)
-
-    def marking_solve(self, *args):
-        log.append(0)
-        return solve(self, *args)
-
-    monkeypatch.setattr(solver_mod, "_residual", counting_residual)
-    monkeypatch.setattr(solver_mod._FaceFactor, "solve", marking_solve)
-    _, report = newton_solve(steep_mean_curvature_problem(256), generate_cartesian(8), 1,
-                             line_search=True)
-    assert report.converged and report.iterations == 14
-    assert len(log) == report.iterations + 1  # the bootstrap's solve, then each step's
-    assert log[-1] == 0 and report.increments[-1] <= 1e-8
-    assert max(log[1:-1]) > 2  # earlier steps searched
+    _, report = newton_solve(steep_mean_curvature_problem(256), generate_cartesian(8), 1)
+    assert report.converged
+    assert report.chord_steps == list(range(2, report.iterations + 1, 2))
 
 
 def test_solve_builds_no_sparse_matrix_but_the_face_system(monkeypatch):
