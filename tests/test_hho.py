@@ -305,6 +305,14 @@ def test_non_star_shaped_cell_fails_by_name():
     assert isinstance(info.value.__cause__, QuadratureError)
 
 
+def test_a_singular_stacked_solve_names_its_cell():
+    A = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
+    A[2] = 0.0
+    with pytest.raises(OperatorBuildError,
+                       match="^cell 9: singular potential reconstruction system$") as info:
+        hho._solve(A, np.ones((4, 3, 2)), [5, 7, 9, 11], "potential reconstruction system")
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
 def test_interpolation_matches_blockwise_projection():
     rng = np.random.default_rng(55)
     mesh = pentagon_mesh()

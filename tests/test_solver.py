@@ -259,6 +259,15 @@ def test_newton_divergence_carries_report():
         newton_solve(problem, generate_cartesian(4), 1, max_iter=0)
 
 
+def test_newton_converges_on_a_steep_problem_where_damping_stalled():
+    # u = 128 x(1-x)y(1-y) on hexagonal-files 1, k=1: undamped Newton
+    # converges in 16 steps, while a sufficient-decrease line search kept
+    # the increment near 3e-2 for 40 steps.
+    mesh = harness.build_mesh("hexagonal-files", 1)
+    _, report = newton_solve(steep_mean_curvature_problem(128), mesh, 1, max_iter=40)
+    assert report.converged and report.iterations == 16
+    assert report.increments[-1] <= 1e-8
+
 @pytest.mark.parametrize("steepness", [1, 64])
 def test_newton_solve_calls_the_source_in_one_pass_over_the_chunks(steepness):
     # The source's cell load is integrated once and serves the bootstrap and
@@ -618,6 +627,21 @@ def test_stalled_single_precision_solve_falls_back_to_a_double_factor(monkeypatc
     reference = spsolve(S, g)
     assert np.abs(x - reference).max() <= 1e-6 * np.abs(reference).max()
 
+
+def test_only_a_float32_attempt_gives_up_early():
+    # The identity barely preconditions the 1D Laplacian of 200 rows, so no
+    # attempt reaches 1e-10 within _MAX_STEPS.  The float32 attempt gives up
+    # after its first step; the float64 one, the last resort, takes them all.
+    n = 200
+    S = sparse.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
+                     format="csc")
+    g = np.ones(n)
+    steps = {}
+    for dtype in (np.float32, np.float64):
+        lu = solver_mod._factor(sparse.identity(n, format="csc"), dtype)
+        _, steps[dtype], converged = solver_mod._fgmres(S, g, None, lu, dtype, 1e-10 * n**0.5)
+        assert not converged
+    assert steps == {np.float32: 1, np.float64: solver_mod._MAX_STEPS}
 
 @pytest.mark.parametrize("held, used", [("unrelated", "fresh float32"),
                                         ("nearby", "held float32")], ids=["unrelated", "nearby"])
