@@ -60,7 +60,9 @@ def monomials(xi, degree, gradient=False):
     px = np.polynomial.polynomial.polyvander(xi[..., 0], degree)
     py = np.polynomial.polynomial.polyvander(xi[..., 1], degree)
     if not gradient:
-        return px[..., a] * py[..., b]
+        values = px[..., a]
+        values *= py[..., b]
+        return values
     gx = a * px[..., np.maximum(a - 1, 0)] * py[..., b]
     gy = b * px[..., a] * py[..., np.maximum(b - 1, 0)]
     return np.stack((gx, gy), axis=-1)
@@ -84,13 +86,19 @@ def orthonormal_frame(points, weights, degree):
     moments per unit area; T = R^-1 for the Householder QR of sqrt(w) m(A x)
     with the diagonal of R made positive.
     """
+    return _frame(points, weights, degree)[:2]
+
+
+def _frame(points, weights, degree):
+    """``(A, T, phi)``: :func:`orthonormal_frame` and the basis values phi at the rule's points."""
     w = weights[..., None]
     moment = np.swapaxes(points, -1, -2) @ (points * w) / w.sum(axis=-2)[..., None]
     A = np.linalg.inv(np.linalg.cholesky(moment))
-    R = np.linalg.qr(np.sqrt(w) * monomials(points @ np.swapaxes(A, -1, -2), degree),
-                     mode="r")
+    m = monomials(points @ np.swapaxes(A, -1, -2), degree)
+    R = np.linalg.qr(np.sqrt(w) * m, mode="r")
     R *= np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None]
-    return A, np.linalg.inv(R)
+    T = np.linalg.inv(R)
+    return A, T, m @ T
 
 
 class CellBasis:

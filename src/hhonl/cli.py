@@ -180,6 +180,8 @@ def cmd_mesh_info(args):
     print(f"regularity min sqrt(h_F/h_T): {mesh_regularity(mesh):.4f}")
     print(f"total area: {mesh.cell_areas.sum():.12f}")
     print(f"orientation repairs: {mesh.orientation_repairs}")
+    depth, top = mesh.face_order_tree
+    print(f"face order: cell tree depth {depth}, top separator {top} faces")
     return 0
 
 

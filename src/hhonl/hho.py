@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import (CellBasis, FaceBasis, graded_lex_exponents, legendre, monomials,
-                    orthonormal_frame, space_dimension)
+from .basis import (CellBasis, FaceBasis, _frame, graded_lex_exponents, legendre, monomials,
+                    space_dimension)
 from .quadrature import MAX_TRIANGLE_DEGREE, QuadratureError, cell_quadrature, face_quadrature
 
 __all__ = [
@@ -334,8 +334,7 @@ class HHOSpace:
             rule = cell_quadrature(verts, self.quad_degree)
         except QuadratureError as exc:
             raise OperatorBuildError(f"cell {cells[exc.index]}: {exc}") from exc
-        A, T = orthonormal_frame(rule.points, rule.weights, self.k + 1)
-        phi = monomials(rule.points @ np.swapaxes(A, 1, 2), self.k + 1) @ T  # (c, nq, Nk1)
+        A, T, phi = _frame(rule.points, rule.weights, self.k + 1)  # phi (c, nq, Nk1)
         c, nq = rule.weights.shape
         stacks = None
         for sl in _slices(c, _step(2 * nq * self.Nk1)):

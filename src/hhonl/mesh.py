@@ -154,7 +154,7 @@ class PolytopalMesh:
         self._build_faces()
         self._compute_face_geometry()
         self._check_partition()
-        self._interior_face_order = None
+        self._face_tree = None  # (order, depth, top) of interior_face_order
         for arr in (self.vertices, self.faces, self.face_owner, self.face_neighbor,
                     self.cell_centroids, self.cell_areas, self.cell_diameters,
                     self.face_midpoints, self.face_lengths, self.face_normals):
@@ -320,20 +320,67 @@ class PolytopalMesh:
         """Nested-dissection order of the interior faces, built on first use.
 
         Entry ``i`` is a position in :attr:`interior_faces`; the order comes
-        from a bisection tree of the cells (:func:`_cell_tree_order`).  It
-        depends only on the mesh, so every linear solve on it reuses it.
+        from a bisection tree of the cells (:func:`_cell_tree_order`) on
+        their hop coordinates (:meth:`_hop_coordinates`).  It depends only
+        on the mesh, so every linear solve on it reuses it.
         """
-        if self._interior_face_order is None:
+        return self._ordered()[0]
+
+    @property
+    def face_order_tree(self):
+        """``(depth, top)`` of the cell tree behind :attr:`interior_face_order`.
+
+        ``depth`` is its number of levels and ``top`` the number of faces
+        in the root's separator, which the order puts last.
+        """
+        return self._ordered()[1:]
+
+    def _ordered(self):
+        if self._face_tree is None:
             start = time.perf_counter()
             interior = self.interior_faces
             order, depth, top = _cell_tree_order(
-                self.cell_centroids, self.face_owner[interior], self.face_neighbor[interior])
+                self._hop_coordinates(), self.face_owner[interior], self.face_neighbor[interior])
             order.setflags(write=False)
-            self._interior_face_order = order
+            self._face_tree = order, depth, top
             log.debug("nested-dissection order of %d interior faces: cell tree depth %d, "
                       "top separator %d faces, built in %.3f s",
                       len(order), depth, top, time.perf_counter() - start)
-        return self._interior_face_order
+        return self._face_tree
+
+    def _hop_coordinates(self):
+        """``(d_left - d_right, d_bottom - d_top)`` of every cell, as an (nc, 2) int array.
+
+        ``d_s`` is the number of interior faces crossed from the nearest
+        cell with a boundary face on side ``s``; a boundary face is on the
+        side (-x, +x, -y or +y) its outward normal points along most.  The
+        four distances come from one level-synchronous breadth-first sweep.
+        A cell that no seed reaches keeps ``num_cells``.  On a logical grid
+        the coordinates are the logical indices, however the cells slant.
+        """
+        nc = self.num_cells
+        interior = self.interior_faces
+        src = np.r_[self.face_owner[interior], self.face_neighbor[interior]]
+        nbr = np.r_[self.face_neighbor[interior], self.face_owner[interior]]
+        nbr = nbr[np.argsort(src, kind="stable")]  # each cell's neighbors, contiguous
+        first = np.r_[0, np.cumsum(np.bincount(src, minlength=nc))]
+        boundary = self.boundary_faces
+        n = self.face_normals[boundary]
+        side = np.argmax(np.column_stack((-n[:, 0], n[:, 0], -n[:, 1], n[:, 1])), axis=1)
+        hops = np.full((4, nc), nc)
+        hops[side, self.face_owner[boundary]] = 0
+        flat = hops.reshape(-1)
+        front = np.flatnonzero(flat == 0)  # positions in the (4, nc) array
+        hop = 0
+        while len(front):
+            hop += 1
+            s, c = np.divmod(front, nc)
+            count = first[c + 1] - first[c]
+            at = np.repeat(first[c] - np.cumsum(count) + count, count) + np.arange(count.sum())
+            reached = np.repeat(s * nc, count) + nbr[at]
+            front = np.unique(reached[flat[reached] == nc])
+            flat[front] = hop
+        return np.column_stack((hops[0] - hops[1], hops[2] - hops[3]))
 
     def cell_vertices(self, ci):
         """Coordinates of cell ``ci``'s corners, counterclockwise."""
@@ -348,18 +395,18 @@ class PolytopalMesh:
         raise ValueError(f"face {fi} is not incident to cell {ci}")
 
 
-def _cell_tree_order(centroids, owner, neighbor):
+def _cell_tree_order(coords, owner, neighbor):
     """Nested dissection (George, SIAM J. Numer. Anal. 1973) on a bisection tree of the cells.
 
-    Each node splits its cells at the rank median of their centroids along
-    the longer side of their bounding box (ties kept in order), down to
-    single cells.  Face ``i``, between ``owner[i]`` and ``neighbor[i]``, is
-    in the separator of the deepest node holding both; faces come in
-    post-order of their nodes, so both halves are eliminated before their
-    separator.  Returns ``(order, depth, top)``: the face order, the number
+    Each node splits its cells at the rank median of their ``coords``
+    (nc, 2) along the longer side of their bounding box (ties kept in
+    order), down to single cells.  Face ``i``, between ``owner[i]`` and
+    ``neighbor[i]``, is in the separator of the deepest node holding both;
+    faces come in post-order of their nodes, so both halves are eliminated
+    before their separator.  Returns ``(order, depth, top)``: the face order, the number
     of levels and the size of the root's separator.
     """
-    n = len(centroids)
+    n = len(coords)
     perm = np.arange(n)  # cells in tree order; every node is a contiguous range
     sizes = np.array([n])
     below = np.empty(n, dtype=np.int64)  # end of the range of each cell's child node
@@ -369,7 +416,7 @@ def _cell_tree_order(centroids, owner, neighbor):
     while sizes.max() > 1:
         starts = np.cumsum(sizes) - sizes
         node = np.repeat(np.arange(len(sizes)), sizes)
-        pts = centroids[perm]
+        pts = coords[perm]
         extent = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
         coord = np.where(extent[node, 1] > extent[node, 0], pts[:, 1], pts[:, 0])
         perm = perm[np.lexsort((coord, node))]

@@ -581,7 +581,8 @@ class LinearSolve(NamedTuple):
     ``rtol`` is the relative tolerance the solve was given: ``_RTOL`` for a
     solve on its own, a forcing term inside :func:`newton_solve`.  The
     residual it reached may lie below ``rtol`` (a Krylov step overshoots)
-    and, near ``_RTOL``, somewhat above it (the float64 floor).
+    and above it: up to ``max(10 rtol, _FLOAT64_FLOOR)``, or to the
+    float64 floor for a solve to ``_RTOL``.
     """
 
     factor: str       # "fresh float32", "held float32" or "float64": the factor that finished
@@ -598,6 +599,18 @@ class LinearSolve(NamedTuple):
 # _RTOL, where the true residual sits at its float64 floor: 4e-16 to
 # 1.2e-12 of |g| over the benchmark's 184 face solves at that tolerance.
 _RTOL = 1e-14
+
+# A float64 attempt given a tolerance above _RTOL fails if its true
+# residual ends above 10 times that tolerance and above this floor, which
+# covers the float64 floor of a well-conditioned system: its Krylov
+# estimate met the tolerance, but the system is too ill-conditioned to be
+# solved to it.  On the steep sweep (u = s x(1-x)y(1-y), s = 32..1024, 9
+# meshes, k = 0..3), the float64 solves of the Newton solves that
+# converged ended at most at 0.83 times their tolerance, those of failing
+# ones at 11 to over 1e6 times.  A solve to _RTOL asks for the float64
+# floor itself, which grows with the condition number, so it is not
+# judged: a system of condition number 1e9 ends at about 1e-8.
+_FLOAT64_FLOOR = 1e-10
 
 # The forcing terms of newton_solve never exceed this: the bootstrap, the
 # first Newton system and every chord step are solved to it, each later
@@ -737,7 +750,9 @@ class _FaceFactor:
     def solve(self, S, g, rtol=_RTOL):
         """The solution ``x`` of ``S x = g`` to ``rtol`` of ``|g|``.
 
-        Its :class:`LinearSolve` goes on ``solves``.
+        Its :class:`LinearSolve` goes on ``solves``.  Raises
+        :class:`SolverError` if the float64 factor fails, or if its attempt
+        ends with a true residual beyond the bound of ``_FLOAT64_FLOOR``.
         """
         gnorm = np.linalg.norm(g)
         tol = rtol * gnorm
@@ -766,9 +781,13 @@ class _FaceFactor:
         else:
             raise SolverError("condensed face system is singular: "
                               "flexible GMRES with a float64 factor did not converge")
+        residual = float(np.linalg.norm(g - S @ x) / gnorm) if gnorm > 0 else 0.0
         if dtype is np.float32:
             self.lu = lu
-        residual = float(np.linalg.norm(g - S @ x) / gnorm) if gnorm > 0 else 0.0
+        elif rtol > _RTOL and residual > max(10 * rtol, _FLOAT64_FLOOR):
+            raise SolverError(
+                "condensed face system is singular: the float64 factor left a relative "
+                f"residual of {residual:.1e} against the tolerance {rtol:.1e}")
         self.solves.append(LinearSolve(kind, steps, rtol, residual, S.shape[0], S.nnz, lu.nnz))
         log.debug("face system: %d rows, %d nonzeros, %s factor, %d Krylov steps, "
                   "tolerance %.1e, relative residual %.1e",

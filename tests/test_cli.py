@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from hhonl import harness
 from hhonl.cli import build_parser, main
 from hhonl.mesh import generate_cartesian, write_mesh
 
@@ -97,6 +98,13 @@ def test_mesh_info_reports_statistics(tmp_path, capsys):
     assert "cells: 9" in out
     assert "total area: 1.000000000000" in out
     assert "orientation repairs: 0" in out
+
+
+def test_mesh_info_reports_the_face_order(tmp_path, capsys):
+    path = tmp_path / "kershaw.json"
+    write_mesh(harness.build_mesh("kershaw-files", 1), path)
+    assert main(["mesh-info", str(path)]) == 0
+    assert "face order: cell tree depth 8, top separator 12 faces" in capsys.readouterr().out
 
 
 def test_mesh_info_missing_file(capsys):

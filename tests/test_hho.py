@@ -267,8 +267,11 @@ def test_one_cell_rule_per_face_count_group_serves_operators_and_assembly(monkey
     space._ensure_classes()
     # 4-, 5- and 6-gons: three groups, each with one rule of degree 2k+4.
     assert degrees == [space.quad_degree] * 3
-    # The rule orthonormalizes every class basis: its mass matrix is I.
+    # The rule orthonormalizes every class basis: its mass matrix is I.  The
+    # stored values are the frame's own monomial table times T, bit for bit.
     for g in space._groups:
+        m = monomials(g.offsets @ np.swapaxes(g.A, 1, 2), space.k + 1)
+        assert np.array_equal(g.phi, m @ g.T)
         mass = np.swapaxes(g.phi * g.weights[..., None], 1, 2) @ g.phi
         np.testing.assert_allclose(mass, np.broadcast_to(np.eye(space.Nk1), mass.shape),
                                    rtol=0, atol=1e-13)

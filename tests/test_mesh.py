@@ -200,12 +200,13 @@ ORDERED_MESHES = {
     "cartesian": lambda: generate_cartesian(16),
     "triangular": lambda: generate_triangular(12),
     "hexagonal": lambda: build_mesh("hexagonal-files", 2),
+    "kershaw": lambda: build_mesh("kershaw-files", 1),
 }
 
 
-def _median_split(mesh, cells):
-    """The two halves of a cell-tree node: rank median along the longer centroid extent."""
-    pts = mesh.cell_centroids[cells]
+def _median_split(coords, cells):
+    """The two halves of a cell-tree node: rank median along the longer extent of ``coords``."""
+    pts = coords[cells]
     axis = int(np.ptp(pts[:, 1]) > np.ptp(pts[:, 0]))
     ranked = cells[np.argsort(pts[:, axis], kind="stable")]
     return ranked[:len(cells) // 2], ranked[len(cells) // 2:], axis
@@ -224,13 +225,15 @@ def test_interior_face_order_is_a_cached_permutation(family):
 @pytest.mark.parametrize("family", sorted(ORDERED_MESHES))
 def test_nested_dissection_top_level_separates_the_halves(family):
     mesh = ORDERED_MESHES[family]()
-    left, right, axis = _median_split(mesh, np.arange(mesh.num_cells))
+    coords = mesh._hop_coordinates()
+    left, right, axis = _median_split(coords, np.arange(mesh.num_cells))
     assert min(len(left), len(right)) > mesh.num_cells / 4
-    assert mesh.cell_centroids[left, axis].max() <= mesh.cell_centroids[right, axis].min()
+    assert coords[left, axis].max() <= coords[right, axis].min()
     interior = mesh.interior_faces
     crossing = np.flatnonzero(np.isin(mesh.face_owner[interior], left)
                               != np.isin(mesh.face_neighbor[interior], left))
     assert len(crossing) > 0
+    assert mesh.face_order_tree[1] == len(crossing)
     # The order eliminates both halves before the faces between them.
     order = mesh.interior_face_order
     assert np.array_equal(np.sort(order[len(order) - len(crossing):]), crossing)
@@ -243,6 +246,7 @@ def test_each_face_follows_the_faces_inside_the_halves_of_its_node(family):
     owner, neighbor = mesh.face_owner[interior], mesh.face_neighbor[interior]
     position = np.empty(len(interior), dtype=np.int64)
     position[mesh.interior_face_order] = np.arange(len(interior))
+    coords = mesh._hop_coordinates()
     separated = []
 
     def visit(cells, faces):
@@ -250,7 +254,7 @@ def test_each_face_follows_the_faces_inside_the_halves_of_its_node(family):
         if len(cells) == 1:
             assert len(faces) == 0
             return
-        left, right, _ = _median_split(mesh, cells)
+        left, right, _ = _median_split(coords, cells)
         a, b = np.isin(owner[faces], left), np.isin(neighbor[faces], left)
         inner, separator = faces[a == b], faces[a != b]
         if len(inner) and len(separator):
@@ -262,6 +266,18 @@ def test_each_face_follows_the_faces_inside_the_halves_of_its_node(family):
     visit(np.arange(mesh.num_cells), np.arange(len(interior)))
     # Each face is in the separator of exactly one node.
     assert np.array_equal(np.sort(np.concatenate(separated)), np.arange(len(interior)))
+
+
+@pytest.mark.parametrize("level, top", [(1, 12), (2, 24)])
+def test_kershaw_top_separator_runs_along_a_grid_line(level, top):
+    # The hop coordinates of the n x n slanted grid, n = 6 * 2^level, are its
+    # logical indices, so the root cuts along one grid line: n faces.  The
+    # slanted cells' centroids gave 18 and 36.
+    mesh = build_mesh("kershaw-files", level)
+    coords = mesh._hop_coordinates()
+    n = 6 * 2**level
+    assert np.array_equal(np.sort(np.unique(coords[:, 0])), np.arange(1 - n, n, 2))
+    assert mesh.face_order_tree[1] == top
 
 
 def test_json_round_trip(tmp_path):

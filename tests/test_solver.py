@@ -21,6 +21,7 @@ from hhonl.solver import (
     NewtonDivergedError,
     NonlinearProblem,
     ProblemDefinitionError,
+    SolverError,
     get_problem,
     jacobian,
     mean_curvature_problem,
@@ -527,6 +528,57 @@ def test_meshes_with_one_face_block_solve(mesh):
     assert np.all(np.isfinite(u.to_flat()))
 
 
+def _poisson_fill(mesh, k):
+    face_factor = solver_mod._FaceFactor()
+    solve_linear_hho(HHOSpace(mesh, k), _smooth_source, face_factor)
+    return face_factor.solves[0].fill
+
+
+def test_kershaw_factor_fills_no_more_than_the_grid_of_its_size():
+    # 576 slanted cells against the 24 x 24 grid: 119144 against 120936
+    # entries; bisecting the slanted centroids gave 154760.
+    assert _poisson_fill(harness.build_mesh("kershaw-files", 2), 1) \
+        <= _poisson_fill(generate_cartesian(24), 1)
+
+
+def _l_shape():
+    """The 8 x 8 unit grid without its upper right quarter."""
+    mesh = generate_cartesian(8)
+    return PolytopalMesh(mesh.vertices, [c for c in mesh.cells
+                                         if mesh.vertices[c].min(axis=0).min() < 0.5])
+
+
+def _two_squares():
+    mesh = generate_cartesian(4)
+    shifted = mesh.vertices + [2.0, 0.0]
+    nv = mesh.num_vertices
+    return PolytopalMesh(np.vstack((mesh.vertices, shifted)),
+                         mesh.cells + [c + nv for c in mesh.cells])
+
+
+def _rotated_square():
+    mesh = generate_cartesian(6)
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    return PolytopalMesh(mesh.vertices @ np.array([[c, s], [-s, c]]), mesh.cells)
+
+
+@pytest.mark.parametrize("build", [
+    _two_squares,
+    _l_shape,
+    _rotated_square,  # every boundary normal ties between two sides
+], ids=["two-squares", "l-shape", "rotated-square"])
+def test_off_grid_domains_are_ordered_and_solved(build):
+    mesh = build()
+    coords = mesh._hop_coordinates()
+    assert coords.shape == (mesh.num_cells, 2)
+    assert np.abs(coords).max() <= mesh.num_cells
+    order = mesh.interior_face_order
+    assert np.array_equal(np.sort(order), np.arange(len(mesh.interior_faces)))
+    u = solve_linear_hho(HHOSpace(mesh, 1), _smooth_source)
+    assert np.all(np.isfinite(u.to_flat()))
+    assert np.abs(u.to_flat()).max() > 0
+
+
 def _capture_solve(monkeypatch):
     """Record the face systems, their right-hand sides and recoveries, and every factor."""
     seen = {"systems": [], "factors": []}
@@ -728,6 +780,15 @@ def test_steep_problem_replaces_a_held_factor_and_keeps_the_solution(monkeypatch
     assert direct.iterations == 10
     scale = np.abs(reference.to_flat()).max()
     assert np.abs(u.to_flat() - reference.to_flat()).max() <= 1e-12 * scale
+
+
+def test_a_float64_solve_far_above_its_tolerance_fails():
+    # u = 256 x(1-x)y(1-y): the Krylov estimate of a float64 attempt meets
+    # the forcing term 1e-6 while the true residual stays at 4.6e-5 of |g|.
+    message = ("condensed face system is singular: the float64 factor left a relative "
+               "residual of 4.6e-05 against the tolerance 1.0e-06")
+    with pytest.raises(SolverError, match=re.escape(message)):
+        newton_solve(steep_mean_curvature_problem(256), generate_cartesian(16), 1, max_iter=40)
 
 
 def test_solve_logs_face_system_and_ordering_at_debug(caplog):
