@@ -112,12 +112,16 @@ class CellBasis:
     frame : optional
         (A, T) of :func:`orthonormal_frame` for this cell's shape, of this
         degree or higher; by default built from the cell's own rule.
+    center : optional
+        The cell's centroid, if the caller holds it; by default computed
+        from the vertices.
     """
 
-    def __init__(self, vertices, degree, frame=None, cell_index=None):
+    def __init__(self, vertices, degree, frame=None, cell_index=None, center=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.degree = int(degree)
-        self.center = polygon_centroid(self.vertices)
+        self.center = (polygon_centroid(self.vertices) if center is None
+                       else np.asarray(center, dtype=float))
         self.cell_index = cell_index
         self.dimension = space_dimension(self.degree)
         if frame is None:

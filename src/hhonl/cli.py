@@ -102,8 +102,8 @@ def cmd_solve(args):
     print(f"mesh: {mesh.num_cells} cells, {mesh.num_faces} faces, h = {mesh_size(mesh):.4e}")
     print(f"degree: k = {args.k}, unknowns: {u.space.num_dofs}")
     print(f"newton: converged in {report.iterations} iterations")
-    for i, inc in enumerate(report.increments, start=1):
-        print(f"  iter {i}: relative increment {inc:.3e}")
+    for i, (inc, res) in enumerate(zip(report.increments, report.residuals), start=1):
+        print(f"  iter {i}: relative increment {inc:.3e}  condensed residual {res:.3e}")
     print("face solves (bootstrap first; a chord step reuses the previous step's Jacobian):")
     for i, solve in enumerate(report.linear_solves):
         chord = " (chord step)" if i in report.chord_steps else ""

@@ -176,10 +176,13 @@ def gradient_error(u_h, exact_gradient):
     coeffs = space.reconstruct_gradient_global(u_h)
     num = 0.0
     den = 0.0
-    for ids, pts, weights, phi in space.quadrature_batches():
-        grad = phi[..., :space.Nk] @ coeffs[ids].transpose(0, 2, 1)
-        exact = np.asarray(exact_gradient(pts.reshape(-1, 2)), dtype=float)
-        exact = exact.reshape(grad.shape)
+    for ids, pts, weights, phi in space._chunk_rules():
+        if phi.ndim == 2:  # one class: (2 m, Nk) coefficients against its (nq, Nk) values
+            grad = (coeffs[ids].reshape(-1, space.Nk) @ phi.T).reshape(len(ids), 2, -1)
+            grad = grad.transpose(0, 2, 1)
+        else:
+            grad = phi @ coeffs[ids].transpose(0, 2, 1)
+        exact = np.asarray(exact_gradient(pts), dtype=float).reshape(grad.shape)
         num += float(np.sum(weights * ((exact - grad)**2).sum(axis=2)))
         den += float(np.sum(weights * (exact**2).sum(axis=2)))
     if den <= 0.0:

@@ -15,9 +15,13 @@ Cells are grouped by face count.  Each group has one cell rule of degree
 assembly, interpolation, loads and errors; the energy norm reads the
 face traces the operator build keeps.  Every loop over cells runs over
 the groups in chunks of bounded size.
-Congruence only deduplicates: cells with the same shape, size and face
-ownership share one row of their group's operator stacks, so uniform
-meshes store a handful of operator sets.
+Cells with the same shape, size and face ownership share one congruence
+class, and one row of their group's operator stacks, so uniform meshes
+store a handful of operator sets.  Each group orders its cells by class
+and cuts its chunks at the boundaries of its larger classes, so that a
+chunk of one class takes that class's operators as 2-D operands, one
+matrix product for all its cells, and only chunks pooling small classes
+gather a copy per cell.
 """
 
 from __future__ import annotations
@@ -73,12 +77,15 @@ class _Group:
     """Cells with one face count and the operator stacks of their congruence classes.
 
     Cell ``cells[i]`` uses row ``op[i]`` of every stack, one row per class.
-    A chunk of ``step`` cells keeps every gathered array under
-    ``_CHUNK_BYTES``.
+    Cells are ordered by class, ascending ids within a class.  ``chunks``
+    cuts them at the boundary of every class of at least ``step // 4``
+    cells (:func:`_class_slices`); no chunk holds more than ``step``
+    cells, which keeps every gathered array under ``_CHUNK_BYTES``.
     """
 
     step: int
-    cells: np.ndarray      # (m,) ascending cell ids
+    chunks: list           # slices of the cells, one per chunk
+    cells: np.ndarray      # (m,) cell ids, ordered by class
     face_ids: np.ndarray   # (m, nf) global face ids per slot
     gidx: np.ndarray       # (m, nloc) global dof indices
     op: np.ndarray         # (m,) stack row of each cell
@@ -190,6 +197,54 @@ def _slices(n, step):
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
+def _class_slices(op, step):
+    """Chunks of a class-ordered stack whose cells have the classes ``op``.
+
+    A class of at least ``step // 4`` cells gets chunks of its own, so
+    that they take its operators as 2-D operands; smaller classes are
+    pooled in order into mixed chunks.  No chunk holds more than ``step``
+    cells.
+    """
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(op)) + 1, [len(op)]))
+    out, lo = [], 0  # lo: the first cell of the pool not yet cut
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if b - a >= step // 4:
+            if lo < a:
+                out.append(slice(lo, a))
+            out += [slice(s, min(s + step, b)) for s in range(a, b, step)]
+            lo = b
+        elif b - lo > step:
+            out.append(slice(lo, a))
+            lo = a
+    if lo < len(op):
+        out.append(slice(lo, len(op)))
+    return out
+
+
+def _quadrature_points(centroids, offsets):
+    """Points ``centroids[:, None] + offsets``, (m, nq, 2), one coordinate at a time.
+
+    ``offsets`` is one class's (nq, 2) or a gathered (m, nq, 2).  Each
+    coordinate is one long addition, where the broadcast would run an
+    inner loop of length 2; the points are bitwise the same.
+    """
+    out = np.empty((len(centroids),) + offsets.shape[-2:])
+    for d in range(2):
+        np.add(centroids[:, d, None], offsets[..., d], out=out[..., d])
+    return out
+
+
+def _chunk_rows(g, sl):
+    """What indexes ``g``'s stacks for the cells ``g.cells[sl]``.
+
+    The class itself when they share one (cells are ordered by class, so
+    the first and last tell): the stacks then give 2-D operands.
+    Otherwise each cell's row, which gathers a copy per cell.
+    """
+    op = g.op[sl]
+    return op[0] if op[0] == op[-1] else op
+
+
 def _step(floats_per_row):
     """Rows per chunk so that an array of ``floats_per_row`` per row stays under _CHUNK_BYTES."""
     return max(1, _CHUNK_BYTES // (8 * floats_per_row))
@@ -268,6 +323,7 @@ class HHOSpace:
         self.num_dofs = self.num_cell_dofs + self.num_face_dofs
         self._classes = None      # representative cell of each congruence class
         self._groups = None       # one _Group per face count
+        self._where = None        # (num_cells, 2): each cell's group and position in it
         self._face_pattern = None
 
     # -- bases --------------------------------------------------------------
@@ -278,8 +334,8 @@ class HHOSpace:
         degree = self.k + 1 if degree is None else degree
         if not 0 <= degree <= self.k + 1:
             raise ValueError(f"the class bases have degree {self.k + 1}, got {degree}")
-        return CellBasis(self.mesh.cell_vertices(ci), degree,
-                         frame=(g.A[g.op[i]], g.T[g.op[i]]), cell_index=ci)
+        return CellBasis(self.mesh.cell_vertices(ci), degree, frame=(g.A[g.op[i]], g.T[g.op[i]]),
+                         cell_index=ci, center=self.mesh.cell_centroids[ci])
 
     def face_basis(self, fi):
         """Degree-k Legendre basis on face ``fi`` in the owner cell's direction."""
@@ -307,14 +363,21 @@ class HHOSpace:
             op, rows = _congruence_index(verts / h[:, None, None], signs, h / hmax)
             reps.append(cells[rows])
             stacks = self._build_stacks(verts[rows], h[rows], signs[rows], cells[rows])
+            order = np.argsort(op, kind="stable")
+            cells, face_ids, op = cells[order], face_ids[order], op[order]
             nloc = Nk + nf * nF
             fdofs = self.num_cell_dofs + face_ids[:, :, None] * nF + np.arange(nF)
             gidx = np.hstack((cells[:, None] * Nk + np.arange(Nk), fdofs.reshape(len(cells), -1)))
             # The widest per-cell array a chunk gathers: basis values or
             # callback values at the quadrature points, or a local matrix.
             nq = stacks[-1].shape[1]
-            groups.append(_Group(_step(max(nq * max(self.Nk1, 4), nloc * nloc)),
-                                 cells, face_ids, gidx, op, *stacks))
+            step = _step(max(nq * max(self.Nk1, 4), nloc * nloc))
+            groups.append(_Group(step, _class_slices(op, step), cells, face_ids, gidx, op,
+                                 *stacks))
+        where = np.empty((mesh.num_cells, 2), dtype=np.int64)
+        for gi, g in enumerate(groups):
+            where[g.cells, 0], where[g.cells, 1] = gi, np.arange(len(g.cells))
+        self._where = where
         self._groups = groups
         self._classes = np.concatenate(reps)
         log.debug("operators of %d cells in %d face-count groups, %d distinct classes, "
@@ -413,16 +476,14 @@ class HHOSpace:
         """Group of cell ``ci`` and the cell's position in the group's ``cells``."""
         self._check_cell(ci)
         self._ensure_classes()
-        for g in self._groups:
-            i = np.searchsorted(g.cells, ci)
-            if i < len(g.cells) and g.cells[i] == ci:
-                return g, i
+        gi, i = self._where[ci]
+        return self._groups[gi], int(i)
 
     def _chunks(self):
-        """(group, slice of its cells) pairs covering every cell once."""
+        """(group, slice of its cells) pairs covering every cell once, the groups' ``chunks``."""
         self._ensure_classes()
         for g in self._groups:
-            yield from ((g, sl) for sl in _slices(len(g.cells), g.step))
+            yield from ((g, sl) for sl in g.chunks)
 
     def _local_values(self, g, sl, v):
         """Local dof blocks of ``v`` for the cells ``g.cells[sl]``, (m, nloc)."""
@@ -474,13 +535,22 @@ class HHOSpace:
         ``values(points, ids)`` returns values at the (m nq, 2) points of a chunk's cells ``ids``.
         """
         out = np.empty((self.mesh.num_cells, self.Nk))
-        for g, sl in self._chunks():
-            ids, op = g.cells[sl], g.op[sl]
-            pts = (self.mesh.cell_centroids[ids][:, None, :] + g.offsets[op]).reshape(-1, 2)
-            w = g.weights[op]
-            vals = np.asarray(values(pts, ids), dtype=float).reshape(w.shape) * w
-            out[ids] = (vals[:, None] @ g.phi[op, :, :self.Nk])[:, 0]
+        for ids, points, w, phi in self._chunk_rules():
+            vals = np.asarray(values(points, ids), dtype=float).reshape(len(ids), -1) * w
+            out[ids] = vals @ phi if phi.ndim == 2 else (vals[:, None] @ phi)[:, 0]
         return out
+
+    def _chunk_rules(self):
+        """Yield each chunk's (cell ids, points, weights, degree-k basis values).
+
+        The points are (m nq, 2).  A chunk of one class gets its class's
+        weights (nq,) and values (nq, Nk), a mixed chunk a copy per cell,
+        (m, nq) and (m, nq, Nk).
+        """
+        for g, sl in self._chunks():
+            ids, at = g.cells[sl], _chunk_rows(g, sl)
+            points = _quadrature_points(self.mesh.cell_centroids[ids], g.offsets[at])
+            yield ids, points.reshape(-1, 2), g.weights[at], g.phi[at, :, :self.Nk]
 
     # -- norms and reconstructions -------------------------------------------
 
@@ -541,7 +611,7 @@ class HHOSpace:
         """
         for g, sl in self._chunks():
             ids, op = g.cells[sl], g.op[sl]
-            pts = self.mesh.cell_centroids[ids][:, None, :] + g.offsets[op]
+            pts = _quadrature_points(self.mesh.cell_centroids[ids], g.offsets[op])
             yield ids, pts, g.weights[op], g.phi[op]
 
     def free_dofs(self):

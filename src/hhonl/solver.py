@@ -2,8 +2,11 @@
 
 The discrete nonlinear form and its fully discrete linearization are
 evaluated as stacks of local residuals and Jacobians, in vectorized
-chunks of cells with one face count whose local operators are gathered
-from the space's operator stacks.  No global matrix holds cell unknowns:
+chunks of cells with one face count.  A chunk of one congruence class
+takes its class's operators, basis values and weights from the space's
+operator stacks as 2-D operands, so each contraction is one matrix
+product over all its cells; a chunk pooling small classes gathers a
+copy of them per cell.  No global matrix holds cell unknowns:
 they couple only within their own cell, so each chunk is condensed onto
 its faces as soon as it is assembled (:func:`static_condense`), into the
 interior-face system whose rows and pattern the space builds once, in
@@ -55,7 +58,7 @@ from scipy import sparse
 from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
-from .hho import HHOSpace
+from .hho import HHOSpace, _chunk_rows, _quadrature_points
 
 __all__ = [
     "SolverError",
@@ -112,6 +115,9 @@ class NewtonReport:
     the Poisson bootstrap first when there is one.  ``chord_steps`` lists
     the iterations, counted from 1, that were chord steps: they reused the
     previous step's Jacobian and assembled only the residual.
+    ``residuals`` holds, per iteration, the norm |g| of the right-hand
+    side of its condensed face system: the residual at the iterate it
+    started from, with the cell unknowns eliminated.
     """
 
     iterations: int
@@ -119,6 +125,7 @@ class NewtonReport:
     converged: bool
     linear_solves: list = field(default_factory=list)
     chord_steps: list = field(default_factory=list)
+    residuals: list = field(default_factory=list)
 
 
 # Trailing output shape of each callback: a_z returns (n, 2, 2), source (n,).
@@ -303,7 +310,9 @@ def _assemble(space, problem, w, chunk, load, need_jacobian, fields=None):
     """Local residual (and optionally Jacobian) stacks of the discrete form at ``w``.
 
     ``chunk`` is one ``(group, slice)`` pair of ``space._chunks()``: cells
-    of one face count, which gather their operators from the space.
+    of one face count.  A chunk of one congruence class takes its class's
+    operators as 2-D operands, so each contraction is one matrix product
+    over all its cells; a mixed chunk gathers a copy of them per cell.
     ``load`` is the source's cell load (:func:`_cell_load`), subtracted
     from the residual's cell rows.  With ``fields=(u, grad_u)`` the
     Jacobian coefficients are evaluated at the given fields instead of the
@@ -312,63 +321,103 @@ def _assemble(space, problem, w, chunk, load, need_jacobian, fields=None):
     """
     Nk = space.Nk
     g, sl = chunk
-    ids, op = g.cells[sl], g.op[sl]
+    ids, at = g.cells[sl], _chunk_rows(g, sl)
+    one = np.ndim(at) == 0  # one class: G (2 Nk, nloc), phi (nq, Nk), wq (nq,)
     m = len(ids)
-    G = g.G[op]                                   # (m, 2 Nk, nloc)
-    phi = g.phi[op, :, :Nk]                       # (m, nq, Nk)
-    phiT = np.swapaxes(phi, 1, 2)
-    wq = g.weights[op]
+    G, wq = g.G[at], g.weights[at]
+    phi = g.phi[at, :, :Nk]
+    nq = wq.shape[-1]
     loc = space._local_values(g, sl, w)
-    flat = (space.mesh.cell_centroids[ids][:, None, :] + g.offsets[op]).reshape(-1, 2)
+    flat = _quadrature_points(space.mesh.cell_centroids[ids], g.offsets[at]).reshape(-1, 2)
 
     # grad_x, grad_y of G_T w and w_T at every quadrature point.
-    q = (G @ loc[..., None]).reshape(m, 2, Nk)
-    vals = phi @ np.concatenate((q, loc[:, None, :Nk]), axis=1).transpose(0, 2, 1)
-    zq = vals[..., :2].reshape(-1, 2)
-    yq = vals[..., 2].ravel()
+    if one:
+        coef = np.empty((3, m, Nk))
+        coef[:2] = (loc @ G.T).reshape(m, 2, Nk).transpose(1, 0, 2)
+        coef[2] = loc[:, :Nk]
+        vals = (coef.reshape(3 * m, Nk) @ phi.T).reshape(3, -1)
+        zq, yq = vals[:2].T, vals[2]
+    else:
+        phiT = np.swapaxes(phi, 1, 2)
+        q = (G @ loc[..., None]).reshape(m, 2, Nk)
+        vals = phi @ np.concatenate((q, loc[:, None, :Nk]), axis=1).transpose(0, 2, 1)
+        zq = vals[..., :2].reshape(-1, 2)
+        yq = vals[..., 2].ravel()
     if fields is None:
         y_c, z_c = yq, zq
     else:
         y_c = np.asarray(fields[0](flat), dtype=float)
         z_c = np.asarray(fields[1](flat), dtype=float)
 
-    def call(attr, y, z):
-        return _call(f"problem callback {attr!r}", getattr(problem, attr), (flat, y, z), ids)
+    def weighted(attr, y, z):
+        """The callback ``attr`` at the chunk's points times their weights, (m, nq, ...)."""
+        v = _call(f"problem callback {attr!r}", getattr(problem, attr), (flat, y, z), ids)
+        v = v.reshape(m, nq, *_SHAPES[attr])
+        return v * wq.reshape(wq.shape + (1,) * (v.ndim - 2))
 
-    flux = phiT @ (call("a", yq, zq).reshape(m, -1, 2) * wq[..., None])  # (m, Nk, 2)
-    r_loc = (np.swapaxes(G, 1, 2) @ flux.transpose(0, 2, 1).reshape(m, -1, 1)
-             + g.S[op] @ loc[..., None])[..., 0]
+    if one:
+        flux = np.swapaxes(weighted("a", yq, zq), 1, 2).reshape(2 * m, nq) @ phi
+        r_loc = flux.reshape(m, 2 * Nk) @ G + loc @ g.S[at]  # S is symmetric
+    else:
+        flux = phiT @ weighted("a", yq, zq)  # (m, Nk, 2)
+        r_loc = (np.swapaxes(G, 1, 2) @ flux.transpose(0, 2, 1).reshape(m, -1, 1)
+                 + g.S[at] @ loc[..., None])[..., 0]
     r_loc[:, :Nk] -= load[ids]
     if problem.f is not None:
-        r_loc[:, :Nk] += (phiT @ (call("f", yq, zq).reshape(m, -1) * wq)[..., None])[..., 0]
+        fw = weighted("f", yq, zq)
+        r_loc[:, :Nk] += fw @ phi if one else (phiT @ fw[..., None])[..., 0]
 
     if not need_jacobian:
         return _Local(ids, g.gidx[sl], r_loc, None)
+    # a_z is symmetric (the NonlinearProblem contract), so the (1, 0)
+    # block equals the (0, 1) block, itself a symmetric mass matrix.
+    az = weighted("a_z", y_c, z_c)
+    ay = None if problem.a_y is None else weighted("a_y", y_c, z_c)
+    fz = None if problem.f_z is None else weighted("f_z", y_c, z_c)
+    fy = None if problem.f_y is None else weighted("f_y", y_c, z_c)
+    if one:
+        P = (phi[:, :, None] * phi[:, None, :]).reshape(nq, Nk * Nk)  # phi_qi phi_qj
+
+        def mass(v):
+            """phi^T diag(v) phi per cell of ``v`` (..., m, nq), (..., m, Nk, Nk)."""
+            return (v.reshape(-1, nq) @ P).reshape(v.shape[:-1] + (Nk, Nk))
+
+        xx, xy, yy = mass(np.stack((az[..., 0, 0], az[..., 0, 1], az[..., 1, 1])))
+        # M with its rows first: Mt[a, i, b] = M_i[a, b], so that M G is one product.
+        Mt = np.empty((2, Nk, m, 2, Nk))
+        Mt[0, :, :, 0] = xx.transpose(1, 0, 2)
+        Mt[0, :, :, 1] = Mt[1, :, :, 0] = xy.transpose(1, 0, 2)
+        Mt[1, :, :, 1] = yy.transpose(1, 0, 2)
+        MG = (Mt.reshape(-1, 2 * Nk) @ G).reshape(2 * Nk, m, -1)
+        if ay is not None:  # G^T [W 0] with W_i = [mass(ay_x); mass(ay_y)]
+            MG[..., :Nk] += mass(np.moveaxis(ay, 2, 0)).transpose(0, 2, 1, 3).reshape(2 * Nk, m, Nk)
+        GMG = (G.T @ MG.reshape(2 * Nk, -1)).reshape(-1, m, G.shape[1])  # (nloc, m, nloc)
+        J_loc = GMG.transpose(1, 0, 2) + g.S[at]
+        if fz is not None:  # W G with W_i = [mass(fz_x) mass(fz_y)]
+            W = mass(np.moveaxis(fz, 2, 0)).transpose(1, 2, 0, 3).reshape(m * Nk, 2 * Nk)
+            J_loc[:, :Nk] += (W @ G).reshape(m, Nk, -1)
+        if fy is not None:
+            J_loc[:, :Nk, :Nk] += mass(fy)
+        return _Local(ids, g.gidx[sl], r_loc, J_loc)
 
     def mass(weights):
         """phi^T diag(weights) phi per cell, (m, Nk, Nk)."""
         return phiT @ (weights[..., None] * phi)
 
-    # a_z is symmetric (the NonlinearProblem contract), so the (1, 0)
-    # block equals the (0, 1) block, itself a symmetric mass matrix.
-    az = call("a_z", y_c, z_c).reshape(m, -1, 2, 2) * wq[..., None, None]
     M = np.empty((m, 2 * Nk, 2 * Nk))
     M[:, :Nk, :Nk] = mass(az[..., 0, 0])
     M[:, :Nk, Nk:] = mass(az[..., 0, 1])
     M[:, Nk:, :Nk] = M[:, :Nk, Nk:]
     M[:, Nk:, Nk:] = mass(az[..., 1, 1])
-    J_loc = np.swapaxes(G, 1, 2) @ (M @ G) + g.S[op]
-
-    if problem.a_y is not None:
-        ayw = call("a_y", y_c, z_c).reshape(m, -1, 2) * wq[..., None]
-        W = np.concatenate((mass(ayw[..., 0]), mass(ayw[..., 1])), axis=1)
+    J_loc = np.swapaxes(G, 1, 2) @ (M @ G) + g.S[at]
+    if ay is not None:
+        W = np.concatenate((mass(ay[..., 0]), mass(ay[..., 1])), axis=1)
         J_loc[:, :, :Nk] += np.swapaxes(G, 1, 2) @ W
-    if problem.f_z is not None:
-        fzw = call("f_z", y_c, z_c).reshape(m, -1, 2) * wq[..., None]
-        W = np.concatenate((mass(fzw[..., 0]), mass(fzw[..., 1])), axis=2)
+    if fz is not None:
+        W = np.concatenate((mass(fz[..., 0]), mass(fz[..., 1])), axis=2)
         J_loc[:, :Nk, :] += W @ G
-    if problem.f_y is not None:
-        J_loc[:, :Nk, :Nk] += mass(call("f_y", y_c, z_c).reshape(m, -1) * wq)
+    if fy is not None:
+        J_loc[:, :Nk, :Nk] += mass(fy)
     return _Local(ids, g.gidx[sl], r_loc, J_loc)
 
 
@@ -863,7 +912,7 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None):
     else:
         u = initial_guess.with_zero_boundary()
 
-    increments, chord_steps = [], []
+    increments, chord_steps, residuals = [], [], []
     chord, last = False, 0.0  # last: |g| of the previous Newton system
     for it in range(1, max_iter + 1):
         if chord:
@@ -874,6 +923,7 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None):
                  for chunk in space._chunks())
         S, g, recover = static_condense(space, local, kept)
         gnorm = np.linalg.norm(g)
+        residuals.append(float(gnorm))
         if chord or last == 0:
             rtol = _FORCING_CAP
         else:
@@ -886,9 +936,10 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None):
         inc = space.gradient_norm(delta) / denom if denom > 0 else space.gradient_norm(delta)
         increments.append(inc)
         if inc <= tol:
-            return u, NewtonReport(it, increments, True, face_factor.solves, chord_steps)
+            return u, NewtonReport(it, increments, True, face_factor.solves, chord_steps,
+                                   residuals)
         chord = not chord and inc <= _CHORD_INCREMENT
-    report = NewtonReport(max_iter, increments, False, face_factor.solves, chord_steps)
+    report = NewtonReport(max_iter, increments, False, face_factor.solves, chord_steps, residuals)
     raise NewtonDivergedError(
         f"no convergence to {tol:g} within {max_iter} iterations "
         f"(last increment {increments[-1]:.3e})", report)

@@ -63,6 +63,8 @@ def test_solve_on_a_generated_mesh(capsys):
     assert all(float(s[5]) <= max(float(s[4]), 1e-12) for s in solves)
     # The step after one whose increment is at most 1e-4 is a chord step.
     increments = [float(x) for x in re.findall(r"iter \d+: relative increment (\S+)", out)]
+    residuals = [float(x) for x in re.findall(r"iter \d+: .* condensed residual (\S+)", out)]
+    assert len(residuals) == len(increments) == iterations
     chord = [bool(s[1]) for s in solves[1:]]
     assert chord == [i > 0 and not chord[i - 1] and increments[i - 1] <= 1e-4
                      for i in range(iterations)]

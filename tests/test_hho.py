@@ -242,6 +242,33 @@ def _class_size(space, ci):
     return int(np.count_nonzero(g.op == g.op[i]))
 
 
+def test_class_slices_give_large_classes_chunks_of_their_own_and_pool_the_rest():
+    # step 8: classes of 2 cells or more get chunks of their own, of at most 8 cells.
+    op = np.array([0] * 10 + [1, 2] + [3] * 3 + [4])
+    assert hho._class_slices(op, 8) == [slice(0, 8), slice(8, 10), slice(10, 12),
+                                        slice(12, 15), slice(15, 16)]
+    # Ten one-cell classes pool into chunks of at most 8 cells.
+    assert hho._class_slices(np.arange(10), 8) == [slice(0, 8), slice(8, 10)]
+
+
+@pytest.mark.parametrize("family, n", [("cartesian", 64), ("triangular", 8),
+                                       ("hexagonal-files", 2), ("kershaw-files", 2)])
+def test_chunks_cover_every_cell_once_within_their_group_step(family, n):
+    mesh = build_mesh(family, n)
+    space = HHOSpace(mesh, 3)
+    seen = []
+    for g, sl in space._chunks():
+        assert 0 < len(g.cells[sl]) <= g.step
+        assert np.all(np.diff(g.op[sl]) >= 0)  # cells ordered by class
+        seen.extend(g.cells[sl].tolist())
+    assert sorted(seen) == list(range(mesh.num_cells))
+    for ci in range(mesh.num_cells):
+        g, i = space._locate(ci)
+        assert g.cells[i] == ci
+    if family == "cartesian":  # classes of 1, 63, 63 and 3969 cells, against step // 4 = 60
+        assert all(np.all(g.op[sl] == g.op[sl][0]) for g, sl in space._chunks())
+
+
 def test_operator_build_logs_groups_and_classes_at_debug(caplog):
     caplog.set_level(logging.DEBUG, logger="hhonl")
     space = HHOSpace(build_mesh("hexagonal-files", 1), 1)

@@ -13,7 +13,7 @@ from scipy.sparse.linalg import splu, spsolve
 import hhonl.mesh as mesh_mod
 import hhonl.solver as solver_mod
 from hhonl import harness
-from hhonl.hho import MAX_DEGREE, HHOSpace, HybridVector
+from hhonl.hho import MAX_DEGREE, HHOSpace, HybridVector, _chunk_rows, _class_slices
 from hhonl.mesh import PolytopalMesh, generate_cartesian, generate_triangular
 from hhonl.solver import (
     CondensationError,
@@ -142,9 +142,17 @@ def test_problem_registry():
         solver_mod._REGISTRY.pop("linear-diffusion-test", None)
 
 
-def test_jacobian_matches_residual_differences():
+def _problem_with_every_term():
+    """The randomized problem of the acceptance tests plus |grad u|^2 / 4 in f, so f_z is set."""
+    base = _randomized_smooth_problem(np.random.default_rng(31))
+    return dataclasses.replace(base, f=lambda x, y, z: base.f(x, y, z) + 0.25 * (z * z).sum(axis=1),
+                               f_z=lambda x, y, z: 0.5 * z).check()
+
+
+@pytest.mark.parametrize("make", [mean_curvature_problem, _problem_with_every_term])
+def test_jacobian_matches_residual_differences(make):
     # || (r(w + t d) - r(w)) / t - J d || must shrink linearly in t.
-    problem = mean_curvature_problem()
+    problem = make()
     mesh = generate_cartesian(3)
     space = HHOSpace(mesh, 1)
     rng = np.random.default_rng(21)
@@ -194,6 +202,32 @@ def test_semi_discrete_linearization_fields():
     assert abs(J_frozen - J_frozen.T).max() <= 1e-12 * abs(J_frozen).max()
 
 
+@pytest.mark.parametrize("make, fields", [
+    (mean_curvature_problem, None),
+    (_problem_with_every_term, None),
+    (_problem_with_every_term, (lambda x: x[:, 0] * x[:, 1], lambda x: x[:, ::-1].copy())),
+])
+def test_one_class_and_mixed_chunks_assemble_the_same_blocks(make, fields):
+    # The largest class of cartesian 8 once as a chunk of its own, which
+    # takes its class's operators as 2-D operands, and once with a cell of
+    # a neighbouring class, which gathers them per cell.
+    problem = make()
+    space = HHOSpace(generate_cartesian(8), 2)
+    space._ensure_classes()
+    (g,) = space._groups
+    bounds = np.flatnonzero(np.diff(g.op, prepend=-1, append=-1))
+    a, b = max(zip(bounds[:-1], bounds[1:]), key=lambda ab: ab[1] - ab[0])
+    mixed, shared = (slice(a - 1, b), slice(1, None)) if a > 0 else (slice(a, b + 1), slice(-1))
+    assert np.ndim(_chunk_rows(g, slice(a, b))) == 0 and np.ndim(_chunk_rows(g, mixed)) == 1
+    w = space.vector_from_flat(0.3 * np.random.default_rng(5).standard_normal(space.num_dofs))
+    load = solver_mod._cell_load(space, problem.source)
+    one = solver_mod._assemble(space, problem, w, (g, slice(a, b)), load, True, fields=fields)
+    both = solver_mod._assemble(space, problem, w, (g, mixed), load, True, fields=fields)
+    assert np.array_equal(both.ids[shared], one.ids)
+    for x, y in ((one.r, both.r[shared]), (one.J, both.J[shared])):
+        np.testing.assert_allclose(x, y, rtol=0, atol=1e-12 * np.abs(y).max())
+
+
 def test_newton_solves_the_discrete_equations():
     problem = mean_curvature_problem()
     mesh = generate_cartesian(8)
@@ -204,6 +238,9 @@ def test_newton_solves_the_discrete_equations():
     # Every later increment shrinks by a wide margin (Newton contraction).
     for a, b in zip(report.increments, report.increments[1:]):
         assert b < 0.1 * a
+    # One condensed residual norm per iteration, each below the one before.
+    assert len(report.residuals) == report.iterations
+    assert all(b < a for a, b in zip(report.residuals, report.residuals[1:]))
     space = u.space
     free = space.free_dofs()
     r_at_u = residual(problem, u)[free]
@@ -254,7 +291,7 @@ def test_newton_divergence_carries_report():
     report = info.value.report
     assert not report.converged
     assert report.iterations == 1
-    assert len(report.increments) == 1
+    assert len(report.increments) == len(report.residuals) == 1
     # No step at all has no increment to report.
     with pytest.raises(ValueError, match="max_iter must be at least 1"):
         newton_solve(problem, generate_cartesian(4), 1, max_iter=0)
@@ -417,14 +454,14 @@ def test_static_condense_rejects_singular_cell_block(monkeypatch):
 
 
 def test_a_singular_class_block_in_the_bootstrap_names_a_cell_of_its_class(monkeypatch):
-    # Chunks of three cells, so that the class whose block is singular
+    # Chunks of at most three cells, so that the class whose block is singular
     # first appears in a later chunk than the one that eliminates the stack.
     space = HHOSpace(generate_cartesian(4), 1)
     space._ensure_classes()
     (group,) = space._groups
-    group.step = 3
+    group.chunks = _class_slices(group.op, 3)
     bad = group.op[-1]
-    assert bad not in group.op[:3]
+    assert bad not in group.op[group.chunks[0]]
     poisson = solver_mod._poisson_local
 
     def singular_class(space, load):
@@ -436,7 +473,8 @@ def test_a_singular_class_block_in_the_bootstrap_names_a_cell_of_its_class(monke
     with pytest.raises(CondensationError, match=r"^cell (\d+): singular cell block$") as info:
         solve_linear_hho(space, _smooth_source)
     cell = int(re.match(r"cell (\d+)", str(info.value))[1])
-    assert group.op[np.searchsorted(group.cells, cell)] == bad
+    g, i = space._locate(cell)
+    assert g.op[i] == bad
 
 
 def test_callback_failures_carry_cell_context():
