@@ -171,20 +171,27 @@ def report_h(family, level, mesh):
 
 
 def gradient_error(u_h, exact_gradient):
-    """Relative gradient error |grad u - G_h u_h| / |grad u| in broken L^2."""
+    """Relative gradient error |grad u - G_h u_h| / |grad u| in broken L^2.
+
+    Per chunk, both gradients are (2, m, nq) component planes, whatever the
+    memory order of ``exact_gradient``'s (n, 2) output, and each squared
+    norm is one product of the planes against the weighted planes.
+    """
     space = u_h.space
     coeffs = space.reconstruct_gradient_global(u_h)
     num = 0.0
     den = 0.0
     for ids, pts, weights, phi in space._chunk_rules():
-        if phi.ndim == 2:  # one class: (2 m, Nk) coefficients against its (nq, Nk) values
-            grad = (coeffs[ids].reshape(-1, space.Nk) @ phi.T).reshape(len(ids), 2, -1)
-            grad = grad.transpose(0, 2, 1)
+        c = coeffs[ids].transpose(1, 0, 2)  # (2, m, Nk): x, then y coefficients
+        if phi.ndim == 2:  # one class: the (2 m, Nk) coefficients against its (nq, Nk) values
+            diff = (c.reshape(-1, space.Nk) @ phi.T).reshape(2, len(ids), -1)
         else:
-            grad = phi @ coeffs[ids].transpose(0, 2, 1)
-        exact = np.asarray(exact_gradient(pts), dtype=float).reshape(grad.shape)
-        num += float(np.sum(weights * ((exact - grad)**2).sum(axis=2)))
-        den += float(np.sum(weights * (exact**2).sum(axis=2)))
+            diff = (c[:, :, None] @ np.swapaxes(phi, 1, 2))[:, :, 0]
+        exact = np.asarray(exact_gradient(pts), dtype=float).reshape(-1, 2)
+        exact = np.ascontiguousarray(np.moveaxis(exact, 0, -1)).reshape(diff.shape)
+        diff -= exact  # G_h u_h, now less the exact gradient, in place
+        num += float(np.vdot(diff, diff * weights))
+        den += float(np.vdot(exact, exact * weights))
     if den <= 0.0:
         raise DegenerateExactSolutionError("exact gradient has zero norm")
     return float(np.sqrt(num / den))

@@ -22,6 +22,12 @@ and cuts its chunks at the boundaries of its larger classes, so that a
 chunk of one class takes that class's operators as 2-D operands, one
 matrix product for all its cells, and only chunks pooling small classes
 gather a copy per cell.
+
+Quadrature points, and their offsets from the centroid, are stored as
+contiguous component planes: (..., 2) views of (2, ...) buffers, so that a
+pass over one coordinate runs along a plane, never along a trailing axis
+of 2.  A field evaluated at the points may come in any memory order: its
+values are read one component at a time.
 """
 
 from __future__ import annotations
@@ -95,7 +101,7 @@ class _Group:
     P: np.ndarray          # (c, nf, nF, Nk) face traces of the degree-k class basis
     A: np.ndarray          # (c, 2, 2) whitening of the class basis (orthonormal_frame)
     T: np.ndarray          # (c, Nk1, Nk1) its triangular orthonormalization
-    offsets: np.ndarray    # (c, nq, 2) assembly quadrature points minus the centroid
+    offsets: np.ndarray    # (c, nq, 2) assembly quadrature points minus the centroid (planes)
     weights: np.ndarray    # (c, nq)
     phi: np.ndarray        # (c, nq, Nk1) class basis values at those points
 
@@ -222,16 +228,18 @@ def _class_slices(op, step):
 
 
 def _quadrature_points(centroids, offsets):
-    """Points ``centroids[:, None] + offsets``, (m, nq, 2), one coordinate at a time.
+    """Points ``centroids[:, None] + offsets``, (m, nq, 2), stored as component planes.
 
     ``offsets`` is one class's (nq, 2) or a gathered (m, nq, 2).  Each
-    coordinate is one long addition, where the broadcast would run an
-    inner loop of length 2; the points are bitwise the same.
+    coordinate is one long addition into its contiguous (m, nq) plane of a
+    (2, m, nq) buffer, whose (m, nq, 2) transpose is returned:
+    ``reshape(-1, 2)`` of it is a view whose columns are contiguous.  The
+    points are bitwise those of the broadcast.
     """
-    out = np.empty((len(centroids),) + offsets.shape[-2:])
+    out = np.empty((2, len(centroids)) + offsets.shape[-2:-1])
     for d in range(2):
-        np.add(centroids[:, d, None], offsets[..., d], out=out[..., d])
-    return out
+        np.add(centroids[:, d, None], offsets[..., d], out=out[d])
+    return out.transpose(1, 2, 0)
 
 
 def _chunk_rows(g, sl):
@@ -248,6 +256,19 @@ def _chunk_rows(g, sl):
 def _step(floats_per_row):
     """Rows per chunk so that an array of ``floats_per_row`` per row stays under _CHUNK_BYTES."""
     return max(1, _CHUNK_BYTES // (8 * floats_per_row))
+
+
+def _per_cell(stack, at, x):
+    """``stack[at]`` applied to each cell's row of ``x`` (m, n): (m,) + ``stack.shape[1:-1]``.
+
+    ``at`` comes from :func:`_chunk_rows`.  A class's own matrix takes
+    every row of ``x`` in one product; a mixed chunk gathers a copy per
+    cell and multiplies it by the cell's row.
+    """
+    if np.ndim(at) == 0:
+        op = stack[at]
+        return (x @ op.reshape(-1, op.shape[-1]).T).reshape((len(x),) + op.shape[:-1])
+    return (stack[at] @ x.reshape((len(x),) + (1,) * (stack.ndim - 3) + (-1, 1)))[..., 0]
 
 
 def _solve(A, B, cells, what):
@@ -406,7 +427,8 @@ class HHOSpace:
                 stacks = [np.empty((c,) + a.shape[1:]) for a in part]
             for whole, a in zip(stacks, part):
                 whole[sl] = a
-        return stacks + [A, T, rule.points, rule.weights, phi]
+        offsets = np.moveaxis(np.moveaxis(rule.points, -1, 0).copy(), 0, -1)  # as planes
+        return stacks + [A, T, offsets, rule.weights, phi]
 
     def _build_operators(self, verts, h, signs, cells, A, T):
         """G, R, S and degree-k face traces P of a stack of cells, in their class bases."""
@@ -524,9 +546,10 @@ class HHOSpace:
         cell_blocks = self._cell_moments(lambda points, ids: v(points))
         t, wt = _gauss(self.quad_degree)
         p0 = mesh.vertices[mesh.faces[:, 0]]
-        p1 = mesh.vertices[mesh.faces[:, 1]]
-        pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
-        vals = np.asarray(v(pts.reshape(-1, 2)), dtype=float).reshape(mesh.num_faces, len(t))
+        pts = np.empty((2, mesh.num_faces, len(t)))  # component planes, as the cell points
+        for d, edge in enumerate((mesh.vertices[mesh.faces[:, 1]] - p0).T):
+            np.add(p0[:, d, None], t * edge[:, None], out=pts[d])
+        vals = np.asarray(v(pts.reshape(2, -1).T), dtype=float).reshape(mesh.num_faces, len(t))
         return HybridVector(self, cell_blocks, (vals * wt) @ legendre(t, self.k))
 
     def _cell_moments(self, values):
@@ -543,7 +566,8 @@ class HHOSpace:
     def _chunk_rules(self):
         """Yield each chunk's (cell ids, points, weights, degree-k basis values).
 
-        The points are (m nq, 2).  A chunk of one class gets its class's
+        The points are (m nq, 2), with contiguous columns
+        (:func:`_quadrature_points`).  A chunk of one class gets its class's
         weights (nq,) and values (nq, Nk), a mixed chunk a copy per cell,
         (m, nq) and (m, nq, Nk).
         """
@@ -562,7 +586,8 @@ class HHOSpace:
         """sum_T ||G_T v||^2_T, the squared coefficients of G_T v in the orthonormal bases."""
         total = 0.0
         for g, sl in self._chunks():
-            total += float(np.sum((g.G[g.op[sl]] @ self._local_values(g, sl, v)[..., None])**2))
+            q = _per_cell(g.G, _chunk_rows(g, sl), self._local_values(g, sl, v))
+            total += float(np.sum(q**2))
         return total
 
     def _face_jumps(self, v):
@@ -573,8 +598,8 @@ class HHOSpace:
         """
         total = 0.0
         for g, sl in self._chunks():
-            trace = g.P[g.op[sl]] @ v.cell_blocks[g.cells[sl], None, :, None]  # (m, nf, nF, 1)
-            total += float(np.sum((v.face_blocks[g.face_ids[sl]] - trace[..., 0])**2))
+            trace = _per_cell(g.P, _chunk_rows(g, sl), v.cell_blocks[g.cells[sl]])  # (m, nf, nF)
+            total += float(np.sum((v.face_blocks[g.face_ids[sl]] - trace)**2))
         return total
 
     def discrete_norm_1h(self, v):
@@ -589,7 +614,7 @@ class HHOSpace:
         """
         coeffs = np.empty((self.mesh.num_cells, 2, self.Nk))
         for g, sl in self._chunks():
-            q = g.G[g.op[sl]] @ self._local_values(g, sl, v)[..., None]
+            q = _per_cell(g.G, _chunk_rows(g, sl), self._local_values(g, sl, v))
             coeffs[g.cells[sl]] = q.reshape(-1, 2, self.Nk)
         return coeffs
 
@@ -597,8 +622,7 @@ class HHOSpace:
         """Coefficients of R_T v in every cell's ``cell_basis(ci)``, (num_cells, Nk1)."""
         coeffs = np.empty((self.mesh.num_cells, self.Nk1))
         for g, sl in self._chunks():
-            r = g.R[g.op[sl]] @ self._local_values(g, sl, v)[..., None]
-            coeffs[g.cells[sl]] = r[..., 0]
+            coeffs[g.cells[sl]] = _per_cell(g.R, _chunk_rows(g, sl), self._local_values(g, sl, v))
         return coeffs
 
     # -- iteration helpers ----------------------------------------------------
@@ -607,7 +631,8 @@ class HHOSpace:
         """Yield (cell ids, points, weights, degree-(k+1) basis values) batches.
 
         Shapes are (m,), (m, nq, 2), (m, nq) and (m, nq, Nk1); the cells of
-        one batch share a face count.
+        one batch share a face count.  The points are stored as component
+        planes (:func:`_quadrature_points`).
         """
         for g, sl in self._chunks():
             ids, op = g.cells[sl], g.op[sl]

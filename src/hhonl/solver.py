@@ -12,6 +12,12 @@ its faces as soon as it is assembled (:func:`static_condense`), into the
 interior-face system whose rows and pattern the space builds once, in
 the mesh's nested-dissection order (``HHOSpace.face_pattern``).
 
+Fields over quadrature points are held as contiguous component planes,
+(k, m, nq) per chunk, never with a trailing axis of 2: the points come as
+(n, 2) views of (2, n) buffers, and each callback's output is read one
+component at a time through ``np.moveaxis``, a view for any memory order,
+and multiplied by the weights straight into its plane.
+
 That system is solved in float64 by flexible GMRES preconditioned by a
 float32 SuperLU factor (:func:`_fgmres`; GMRES-based iterative
 refinement, Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  A Newton
@@ -84,7 +90,13 @@ log = logging.getLogger(__name__)
 
 
 class SolverError(Exception):
-    """Base class for assembly and solve failures."""
+    """Base class for assembly and solve failures.
+
+    One raised inside :func:`newton_solve` carries the :class:`NewtonReport`
+    of the iterations so far as ``report``; elsewhere ``report`` is None.
+    """
+
+    report = None
 
 
 class ProblemDefinitionError(SolverError):
@@ -117,7 +129,8 @@ class NewtonReport:
     previous step's Jacobian and assembled only the residual.
     ``residuals`` holds, per iteration, the norm |g| of the right-hand
     side of its condensed face system: the residual at the iterate it
-    started from, with the cell unknowns eliminated.
+    started from, with the cell unknowns eliminated.  The report that a
+    failed solve carries counts as ``iterations`` the systems it formed.
     """
 
     iterations: int
@@ -144,6 +157,14 @@ class NonlinearProblem:
     and ``f_y`` that vanishes identically; assembly skips an omitted term.
     ``exact_solution`` and ``exact_gradient`` are optional fields used by
     error studies.
+
+    Any memory order is accepted.  In a solve, ``x`` and ``z`` arrive as
+    (n, 2) views of (2, n) buffers, so ``x[:, 0]`` is contiguous.  An output
+    may be C- or F-ordered, a transposed view or an ``np.broadcast_to``
+    array: its values are read one component at a time, never written, and
+    give the same results bit for bit in every order.  Component-major
+    outputs (the (n, 2) transpose of a (2, n) array) are read without
+    strided passes.
     """
 
     a: callable
@@ -213,10 +234,14 @@ def mean_curvature_problem():
         X, Y = x[:, 0], x[:, 1]
         return X * (1.0 - X) * Y * (1.0 - Y)
 
+    # Vector and matrix values are returned component-major, as (n, 2) and
+    # (n, 2, 2) transposes of (2, n) and (2, 2, n) arrays.
     def exact_grad(x):
         X, Y = x[:, 0], x[:, 1]
-        return np.column_stack(((1.0 - 2.0 * X) * Y * (1.0 - Y),
-                                X * (1.0 - X) * (1.0 - 2.0 * Y)))
+        out = np.empty((2, len(x)))
+        out[0] = (1.0 - 2.0 * X) * Y * (1.0 - Y)
+        out[1] = X * (1.0 - X) * (1.0 - 2.0 * Y)
+        return out.T
 
     def source(x):
         X, Y = x[:, 0], x[:, 1]
@@ -230,18 +255,18 @@ def mean_curvature_problem():
 
     def a(x, y, z):
         Q = 1.0 + (z[:, 0]**2 + z[:, 1]**2)  # (z**2).sum(axis=1) bit for bit, without its slow reduction
-        return z / np.sqrt(Q)[:, None]
+        return np.divide(z.T, np.sqrt(Q), out=np.empty((2, len(z)))).T
 
     def a_z(x, y, z):
         z1, z2 = z[:, 0], z[:, 1]
         Q = 1.0 + z1**2 + z2**2
         R = Q**-1.5
-        out = np.empty((len(z), 2, 2))
-        out[:, 0, 0] = R * (1.0 + z2**2)
-        out[:, 0, 1] = -R * z1 * z2
-        out[:, 1, 0] = out[:, 0, 1]
-        out[:, 1, 1] = R * (1.0 + z1**2)
-        return out
+        out = np.empty((2, 2, len(z)))
+        out[0, 0] = R * (1.0 + z2**2)
+        out[0, 1] = -R * z1 * z2
+        out[1, 0] = out[0, 1]
+        out[1, 1] = R * (1.0 + z1**2)
+        return out.transpose(2, 0, 1)
 
     return NonlinearProblem(a=a, a_z=a_z, source=source, exact_solution=exact,
                             exact_gradient=exact_grad, name="mean-curvature")
@@ -330,51 +355,59 @@ def _assemble(space, problem, w, chunk, load, need_jacobian, fields=None):
     loc = space._local_values(g, sl, w)
     flat = _quadrature_points(space.mesh.cell_centroids[ids], g.offsets[at]).reshape(-1, 2)
 
-    # grad_x, grad_y of G_T w and w_T at every quadrature point.
+    # grad_x, grad_y of G_T w and w_T at every quadrature point, as (3, m nq) planes.
     if one:
         coef = np.empty((3, m, Nk))
         coef[:2] = (loc @ G.T).reshape(m, 2, Nk).transpose(1, 0, 2)
         coef[2] = loc[:, :Nk]
         vals = (coef.reshape(3 * m, Nk) @ phi.T).reshape(3, -1)
-        zq, yq = vals[:2].T, vals[2]
     else:
         phiT = np.swapaxes(phi, 1, 2)
         q = (G @ loc[..., None]).reshape(m, 2, Nk)
         vals = phi @ np.concatenate((q, loc[:, None, :Nk]), axis=1).transpose(0, 2, 1)
-        zq = vals[..., :2].reshape(-1, 2)
-        yq = vals[..., 2].ravel()
+        vals = np.moveaxis(vals, -1, 0).reshape(3, -1)  # a copy of the (m, nq, 3) product
+    zq, yq = vals[:2].T, vals[2]
     if fields is None:
         y_c, z_c = yq, zq
     else:
         y_c = np.asarray(fields[0](flat), dtype=float)
         z_c = np.asarray(fields[1](flat), dtype=float)
 
-    def weighted(attr, y, z):
-        """The callback ``attr`` at the chunk's points times their weights, (m, nq, ...)."""
-        v = _call(f"problem callback {attr!r}", getattr(problem, attr), (flat, y, z), ids)
-        v = v.reshape(m, nq, *_SHAPES[attr])
-        return v * wq.reshape(wq.shape + (1,) * (v.ndim - 2))
+    def weighted(attr, y, z, parts=((),)):
+        """Components ``parts`` of the callback ``attr`` times the weights, (len(parts), m, nq).
 
+        Each component is read through ``np.moveaxis`` of the callback's
+        output, a view for any memory order, and multiplied by the weights
+        straight into its own contiguous plane.
+        """
+        v = _call(f"problem callback {attr!r}", getattr(problem, attr), (flat, y, z), ids)
+        v = np.moveaxis(v.reshape(m * nq, *_SHAPES[attr]), 0, -1)
+        out = np.empty((len(parts), m, nq))
+        for plane, part in zip(out, parts):
+            np.multiply(v[part].reshape(m, nq), wq, out=plane)
+        return out
+
+    aw = weighted("a", yq, zq, (0, 1))
     if one:
-        flux = np.swapaxes(weighted("a", yq, zq), 1, 2).reshape(2 * m, nq) @ phi
+        flux = (aw.reshape(2 * m, nq) @ phi).reshape(2, m, Nk).transpose(1, 0, 2)
         r_loc = flux.reshape(m, 2 * Nk) @ G + loc @ g.S[at]  # S is symmetric
     else:
-        flux = phiT @ weighted("a", yq, zq)  # (m, Nk, 2)
+        flux = phiT @ np.moveaxis(aw, 0, -1)  # (m, Nk, 2), the (m, nq, 2) product bit for bit
         r_loc = (np.swapaxes(G, 1, 2) @ flux.transpose(0, 2, 1).reshape(m, -1, 1)
                  + g.S[at] @ loc[..., None])[..., 0]
     r_loc[:, :Nk] -= load[ids]
     if problem.f is not None:
-        fw = weighted("f", yq, zq)
+        fw = weighted("f", yq, zq)[0]
         r_loc[:, :Nk] += fw @ phi if one else (phiT @ fw[..., None])[..., 0]
 
     if not need_jacobian:
         return _Local(ids, g.gidx[sl], r_loc, None)
     # a_z is symmetric (the NonlinearProblem contract), so the (1, 0)
     # block equals the (0, 1) block, itself a symmetric mass matrix.
-    az = weighted("a_z", y_c, z_c)
-    ay = None if problem.a_y is None else weighted("a_y", y_c, z_c)
-    fz = None if problem.f_z is None else weighted("f_z", y_c, z_c)
-    fy = None if problem.f_y is None else weighted("f_y", y_c, z_c)
+    az = weighted("a_z", y_c, z_c, ((0, 0), (0, 1), (1, 1)))  # xx, xy and yy
+    ay = None if problem.a_y is None else weighted("a_y", y_c, z_c, (0, 1))
+    fz = None if problem.f_z is None else weighted("f_z", y_c, z_c, (0, 1))
+    fy = None if problem.f_y is None else weighted("f_y", y_c, z_c)[0]
     if one:
         P = (phi[:, :, None] * phi[:, None, :]).reshape(nq, Nk * Nk)  # phi_qi phi_qj
 
@@ -382,7 +415,7 @@ def _assemble(space, problem, w, chunk, load, need_jacobian, fields=None):
             """phi^T diag(v) phi per cell of ``v`` (..., m, nq), (..., m, Nk, Nk)."""
             return (v.reshape(-1, nq) @ P).reshape(v.shape[:-1] + (Nk, Nk))
 
-        xx, xy, yy = mass(np.stack((az[..., 0, 0], az[..., 0, 1], az[..., 1, 1])))
+        xx, xy, yy = mass(az)
         # M with its rows first: Mt[a, i, b] = M_i[a, b], so that M G is one product.
         Mt = np.empty((2, Nk, m, 2, Nk))
         Mt[0, :, :, 0] = xx.transpose(1, 0, 2)
@@ -390,11 +423,11 @@ def _assemble(space, problem, w, chunk, load, need_jacobian, fields=None):
         Mt[1, :, :, 1] = yy.transpose(1, 0, 2)
         MG = (Mt.reshape(-1, 2 * Nk) @ G).reshape(2 * Nk, m, -1)
         if ay is not None:  # G^T [W 0] with W_i = [mass(ay_x); mass(ay_y)]
-            MG[..., :Nk] += mass(np.moveaxis(ay, 2, 0)).transpose(0, 2, 1, 3).reshape(2 * Nk, m, Nk)
+            MG[..., :Nk] += mass(ay).transpose(0, 2, 1, 3).reshape(2 * Nk, m, Nk)
         GMG = (G.T @ MG.reshape(2 * Nk, -1)).reshape(-1, m, G.shape[1])  # (nloc, m, nloc)
         J_loc = GMG.transpose(1, 0, 2) + g.S[at]
         if fz is not None:  # W G with W_i = [mass(fz_x) mass(fz_y)]
-            W = mass(np.moveaxis(fz, 2, 0)).transpose(1, 2, 0, 3).reshape(m * Nk, 2 * Nk)
+            W = mass(fz).transpose(1, 2, 0, 3).reshape(m * Nk, 2 * Nk)
             J_loc[:, :Nk] += (W @ G).reshape(m, Nk, -1)
         if fy is not None:
             J_loc[:, :Nk, :Nk] += mass(fy)
@@ -405,16 +438,16 @@ def _assemble(space, problem, w, chunk, load, need_jacobian, fields=None):
         return phiT @ (weights[..., None] * phi)
 
     M = np.empty((m, 2 * Nk, 2 * Nk))
-    M[:, :Nk, :Nk] = mass(az[..., 0, 0])
-    M[:, :Nk, Nk:] = mass(az[..., 0, 1])
+    M[:, :Nk, :Nk] = mass(az[0])
+    M[:, :Nk, Nk:] = mass(az[1])
     M[:, Nk:, :Nk] = M[:, :Nk, Nk:]
-    M[:, Nk:, Nk:] = mass(az[..., 1, 1])
+    M[:, Nk:, Nk:] = mass(az[2])
     J_loc = np.swapaxes(G, 1, 2) @ (M @ G) + g.S[at]
     if ay is not None:
-        W = np.concatenate((mass(ay[..., 0]), mass(ay[..., 1])), axis=1)
+        W = np.concatenate((mass(ay[0]), mass(ay[1])), axis=1)
         J_loc[:, :, :Nk] += np.swapaxes(G, 1, 2) @ W
     if fz is not None:
-        W = np.concatenate((mass(fz[..., 0]), mass(fz[..., 1])), axis=2)
+        W = np.concatenate((mass(fz[0]), mass(fz[1])), axis=2)
         J_loc[:, :Nk, :] += W @ G
     if fy is not None:
         J_loc[:, :Nk, :Nk] += mass(fy)
@@ -461,13 +494,12 @@ def _poisson_local(space, load):
 def _scatter_vector(blocks, n):
     """Sum of local vectors ``(index (m, b), values (m, b))`` in a length-``n`` vector.
 
-    An index of -1 drops its entry.
+    An index of -1 drops its entry: it lands in a spare slot past the end.
     """
-    out = np.zeros(n)
+    out = np.zeros(n + 1)
     for idx, v in blocks:
-        keep = idx >= 0
-        out += np.bincount(idx[keep], weights=v[keep], minlength=n)
-    return out
+        np.add.at(out, idx.ravel(), v.ravel())
+    return out[:n]
 
 
 def residual(problem, w):
@@ -570,7 +602,7 @@ def static_condense(space, local, kept=None):
     pattern = space.face_pattern()
     rows = pattern.rows
     n = len(pattern.indptr) - 1
-    g = np.zeros(n)
+    g = np.zeros(n + 1)  # the spare slot g[-1] takes the entries of boundary rows (-1)
     chord = kept is not None and kept.S is not None
     # -0.0 + v is v for every v, so each slot ends up with exactly the sum
     # of its entries; the nF slots past the pattern take the dropped ones.
@@ -597,8 +629,7 @@ def static_condense(space, local, kept=None):
         if schur is not None:
             np.add.at(data, slots, schur[at].ravel())
         X_r = inv[at] @ c.r[:, :Nk, None]
-        f = rows[c.gidx[:, Nk:]]
-        g += _scatter_vector([(f, c.r[:, Nk:] - (J_FT[at] @ X_r)[..., 0])], n)
+        np.add.at(g, rows[c.gidx[:, Nk:]].ravel(), (c.r[:, Nk:] - (J_FT[at] @ X_r)[..., 0]).ravel())
         cells.append((c.gidx, X_F, at, X_r[..., 0]))
         condensed += len(c.ids)
         # A chunk's own blocks and Jacobian stack go before the next chunk is drawn.
@@ -621,7 +652,7 @@ def static_condense(space, local, kept=None):
             x[gidx[:, :Nk]] = X_r - (X_F[at] @ x[gidx[:, Nk:], None])[..., 0]
         return x
 
-    return S, g, recover
+    return S, g[:n], recover
 
 
 class LinearSolve(NamedTuple):
@@ -897,49 +928,62 @@ def newton_solve(problem, mesh, k, tol=1e-8, max_iter=25, initial_guess=None):
 
     Returns ``(solution, NewtonReport)``; raises
     :class:`NewtonDivergedError` after ``max_iter`` steps without
-    convergence; ``max_iter`` below 1 raises ``ValueError``.
+    convergence; ``max_iter`` below 1 raises ``ValueError``.  Every
+    :class:`SolverError` raised here carries the report so far as
+    ``report``: its ``iterations`` counts the condensed systems formed,
+    each with its residual, and it holds the increments and linear solves
+    completed.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     space = HHOSpace(mesh, k) if initial_guess is None else initial_guess.space
     if space.mesh is not mesh or space.k != k:
         raise ValueError("initial guess must live on the same mesh and degree")
-    problem.check()
     face_factor = _FaceFactor()
-    load = _cell_load(space, problem.source)
-    if initial_guess is None:
-        u = solve_linear_hho(space, problem.source, face_factor, load, _FORCING_CAP)
-    else:
-        u = initial_guess.with_zero_boundary()
-
     increments, chord_steps, residuals = [], [], []
-    chord, last = False, 0.0  # last: |g| of the previous Newton system
-    for it in range(1, max_iter + 1):
-        if chord:
-            chord_steps.append(it)
+
+    def report(converged):
+        return NewtonReport(len(residuals), increments, converged, face_factor.solves,
+                            chord_steps, residuals)
+
+    try:
+        problem.check()
+        load = _cell_load(space, problem.source)
+        if initial_guess is None:
+            u = solve_linear_hho(space, problem.source, face_factor, load, _FORCING_CAP)
         else:
-            kept = _Kept()  # the last step's blocks go before this Jacobian is condensed
-        local = (_assemble(space, problem, u, chunk, load, need_jacobian=not chord)
-                 for chunk in space._chunks())
-        S, g, recover = static_condense(space, local, kept)
-        gnorm = np.linalg.norm(g)
-        residuals.append(float(gnorm))
-        if chord or last == 0:
-            rtol = _FORCING_CAP
-        else:
-            rtol = min(_FORCING_CAP, max(_RTOL, 0.9 * (gnorm / last) ** 2))
-        last = gnorm
-        delta = space.vector_from_flat(-recover(face_factor.solve(S, g, rtol)))
-        del S, g, recover  # so that this step's blocks go with kept, before the next condensation
-        u = u + delta
-        denom = space.gradient_norm(u)  # the increment is relative to the iterate it led to
-        inc = space.gradient_norm(delta) / denom if denom > 0 else space.gradient_norm(delta)
-        increments.append(inc)
-        if inc <= tol:
-            return u, NewtonReport(it, increments, True, face_factor.solves, chord_steps,
-                                   residuals)
-        chord = not chord and inc <= _CHORD_INCREMENT
-    report = NewtonReport(max_iter, increments, False, face_factor.solves, chord_steps, residuals)
-    raise NewtonDivergedError(
-        f"no convergence to {tol:g} within {max_iter} iterations "
-        f"(last increment {increments[-1]:.3e})", report)
+            u = initial_guess.with_zero_boundary()
+
+        chord, last = False, 0.0  # last: |g| of the previous Newton system
+        for it in range(1, max_iter + 1):
+            if chord:
+                chord_steps.append(it)
+            else:
+                kept = _Kept()  # the last step's blocks go before this Jacobian is condensed
+            local = (_assemble(space, problem, u, chunk, load, need_jacobian=not chord)
+                     for chunk in space._chunks())
+            S, g, recover = static_condense(space, local, kept)
+            gnorm = np.linalg.norm(g)
+            residuals.append(float(gnorm))
+            if chord or last == 0:
+                rtol = _FORCING_CAP
+            else:
+                rtol = min(_FORCING_CAP, max(_RTOL, 0.9 * (gnorm / last) ** 2))
+            last = gnorm
+            delta = space.vector_from_flat(-recover(face_factor.solve(S, g, rtol)))
+            # This step's blocks go with kept, before the next condensation.
+            del S, g, recover
+            u = u + delta
+            denom = space.gradient_norm(u)  # the increment is relative to the iterate it led to
+            inc = space.gradient_norm(delta) / denom if denom > 0 else space.gradient_norm(delta)
+            increments.append(inc)
+            if inc <= tol:
+                return u, report(True)
+            chord = not chord and inc <= _CHORD_INCREMENT
+        raise NewtonDivergedError(
+            f"no convergence to {tol:g} within {max_iter} iterations "
+            f"(last increment {increments[-1]:.3e})", report(False))
+    except SolverError as exc:
+        if exc.report is None:
+            exc.report = report(False)
+        raise

@@ -213,12 +213,10 @@ def test_one_class_and_mixed_chunks_assemble_the_same_blocks(make, fields):
     # a neighbouring class, which gathers them per cell.
     problem = make()
     space = HHOSpace(generate_cartesian(8), 2)
-    space._ensure_classes()
-    (g,) = space._groups
-    bounds = np.flatnonzero(np.diff(g.op, prepend=-1, append=-1))
-    a, b = max(zip(bounds[:-1], bounds[1:]), key=lambda ab: ab[1] - ab[0])
+    g, sl = _largest_class_chunk(space)
+    a, b = sl.start, sl.stop
     mixed, shared = (slice(a - 1, b), slice(1, None)) if a > 0 else (slice(a, b + 1), slice(-1))
-    assert np.ndim(_chunk_rows(g, slice(a, b))) == 0 and np.ndim(_chunk_rows(g, mixed)) == 1
+    assert np.ndim(_chunk_rows(g, mixed)) == 1
     w = space.vector_from_flat(0.3 * np.random.default_rng(5).standard_normal(space.num_dofs))
     load = solver_mod._cell_load(space, problem.source)
     one = solver_mod._assemble(space, problem, w, (g, slice(a, b)), load, True, fields=fields)
@@ -226,6 +224,93 @@ def test_one_class_and_mixed_chunks_assemble_the_same_blocks(make, fields):
     assert np.array_equal(both.ids[shared], one.ids)
     for x, y in ((one.r, both.r[shared]), (one.J, both.J[shared])):
         np.testing.assert_allclose(x, y, rtol=0, atol=1e-12 * np.abs(y).max())
+
+
+def _largest_class_chunk(space):
+    """The cells of the largest class of a one-group space, as a (group, slice) chunk."""
+    space._ensure_classes()
+    (g,) = space._groups
+    bounds = np.flatnonzero(np.diff(g.op, prepend=-1, append=-1))
+    a, b = max(zip(bounds[:-1], bounds[1:]), key=lambda ab: ab[1] - ab[0])
+    assert np.ndim(_chunk_rows(g, slice(a, b))) == 0
+    return g, slice(a, b)
+
+
+def test_one_class_chunk_jacobian_matches_central_differences_cell_by_cell():
+    # Every term of a one-class chunk's J_loc comes from the class branch of
+    # _assemble, with a_y, f_z and f_y all set: J_loc d must match central
+    # differences of r_loc cell by cell.  Their O(t^2) truncation error is
+    # 7e-9 of each cell's largest entry of J_loc d, while the smallest term,
+    # f_y d, is at least 2e-5 of it in every cell, so a wrong sign shows.
+    problem = _problem_with_every_term()
+    space = HHOSpace(generate_cartesian(4), 1)
+    chunk = _largest_class_chunk(space)
+    rng = np.random.default_rng(23)
+    w = space.vector_from_flat(0.3 * rng.standard_normal(space.num_dofs))
+    d = space.vector_from_flat(rng.standard_normal(space.num_dofs))
+    load = solver_mod._cell_load(space, problem.source)
+    J = solver_mod._assemble(space, problem, w, chunk, load, True).J
+    Jd = (J @ space._local_values(*chunk, d)[..., None])[..., 0]
+    t = 1e-5
+    r_plus, r_minus = (solver_mod._assemble(space, problem, w + s * d, chunk, load, False).r
+                       for s in (t, -t))
+    fd = (r_plus - r_minus) / (2 * t)
+    err = np.abs(fd - Jd).max(axis=1) / np.abs(Jd).max(axis=1)
+    assert err.max() <= 1e-7, err.max()
+
+
+def _every_term_in_layout(layout):
+    """a = K z + b u and f = u^3 + c.z, with every output in ``layout``.
+
+    ``a_z``, ``a_y``, ``f_z`` and the exact gradient (cos(x + y), cos(x + y))
+    are built with ``np.broadcast_to``.  "C" and "F" copy each output into
+    that memory order ("F" is the (n, 2) transpose of a (2, n) array);
+    "broadcast" returns each as built, read-only.
+    """
+    K, b, c = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.2]), np.array([0.1, 0.4])
+
+    def out(fn):
+        def wrapped(*args):
+            v = fn(*args)
+            if layout == "broadcast":
+                return np.broadcast_to(v, v.shape)
+            return np.array(v, order=layout)
+        return wrapped
+
+    def exact_gradient(x):
+        return np.broadcast_to(np.cos(x[:, 0] + x[:, 1])[:, None], x.shape)
+
+    return NonlinearProblem(
+        a=out(lambda x, y, z: z @ K + b * y[:, None]),
+        a_z=out(lambda x, y, z: np.broadcast_to(K, (len(x), 2, 2))),
+        a_y=out(lambda x, y, z: np.broadcast_to(b, (len(x), 2))),
+        f=out(lambda x, y, z: y**3 + z @ c),
+        f_z=out(lambda x, y, z: np.broadcast_to(c, (len(x), 2))),
+        f_y=out(lambda x, y, z: 3.0 * y * y),
+        source=out(lambda x: np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])),
+        exact_gradient=out(exact_gradient)).check()
+
+
+@pytest.mark.parametrize("n", [32, 8])
+def test_callback_outputs_in_any_memory_order_give_the_same_bits(n):
+    # Cartesian 32, k=1 has a chunk of one class (961 cells) and one mixed
+    # chunk; cartesian 8 has only its mixed chunk.  C-ordered, F-ordered and
+    # broadcast outputs must give bitwise-equal residuals, Jacobians, cell
+    # loads and gradient errors.
+    space = HHOSpace(generate_cartesian(n), 1)
+    one_class = [len(g.cells[sl]) for g, sl in space._chunks() if np.ndim(_chunk_rows(g, sl)) == 0]
+    assert one_class == ([961] if n == 32 else [])
+    w = space.vector_from_flat(0.2 * np.random.default_rng(6).standard_normal(space.num_dofs))
+    results = []
+    for layout in ("C", "F", "broadcast"):
+        problem = _every_term_in_layout(layout)
+        J = jacobian(problem, w)
+        results.append((residual(problem, w), J.data, J.indices, J.indptr,
+                        solver_mod._cell_load(space, problem.source),
+                        harness.gradient_error(w, problem.exact_gradient)))
+    for other in results[1:]:
+        for x, y in zip(results[0], other):
+            assert np.array_equal(x, y)
 
 
 def test_newton_solves_the_discrete_equations():
@@ -827,6 +912,39 @@ def test_a_float64_solve_far_above_its_tolerance_fails():
                "residual of 4.6e-05 against the tolerance 1.0e-06")
     with pytest.raises(SolverError, match=re.escape(message)):
         newton_solve(steep_mean_curvature_problem(256), generate_cartesian(16), 1, max_iter=40)
+
+
+def test_a_failed_solve_carries_the_report_so_far():
+    # The face solve of the 16th iteration fails: each of the 16 condensed
+    # systems has its residual, each of the 15 completed steps its increment,
+    # and the bootstrap and those steps their linear solves.
+    with pytest.raises(SolverError) as info:
+        newton_solve(steep_mean_curvature_problem(256), generate_cartesian(16), 1, max_iter=40)
+    report = info.value.report
+    assert not report.converged
+    assert report.iterations == len(report.residuals) == len(report.increments) + 1 == 16
+    assert len(report.linear_solves) == report.iterations
+
+
+def test_a_singular_cell_block_in_newton_carries_the_report_so_far(monkeypatch):
+    # The first Newton system fails to condense: no iteration has a residual
+    # yet, and the bootstrap's linear solve is the only one.
+    problem = mean_curvature_problem()
+    assemble = solver_mod._assemble
+
+    def singular_blocks(space, *args, **kwargs):
+        local = assemble(space, *args, **kwargs)
+        local.J[:, :space.Nk, :space.Nk] = 0.0
+        return local
+
+    monkeypatch.setattr(solver_mod, "_assemble", singular_blocks)
+    with pytest.raises(CondensationError) as info:
+        newton_solve(problem, generate_cartesian(4), 1)
+    report = info.value.report
+    assert not report.converged and report.iterations == 0
+    assert report.residuals == report.increments == []
+    assert len(report.linear_solves) == 1
+    assert SolverError("outside newton_solve").report is None
 
 
 def test_solve_logs_face_system_and_ordering_at_debug(caplog):
