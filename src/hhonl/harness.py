@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hho import MAX_DEGREE, _is_whole
+from .hho import MAX_DEGREE, _apply, _is_whole
 from .mesh import (generate_cartesian, generate_hexagonal, generate_kershaw,
                    generate_triangular, mesh_size, read_mesh)
 from .solver import get_problem, newton_solve
@@ -182,11 +182,9 @@ def gradient_error(u_h, exact_gradient):
     num = 0.0
     den = 0.0
     for ids, pts, weights, phi in space._chunk_rules():
-        c = coeffs[ids].transpose(1, 0, 2)  # (2, m, Nk): x, then y coefficients
-        if phi.ndim == 2:  # one class: the (2 m, Nk) coefficients against its (nq, Nk) values
-            diff = (c.reshape(-1, space.Nk) @ phi.T).reshape(2, len(ids), -1)
-        else:
-            diff = (c[:, :, None] @ np.swapaxes(phi, 1, 2))[:, :, 0]
+        # G_h u_h as (2, m, nq) planes, x then y, one product each: on a gathered chunk,
+        # matrix-vector products, whose rounding the recorded errors were computed with.
+        diff = np.stack([_apply(phi, c) for c in coeffs[ids].transpose(1, 0, 2)])
         exact = np.asarray(exact_gradient(pts), dtype=float).reshape(-1, 2)
         exact = np.ascontiguousarray(np.moveaxis(exact, 0, -1)).reshape(diff.shape)
         diff -= exact  # G_h u_h, now less the exact gradient, in place

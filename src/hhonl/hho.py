@@ -19,9 +19,13 @@ Cells with the same shape, size and face ownership share one congruence
 class, and one row of their group's operator stacks, so uniform meshes
 store a handful of operator sets.  Each group orders its cells by class
 and cuts its chunks at the boundaries of its larger classes, so that a
-chunk of one class takes that class's operators as 2-D operands, one
-matrix product for all its cells, and only chunks pooling small classes
-gather a copy per cell.
+chunk of one class takes that class's operators as 2-D operands and only
+chunks pooling small classes gather a copy per cell.  Whatever consumes
+a chunk does so through the per-cell contractions :func:`_apply`,
+:func:`_apply_t`, :func:`_times` and :func:`_masses`, which take either
+operand and pick the product from its shape: one flat matrix product for
+all the cells of a class's 2-D matrix, a stacked product for a gathered
+stack.  That choice is made there and nowhere else.
 
 Quadrature points, and their offsets from the centroid, are stored as
 contiguous component planes: (..., 2) views of (2, ...) buffers, so that a
@@ -86,7 +90,9 @@ class _Group:
     Cells are ordered by class, ascending ids within a class.  ``chunks``
     cuts them at the boundary of every class of at least ``step // 4``
     cells (:func:`_class_slices`); no chunk holds more than ``step``
-    cells, which keeps every gathered array under ``_CHUNK_BYTES``.
+    cells, which keeps every gathered array under ``_CHUNK_BYTES``.  A
+    chunk's operands, its stacks at :func:`_chunk_rows`, are 2-D or
+    gathered; only the contractions (:func:`_apply`...) tell them apart.
     """
 
     step: int
@@ -98,7 +104,7 @@ class _Group:
     G: np.ndarray          # (c, 2 Nk, nloc)
     R: np.ndarray          # (c, Nk1, nloc)
     S: np.ndarray          # (c, nloc, nloc)
-    P: np.ndarray          # (c, nf, nF, Nk) face traces of the degree-k class basis
+    P: np.ndarray          # (c, nf nF, Nk) face traces of the degree-k class basis, by slot
     A: np.ndarray          # (c, 2, 2) whitening of the class basis (orthonormal_frame)
     T: np.ndarray          # (c, Nk1, Nk1) its triangular orthonormalization
     offsets: np.ndarray    # (c, nq, 2) assembly quadrature points minus the centroid (planes)
@@ -258,17 +264,50 @@ def _step(floats_per_row):
     return max(1, _CHUNK_BYTES // (8 * floats_per_row))
 
 
-def _per_cell(stack, at, x):
-    """``stack[at]`` applied to each cell's row of ``x`` (m, n): (m,) + ``stack.shape[1:-1]``.
+def _apply(op, x):
+    """``op_i x_i`` for each cell i of a chunk: (..., m, a) from vectors ``x`` (..., m, n).
 
-    ``at`` comes from :func:`_chunk_rows`.  A class's own matrix takes
-    every row of ``x`` in one product; a mixed chunk gathers a copy per
-    cell and multiplies it by the cell's row.
+    ``op`` is a class's (a, n) matrix, which takes all vectors of all the
+    leading planes of ``x`` in one flat product, or a gathered (m, a, n)
+    stack, which takes them as (m, n, K), the planes moved last.
     """
-    if np.ndim(at) == 0:
-        op = stack[at]
-        return (x @ op.reshape(-1, op.shape[-1]).T).reshape((len(x),) + op.shape[:-1])
-    return (stack[at] @ x.reshape((len(x),) + (1,) * (stack.ndim - 3) + (-1, 1)))[..., 0]
+    shape = x.shape[:-1] + op.shape[-2:-1]
+    if op.ndim == 2:
+        return (x.reshape(-1, op.shape[1]) @ op.T).reshape(shape)
+    out = op @ np.moveaxis(x.reshape((-1,) + x.shape[-2:]), 0, -1)  # (m, a, K)
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0)).reshape(shape)
+
+
+def _apply_t(op, x):
+    """``op_i^T x_i`` for each cell i: (..., m, n) from vectors ``x`` (..., m, a)."""
+    return _apply(np.swapaxes(op, -1, -2), x)
+
+
+def _times(X, op):
+    """``X_i op_i`` for each cell i: (m, b, n) from ``X`` (m, b, a), flat if ``op`` is 2-D.
+
+    ``X`` may be the operand instead, ``op`` then per cell: ``_times(G^T, Y)`` is ``G_i^T Y_i``.
+    """
+    if op.ndim == 2:
+        return (X.reshape(-1, op.shape[0]) @ op).reshape(X.shape[:-1] + op.shape[1:])
+    return X @ op
+
+
+def _masses(phi, v):
+    """``phi_i^T diag(v_i) phi_i`` for each plane of ``v`` (..., m, nq): (..., m, N, N).
+
+    A class's (nq, N) values give one product against its ``phi_qi phi_qj``;
+    gathered (m, nq, N) ones are weighted one plane at a time.
+    """
+    nq, N = phi.shape[-2:]
+    if phi.ndim == 2:
+        P = (phi[:, :, None] * phi[:, None, :]).reshape(nq, N * N)
+        return (v.reshape(-1, nq) @ P).reshape(v.shape[:-1] + (N, N))
+    out = np.empty(v.shape[:-1] + (N, N))
+    phiT = np.swapaxes(phi, 1, 2)
+    for plane, weights in zip(out.reshape((-1,) + out.shape[-3:]), v.reshape((-1,) + v.shape[-2:])):
+        np.matmul(phiT, weights[..., None] * phi, out=plane)
+    return out
 
 
 def _solve(A, B, cells, what):
@@ -401,9 +440,10 @@ class HHOSpace:
         self._where = where
         self._groups = groups
         self._classes = np.concatenate(reps)
+        kinds = [np.ndim(_chunk_rows(g, sl)) for g in groups for sl in g.chunks]
         log.debug("operators of %d cells in %d face-count groups, %d distinct classes, "
-                  "built in %.3f s", mesh.num_cells, len(groups), len(self._classes),
-                  time.perf_counter() - start)
+                  "built in %.3f s; %d chunks, %d of one class", mesh.num_cells, len(groups),
+                  len(self._classes), time.perf_counter() - start, len(kinds), kinds.count(0))
 
     def _build_stacks(self, verts, h, signs, cells):
         """Operator stacks, class bases and quadrature of the cells ``cells``.
@@ -487,7 +527,8 @@ class HHOSpace:
         delta[:, slot, np.arange(nF), Nk + slot * nF + np.arange(nF)] += 1.0
         S = (np.swapaxes(delta, -1, -2) @ (length[..., None, None] * delta)).sum(axis=1)
         S /= h[:, None, None]
-        return G.reshape(c, 2 * Nk, nloc), R, 0.5 * (S + np.swapaxes(S, 1, 2)), PT1[..., :Nk]
+        return (G.reshape(c, 2 * Nk, nloc), R, 0.5 * (S + np.swapaxes(S, 1, 2)),
+                PT1[..., :Nk].reshape(c, nf * nF, Nk))
 
     def _check_cell(self, ci):
         """Raise IndexError unless ``ci`` is a cell id of the mesh."""
@@ -560,7 +601,7 @@ class HHOSpace:
         out = np.empty((self.mesh.num_cells, self.Nk))
         for ids, points, w, phi in self._chunk_rules():
             vals = np.asarray(values(points, ids), dtype=float).reshape(len(ids), -1) * w
-            out[ids] = vals @ phi if phi.ndim == 2 else (vals[:, None] @ phi)[:, 0]
+            out[ids] = _apply_t(phi, vals)
         return out
 
     def _chunk_rules(self):
@@ -586,7 +627,7 @@ class HHOSpace:
         """sum_T ||G_T v||^2_T, the squared coefficients of G_T v in the orthonormal bases."""
         total = 0.0
         for g, sl in self._chunks():
-            q = _per_cell(g.G, _chunk_rows(g, sl), self._local_values(g, sl, v))
+            q = _apply(g.G[_chunk_rows(g, sl)], self._local_values(g, sl, v))
             total += float(np.sum(q**2))
         return total
 
@@ -598,8 +639,8 @@ class HHOSpace:
         """
         total = 0.0
         for g, sl in self._chunks():
-            trace = _per_cell(g.P, _chunk_rows(g, sl), v.cell_blocks[g.cells[sl]])  # (m, nf, nF)
-            total += float(np.sum((v.face_blocks[g.face_ids[sl]] - trace)**2))
+            trace = _apply(g.P[_chunk_rows(g, sl)], v.cell_blocks[g.cells[sl]])  # (m, nf nF)
+            total += float(np.sum((v.face_blocks[g.face_ids[sl]].reshape(trace.shape) - trace)**2))
         return total
 
     def discrete_norm_1h(self, v):
@@ -614,7 +655,7 @@ class HHOSpace:
         """
         coeffs = np.empty((self.mesh.num_cells, 2, self.Nk))
         for g, sl in self._chunks():
-            q = _per_cell(g.G, _chunk_rows(g, sl), self._local_values(g, sl, v))
+            q = _apply(g.G[_chunk_rows(g, sl)], self._local_values(g, sl, v))
             coeffs[g.cells[sl]] = q.reshape(-1, 2, self.Nk)
         return coeffs
 
@@ -622,7 +663,7 @@ class HHOSpace:
         """Coefficients of R_T v in every cell's ``cell_basis(ci)``, (num_cells, Nk1)."""
         coeffs = np.empty((self.mesh.num_cells, self.Nk1))
         for g, sl in self._chunks():
-            coeffs[g.cells[sl]] = _per_cell(g.R, _chunk_rows(g, sl), self._local_values(g, sl, v))
+            coeffs[g.cells[sl]] = _apply(g.R[_chunk_rows(g, sl)], self._local_values(g, sl, v))
         return coeffs
 
     # -- iteration helpers ----------------------------------------------------

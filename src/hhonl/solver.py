@@ -2,11 +2,10 @@
 
 The discrete nonlinear form and its fully discrete linearization are
 evaluated as stacks of local residuals and Jacobians, in vectorized
-chunks of cells with one face count.  A chunk of one congruence class
-takes its class's operators, basis values and weights from the space's
-operator stacks as 2-D operands, so each contraction is one matrix
-product over all its cells; a chunk pooling small classes gathers a
-copy of them per cell.  No global matrix holds cell unknowns:
+chunks of cells with one face count.  Each is written once, over the
+per-cell contractions of :mod:`hhonl.hho`, which alone choose between a
+class's shared operators and a gathered copy per cell; this module never
+asks which kind of chunk it has.  No global matrix holds cell unknowns:
 they couple only within their own cell, so each chunk is condensed onto
 its faces as soon as it is assembled (:func:`static_condense`), into the
 interior-face system whose rows and pattern the space builds once, in
@@ -64,7 +63,7 @@ from scipy import sparse
 from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
-from .hho import HHOSpace, _chunk_rows, _quadrature_points
+from .hho import HHOSpace, _apply, _apply_t, _chunk_rows, _masses, _quadrature_points, _times
 
 __all__ = [
     "SolverError",
@@ -296,16 +295,19 @@ def problem_names():
 # -- assembly ----------------------------------------------------------------
 
 
-def _call(what, fn, args, cells):
-    """``fn(*args)`` at the quadrature points of ``cells``, which must come out finite.
+def _call(what, fn, args, cells, tail=()):
+    """``fn(*args)`` at the n points ``args[0]`` of ``cells``: finite, of shape (n,) + ``tail``.
 
-    ``what`` names the callback in the :class:`EvaluationError` raised when
-    it fails or returns a non-finite value, which also names the cells.
+    If not, or if it fails, an :class:`EvaluationError` names the callback ``what`` and the cells.
     """
     try:
         out = np.asarray(fn(*args), dtype=float)
     except Exception as exc:
         raise EvaluationError(f"{what} failed on cells {cells[0]}..{cells[-1]}: {exc}") from exc
+    shape = (len(args[0]), *tail)
+    if out.shape != shape:
+        raise EvaluationError(f"{what} returned shape {out.shape} on cells "
+                              f"{cells[0]}..{cells[-1]}, not {shape}")
     finite = np.isfinite(out)
     if not finite.all():
         bad = cells[~finite.reshape(len(cells), -1).all(axis=1)]
@@ -335,19 +337,18 @@ def _assemble(space, problem, w, chunk, load, need_jacobian, fields=None):
     """Local residual (and optionally Jacobian) stacks of the discrete form at ``w``.
 
     ``chunk`` is one ``(group, slice)`` pair of ``space._chunks()``: cells
-    of one face count.  A chunk of one congruence class takes its class's
-    operators as 2-D operands, so each contraction is one matrix product
-    over all its cells; a mixed chunk gathers a copy of them per cell.
-    ``load`` is the source's cell load (:func:`_cell_load`), subtracted
-    from the residual's cell rows.  With ``fields=(u, grad_u)`` the
-    Jacobian coefficients are evaluated at the given fields instead of the
-    discrete iterate (semi-discrete linearization).  Returns the chunk's
+    of one face count.  Its operators, basis values and weights are its
+    group's stacks at :func:`~hhonl.hho._chunk_rows`, and every product
+    with them is one of the space's per-cell contractions.  ``load`` is
+    the source's cell load (:func:`_cell_load`), subtracted from the
+    residual's cell rows.  With ``fields=(u, grad_u)`` the Jacobian
+    coefficients are evaluated at the given fields instead of the discrete
+    iterate (semi-discrete linearization).  Returns the chunk's
     :class:`_Local`.
     """
     Nk = space.Nk
     g, sl = chunk
     ids, at = g.cells[sl], _chunk_rows(g, sl)
-    one = np.ndim(at) == 0  # one class: G (2 Nk, nloc), phi (nq, Nk), wq (nq,)
     m = len(ids)
     G, wq = g.G[at], g.weights[at]
     phi = g.phi[at, :, :Nk]
@@ -356,101 +357,59 @@ def _assemble(space, problem, w, chunk, load, need_jacobian, fields=None):
     flat = _quadrature_points(space.mesh.cell_centroids[ids], g.offsets[at]).reshape(-1, 2)
 
     # grad_x, grad_y of G_T w and w_T at every quadrature point, as (3, m nq) planes.
-    if one:
-        coef = np.empty((3, m, Nk))
-        coef[:2] = (loc @ G.T).reshape(m, 2, Nk).transpose(1, 0, 2)
-        coef[2] = loc[:, :Nk]
-        vals = (coef.reshape(3 * m, Nk) @ phi.T).reshape(3, -1)
-    else:
-        phiT = np.swapaxes(phi, 1, 2)
-        q = (G @ loc[..., None]).reshape(m, 2, Nk)
-        vals = phi @ np.concatenate((q, loc[:, None, :Nk]), axis=1).transpose(0, 2, 1)
-        vals = np.moveaxis(vals, -1, 0).reshape(3, -1)  # a copy of the (m, nq, 3) product
+    q = _apply(G, loc).reshape(m, 2, Nk).transpose(1, 0, 2)
+    vals = _apply(phi, np.concatenate((q, loc[None, :, :Nk]))).reshape(3, -1)
     zq, yq = vals[:2].T, vals[2]
     if fields is None:
         y_c, z_c = yq, zq
     else:
-        y_c = np.asarray(fields[0](flat), dtype=float)
-        z_c = np.asarray(fields[1](flat), dtype=float)
+        y_c = _call("linearization field u", fields[0], (flat,), ids)
+        z_c = _call("linearization field grad u", fields[1], (flat,), ids, (2,))
 
     def weighted(attr, y, z, parts=((),)):
         """Components ``parts`` of the callback ``attr`` times the weights, (len(parts), m, nq).
 
-        Each component is read through ``np.moveaxis`` of the callback's
-        output, a view for any memory order, and multiplied by the weights
-        straight into its own contiguous plane.
+        Each is read through ``np.moveaxis``, a view for any memory order, into its own plane.
         """
-        v = _call(f"problem callback {attr!r}", getattr(problem, attr), (flat, y, z), ids)
-        v = np.moveaxis(v.reshape(m * nq, *_SHAPES[attr]), 0, -1)
+        v = _call(f"problem callback {attr!r}", getattr(problem, attr), (flat, y, z), ids,
+                  _SHAPES[attr])
+        v = np.moveaxis(v, 0, -1)
         out = np.empty((len(parts), m, nq))
         for plane, part in zip(out, parts):
             np.multiply(v[part].reshape(m, nq), wq, out=plane)
         return out
 
-    aw = weighted("a", yq, zq, (0, 1))
-    if one:
-        flux = (aw.reshape(2 * m, nq) @ phi).reshape(2, m, Nk).transpose(1, 0, 2)
-        r_loc = flux.reshape(m, 2 * Nk) @ G + loc @ g.S[at]  # S is symmetric
-    else:
-        flux = phiT @ np.moveaxis(aw, 0, -1)  # (m, Nk, 2), the (m, nq, 2) product bit for bit
-        r_loc = (np.swapaxes(G, 1, 2) @ flux.transpose(0, 2, 1).reshape(m, -1, 1)
-                 + g.S[at] @ loc[..., None])[..., 0]
+    # r = G^T [phi^T (w a_x); phi^T (w a_y)] + S w, less the load, plus phi^T (w f).
+    flux = _apply_t(phi, weighted("a", yq, zq, (0, 1)))  # (2, m, Nk)
+    r_loc = _apply_t(G, flux.transpose(1, 0, 2).reshape(m, 2 * Nk)) + _apply(g.S[at], loc)
     r_loc[:, :Nk] -= load[ids]
     if problem.f is not None:
-        fw = weighted("f", yq, zq)[0]
-        r_loc[:, :Nk] += fw @ phi if one else (phiT @ fw[..., None])[..., 0]
-
+        r_loc[:, :Nk] += _apply_t(phi, weighted("f", yq, zq)[0])
     if not need_jacobian:
         return _Local(ids, g.gidx[sl], r_loc, None)
-    # a_z is symmetric (the NonlinearProblem contract), so the (1, 0)
-    # block equals the (0, 1) block, itself a symmetric mass matrix.
-    az = weighted("a_z", y_c, z_c, ((0, 0), (0, 1), (1, 1)))  # xx, xy and yy
-    ay = None if problem.a_y is None else weighted("a_y", y_c, z_c, (0, 1))
-    fz = None if problem.f_z is None else weighted("f_z", y_c, z_c, (0, 1))
-    fy = None if problem.f_y is None else weighted("f_y", y_c, z_c)[0]
-    if one:
-        P = (phi[:, :, None] * phi[:, None, :]).reshape(nq, Nk * Nk)  # phi_qi phi_qj
 
-        def mass(v):
-            """phi^T diag(v) phi per cell of ``v`` (..., m, nq), (..., m, Nk, Nk)."""
-            return (v.reshape(-1, nq) @ P).reshape(v.shape[:-1] + (Nk, Nk))
-
-        xx, xy, yy = mass(az)
-        # M with its rows first: Mt[a, i, b] = M_i[a, b], so that M G is one product.
-        Mt = np.empty((2, Nk, m, 2, Nk))
-        Mt[0, :, :, 0] = xx.transpose(1, 0, 2)
-        Mt[0, :, :, 1] = Mt[1, :, :, 0] = xy.transpose(1, 0, 2)
-        Mt[1, :, :, 1] = yy.transpose(1, 0, 2)
-        MG = (Mt.reshape(-1, 2 * Nk) @ G).reshape(2 * Nk, m, -1)
-        if ay is not None:  # G^T [W 0] with W_i = [mass(ay_x); mass(ay_y)]
-            MG[..., :Nk] += mass(ay).transpose(0, 2, 1, 3).reshape(2 * Nk, m, Nk)
-        GMG = (G.T @ MG.reshape(2 * Nk, -1)).reshape(-1, m, G.shape[1])  # (nloc, m, nloc)
-        J_loc = GMG.transpose(1, 0, 2) + g.S[at]
-        if fz is not None:  # W G with W_i = [mass(fz_x) mass(fz_y)]
-            W = mass(fz).transpose(1, 2, 0, 3).reshape(m * Nk, 2 * Nk)
-            J_loc[:, :Nk] += (W @ G).reshape(m, Nk, -1)
-        if fy is not None:
-            J_loc[:, :Nk, :Nk] += mass(fy)
-        return _Local(ids, g.gidx[sl], r_loc, J_loc)
-
-    def mass(weights):
-        """phi^T diag(weights) phi per cell, (m, Nk, Nk)."""
-        return phiT @ (weights[..., None] * phi)
-
+    # J = G^T (M G + [W_ay 0]) + S, plus W_fz G and mass(f_y) on the cell rows.  M holds
+    # the a_z-weighted masses; a_z is symmetric (the NonlinearProblem contract), so M's
+    # (1, 0) block is its (0, 1) block, itself a symmetric mass matrix.
+    xx, xy, yy = _masses(phi, weighted("a_z", y_c, z_c, ((0, 0), (0, 1), (1, 1))))
     M = np.empty((m, 2 * Nk, 2 * Nk))
-    M[:, :Nk, :Nk] = mass(az[0])
-    M[:, :Nk, Nk:] = mass(az[1])
-    M[:, Nk:, :Nk] = M[:, :Nk, Nk:]
-    M[:, Nk:, Nk:] = mass(az[2])
-    J_loc = np.swapaxes(G, 1, 2) @ (M @ G) + g.S[at]
-    if ay is not None:
-        W = np.concatenate((mass(ay[0]), mass(ay[1])), axis=1)
-        J_loc[:, :, :Nk] += np.swapaxes(G, 1, 2) @ W
-    if fz is not None:
-        W = np.concatenate((mass(fz[0]), mass(fz[1])), axis=2)
-        J_loc[:, :Nk, :] += W @ G
-    if fy is not None:
-        J_loc[:, :Nk, :Nk] += mass(fy)
+    M[:, :Nk, :Nk], M[:, :Nk, Nk:], M[:, Nk:, Nk:] = xx, xy, yy
+    M[:, Nk:, :Nk] = xy
+    # Each product goes once the next is formed (triangular 32, k=3: 9.3 MB, not 14.8, at peak).
+    del xx, xy, yy
+    X = _times(M, G)
+    del M
+    if problem.a_y is not None:  # W_ay = [mass(a_y,x); mass(a_y,y)]
+        W = _masses(phi, weighted("a_y", y_c, z_c, (0, 1)))
+        X[:, :, :Nk] += W.transpose(1, 0, 2, 3).reshape(m, 2 * Nk, Nk)
+    J_loc = _times(np.swapaxes(G, -1, -2), X)
+    del X
+    J_loc += g.S[at]
+    if problem.f_z is not None:  # W_fz = [mass(f_z,x) mass(f_z,y)]
+        W = _masses(phi, weighted("f_z", y_c, z_c, (0, 1)))
+        J_loc[:, :Nk] += _times(W.transpose(1, 2, 0, 3).reshape(m, Nk, 2 * Nk), G)
+    if problem.f_y is not None:
+        J_loc[:, :Nk, :Nk] += _masses(phi, weighted("f_y", y_c, z_c)[0])
     return _Local(ids, g.gidx[sl], r_loc, J_loc)
 
 

@@ -280,6 +280,9 @@ def test_operator_build_logs_groups_and_classes_at_debug(caplog):
     assert built[0].startswith(
         f"operators of 68 cells in 3 face-count groups, {len(space._classes)} "
         "distinct classes, built in ")
+    chunks = [g.op[sl] for g, sl in space._chunks()]
+    one = sum(np.all(op == op[0]) for op in chunks)
+    assert built[0].endswith(f" s; {len(chunks)} chunks, {one} of one class")
 
 
 def test_one_cell_rule_per_face_count_group_serves_operators_and_assembly(monkeypatch):

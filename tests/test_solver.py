@@ -214,12 +214,10 @@ def test_one_class_and_mixed_chunks_assemble_the_same_blocks(make, fields):
     problem = make()
     space = HHOSpace(generate_cartesian(8), 2)
     g, sl = _largest_class_chunk(space)
-    a, b = sl.start, sl.stop
-    mixed, shared = (slice(a - 1, b), slice(1, None)) if a > 0 else (slice(a, b + 1), slice(-1))
-    assert np.ndim(_chunk_rows(g, mixed)) == 1
+    mixed, shared = _with_a_neighbour(g, sl)
     w = space.vector_from_flat(0.3 * np.random.default_rng(5).standard_normal(space.num_dofs))
     load = solver_mod._cell_load(space, problem.source)
-    one = solver_mod._assemble(space, problem, w, (g, slice(a, b)), load, True, fields=fields)
+    one = solver_mod._assemble(space, problem, w, (g, sl), load, True, fields=fields)
     both = solver_mod._assemble(space, problem, w, (g, mixed), load, True, fields=fields)
     assert np.array_equal(both.ids[shared], one.ids)
     for x, y in ((one.r, both.r[shared]), (one.J, both.J[shared])):
@@ -236,15 +234,31 @@ def _largest_class_chunk(space):
     return g, slice(a, b)
 
 
-def test_one_class_chunk_jacobian_matches_central_differences_cell_by_cell():
-    # Every term of a one-class chunk's J_loc comes from the class branch of
-    # _assemble, with a_y, f_z and f_y all set: J_loc d must match central
-    # differences of r_loc cell by cell.  Their O(t^2) truncation error is
-    # 7e-9 of each cell's largest entry of J_loc d, while the smallest term,
-    # f_y d, is at least 2e-5 of it in every cell, so a wrong sign shows.
+def _with_a_neighbour(g, sl):
+    """The class chunk ``sl`` of ``g`` plus the cell before it (after it if none): a mixed chunk.
+
+    Returns that chunk's slice and the slice of its cells that are ``sl``'s.
+    """
+    a, b = sl.start, sl.stop
+    mixed, shared = (slice(a - 1, b), slice(1, None)) if a > 0 else (slice(a, b + 1), slice(-1))
+    assert np.ndim(_chunk_rows(g, mixed)) == 1
+    return mixed, shared
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["one-class", "mixed"])
+def test_chunk_jacobian_matches_central_differences_cell_by_cell(mixed):
+    # The largest class of cartesian 4, k=1 as a chunk, which takes its
+    # class's operators as 2-D operands, or with a neighbouring cell, which
+    # gathers them per cell; a_y, f_z and f_y are all set.  J_loc d must
+    # match central differences of r_loc cell by cell.  Their O(t^2)
+    # truncation error is 7e-9 of each cell's largest entry of J_loc d,
+    # while the smallest term, f_y d, is at least 2e-5 of it in every cell,
+    # so a wrong sign shows.
     problem = _problem_with_every_term()
     space = HHOSpace(generate_cartesian(4), 1)
     chunk = _largest_class_chunk(space)
+    if mixed:
+        chunk = (chunk[0], _with_a_neighbour(*chunk)[0])
     rng = np.random.default_rng(23)
     w = space.vector_from_flat(0.3 * rng.standard_normal(space.num_dofs))
     d = space.vector_from_flat(rng.standard_normal(space.num_dofs))
@@ -311,6 +325,37 @@ def test_callback_outputs_in_any_memory_order_give_the_same_bits(n):
     for other in results[1:]:
         for x, y in zip(results[0], other):
             assert np.array_equal(x, y)
+
+
+def test_both_chunk_kinds_agree_through_every_consumer():
+    # Cartesian 32, k=1 is one group: a chunk of its 961-cell class, which
+    # takes the class's operators as 2-D operands, and a mixed chunk of the
+    # other cells.  A second space re-chunks the group, before anything else
+    # is built, as one mixed chunk of all 1024 cells (within its step of
+    # 1365), which gathers every operand per cell.  Every consumer of a
+    # chunk must give the same numbers on both.
+    mesh = generate_cartesian(32)
+    default, gathered = HHOSpace(mesh, 1), HHOSpace(mesh, 1)
+    kinds = sorted((np.ndim(_chunk_rows(g, sl)), len(g.cells[sl])) for g, sl in default._chunks())
+    assert kinds[0] == (0, 961) and all(ndim == 1 for ndim, _ in kinds[1:])
+    gathered._ensure_classes()
+    (g,) = gathered._groups
+    assert len(g.cells) == 1024 <= g.step
+    g.chunks = [slice(0, 1024)]
+    assert np.ndim(_chunk_rows(g, g.chunks[0])) == 1
+    problem = _every_term_in_layout("C")
+    flat = 0.2 * np.random.default_rng(9).standard_normal(default.num_dofs)
+    results = []
+    for space in (default, gathered):
+        w = space.vector_from_flat(flat)
+        norms = (harness.gradient_error(w, problem.exact_gradient), space.gradient_norm(w),
+                 space.discrete_norm_1h(w))
+        results.append([residual(problem, w), jacobian(problem, w),
+                        solver_mod._cell_load(space, problem.source), *map(np.float64, norms),
+                        space.reconstruct_gradient_global(w),
+                        space.reconstruct_potential_global(w)])
+    for x, y in zip(*results):  # the Jacobians are sparse: abs and max of their entries
+        assert abs(x - y).max() <= 1e-12 * abs(y).max()
 
 
 def test_newton_solves_the_discrete_equations():
@@ -589,6 +634,38 @@ def test_non_finite_callback_values_name_the_callback_and_cells():
     named = [int(c) for c in str(info.value).split(":")[-1].split(",")]
     quadrant = np.flatnonzero((mesh.cell_centroids > 0.5).all(axis=1))
     assert sorted(named) == list(quadrant)
+
+
+def _nan_in_quadrant(field):
+    def wrapped(x):
+        out = np.array(field(x), dtype=float)
+        out[(x[:, 0] > 0.5) & (x[:, 1] > 0.5)] = np.nan
+        return out
+    return wrapped
+
+
+@pytest.mark.parametrize("which, name", [(0, "u"), (1, "grad u")])
+def test_non_finite_linearization_fields_name_the_field_and_cells(which, name):
+    # A NaN in either frozen field must neither pass silently nor be blamed
+    # on a_z: the error names that field and its cells.
+    mesh = generate_cartesian(4)
+    space = HHOSpace(mesh, 1)
+    fields = [lambda x: x[:, 0] * x[:, 1], lambda x: x[:, ::-1].copy()]
+    fields[which] = _nan_in_quadrant(fields[which])
+    with pytest.raises(EvaluationError,
+                       match=f"^linearization field {name} returned non-finite") as info:
+        jacobian(mean_curvature_problem(), HybridVector(space), fields=fields)
+    named = [int(c) for c in str(info.value).split(":")[-1].split(",")]
+    quadrant = np.flatnonzero((mesh.cell_centroids > 0.5).all(axis=1))
+    assert sorted(named) == list(quadrant)
+
+
+def test_a_linearization_field_of_the_wrong_shape_is_named():
+    space = HHOSpace(generate_cartesian(4), 1)
+    fields = (lambda x: x[:, 0], lambda x: x[:, 0])
+    with pytest.raises(EvaluationError, match=r"^linearization field grad u returned shape "
+                                              r"\(1024,\) on cells 0\.\.15, not \(1024, 2\)$"):
+        jacobian(mean_curvature_problem(), HybridVector(space), fields=fields)
 
 
 def test_check_rejects_non_finite_flux_derivative():
