@@ -173,6 +173,8 @@ def cmd_mesh_info(args):
     print(f"file: {path}")
     print(f"vertices: {mesh.num_vertices}")
     print(f"cells: {mesh.num_cells}")
+    counts = (f"{faces.shape[1]}: {len(ids)}" for ids, _, faces in mesh._by_face_count)
+    print(f"cells by face count: {', '.join(counts)}")
     print(f"faces: {mesh.num_faces} ({len(mesh.interior_faces)} interior, "
           f"{len(mesh.boundary_faces)} boundary)")
     print(f"mesh size h: {mesh_size(mesh):.6e}")

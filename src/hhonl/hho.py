@@ -11,10 +11,10 @@ degree k+1, and faces have orthonormal Legendre bases (see
 matrices |F| I.
 
 Cells are grouped by face count.  Each group has one cell rule of degree
-2k+4, which yields the class bases and their values at its points for
-assembly, interpolation, loads and errors; the energy norm reads the
-face traces the operator build keeps.  Every loop over cells runs over
-the groups in chunks of bounded size.
+2k+4, which yields the class bases and, kept for assembly, interpolation,
+loads and errors, their degree-k values at its points; the energy norm
+reads the face traces the operator build keeps.  Every loop over cells
+runs over the groups in chunks of bounded size.
 Cells with the same shape, size and face ownership share one congruence
 class, and one row of their group's operator stacks, so uniform meshes
 store a handful of operator sets.  Each group orders its cells by class
@@ -109,7 +109,15 @@ class _Group:
     T: np.ndarray          # (c, Nk1, Nk1) its triangular orthonormalization
     offsets: np.ndarray    # (c, nq, 2) assembly quadrature points minus the centroid (planes)
     weights: np.ndarray    # (c, nq)
-    phi: np.ndarray        # (c, nq, Nk1) class basis values at those points
+    # (c, nq, Nk) the degree-k class basis at those points, all that assembly,
+    # loads, interpolation and errors read; the degree-(k+1) values are
+    # monomials(offsets @ A^T, k+1) @ T (see HHOSpace.quadrature_batches).
+    phi: np.ndarray
+
+    def stack_bytes(self):
+        """Bytes of the per-class stacks: operators, frames, quadrature and basis values."""
+        return sum(a.nbytes for a in (self.G, self.R, self.S, self.P, self.A, self.T,
+                                      self.offsets, self.weights, self.phi))
 
 
 class _FacePattern(NamedTuple):
@@ -410,16 +418,13 @@ class HHOSpace:
         start = time.perf_counter()
         mesh = self.mesh
         Nk, nF = self.Nk, self.nF
-        nfaces = np.fromiter(map(len, mesh.cell_faces), dtype=np.int64, count=mesh.num_cells)
         hmax = mesh.cell_diameters.max()
         groups, reps = [], []
-        for nf in np.unique(nfaces):
-            cells = np.flatnonzero(nfaces == nf)
-            face_ids = np.stack([mesh.cell_faces[ci] for ci in cells])
+        for cells, vids, face_ids in mesh._by_face_count:
+            nf = vids.shape[1]
             signs = np.where(mesh.face_owner[face_ids] == cells[:, None], 1, -1)
             h = mesh.cell_diameters[cells]
-            verts = (mesh.vertices[np.stack([mesh.cells[ci] for ci in cells])]
-                     - mesh.cell_centroids[cells, None])
+            verts = mesh.vertices[vids] - mesh.cell_centroids[cells, None]
             op, rows = _congruence_index(verts / h[:, None, None], signs, h / hmax)
             reps.append(cells[rows])
             stacks = self._build_stacks(verts[rows], h[rows], signs[rows], cells[rows])
@@ -428,8 +433,11 @@ class HHOSpace:
             nloc = Nk + nf * nF
             fdofs = self.num_cell_dofs + face_ids[:, :, None] * nF + np.arange(nF)
             gidx = np.hstack((cells[:, None] * Nk + np.arange(Nk), fdofs.reshape(len(cells), -1)))
-            # The widest per-cell array a chunk gathers: basis values or
-            # callback values at the quadrature points, or a local matrix.
+            # The widest per-cell array a chunk gathers: callback values at
+            # the quadrature points, or a local matrix.  The Nk1 term is
+            # wider than the stored basis values (Nk): it bounds the per-point
+            # callback and mass work, and it keeps the chunks as they were
+            # cut when the stored values had Nk1 columns.
             nq = stacks[-1].shape[1]
             step = _step(max(nq * max(self.Nk1, 4), nloc * nloc))
             groups.append(_Group(step, _class_slices(op, step), cells, face_ids, gidx, op,
@@ -442,26 +450,35 @@ class HHOSpace:
         self._classes = np.concatenate(reps)
         kinds = [np.ndim(_chunk_rows(g, sl)) for g in groups for sl in g.chunks]
         log.debug("operators of %d cells in %d face-count groups, %d distinct classes, "
-                  "built in %.3f s; %d chunks, %d of one class", mesh.num_cells, len(groups),
-                  len(self._classes), time.perf_counter() - start, len(kinds), kinds.count(0))
+                  "built in %.3f s; %d chunks, %d of one class; stacks %.1f MB",
+                  mesh.num_cells, len(groups), len(self._classes), time.perf_counter() - start,
+                  len(kinds), kinds.count(0), sum(g.stack_bytes() for g in groups) / 1e6)
 
     def _build_stacks(self, verts, h, signs, cells):
-        """Operator stacks, class bases and quadrature of the cells ``cells``.
+        """Operator stacks, class frames, quadrature and degree-k basis values of ``cells``.
 
         ``verts`` holds their centroid-relative corners (c, nf, 2), ``h``
         their diameters and ``signs`` +1 where the cell owns the face of a
         slot, -1 where its neighbor does.  One rule yields each cell's
-        orthonormal basis of degree k+1 and is kept for assembly; the
-        operators are built from the bases a chunk of cells at a time.
+        orthonormal basis of degree k+1 and is kept for assembly.  The
+        frames (A, T), the basis values and the operators are built a slice
+        of cells at a time, and only the first Nk columns of the values,
+        the degree-k basis that assembly, loads, interpolation and errors
+        read, are kept: the build never holds every class's degree-(k+1)
+        table at once.
         """
         try:
             rule = cell_quadrature(verts, self.quad_degree)
         except QuadratureError as exc:
             raise OperatorBuildError(f"cell {cells[exc.index]}: {exc}") from exc
-        A, T, phi = _frame(rule.points, rule.weights, self.k + 1)  # phi (c, nq, Nk1)
         c, nq = rule.weights.shape
+        Nk, Nk1 = self.Nk, self.Nk1
+        A, T, phi = np.empty((c, 2, 2)), np.empty((c, Nk1, Nk1)), np.empty((c, nq, Nk))
         stacks = None
-        for sl in _slices(c, _step(2 * nq * self.Nk1)):
+        for sl in _slices(c, _step(2 * nq * Nk1)):
+            A[sl], T[sl], values = _frame(rule.points[sl], rule.weights[sl], self.k + 1)
+            phi[sl] = values[..., :Nk]
+            del values  # the slice's degree-(k+1) table is not kept
             part = self._build_operators(verts[sl], h[sl], signs[sl], cells[sl], A[sl], T[sl])
             if stacks is None:
                 stacks = [np.empty((c,) + a.shape[1:]) for a in part]
@@ -615,7 +632,7 @@ class HHOSpace:
         for g, sl in self._chunks():
             ids, at = g.cells[sl], _chunk_rows(g, sl)
             points = _quadrature_points(self.mesh.cell_centroids[ids], g.offsets[at])
-            yield ids, points.reshape(-1, 2), g.weights[at], g.phi[at, :, :self.Nk]
+            yield ids, points.reshape(-1, 2), g.weights[at], g.phi[at]
 
     # -- norms and reconstructions -------------------------------------------
 
@@ -673,12 +690,18 @@ class HHOSpace:
 
         Shapes are (m,), (m, nq, 2), (m, nq) and (m, nq, Nk1); the cells of
         one batch share a face count.  The points are stored as component
-        planes (:func:`_quadrature_points`).
+        planes (:func:`_quadrature_points`).  The space stores only the
+        degree-k values, so each batch forms its degree-(k+1) values as
+        ``monomials(offsets @ A^T, k+1) @ T``, the operations by which the
+        build orthonormalized the class bases: bit for bit the values the
+        build computed.
         """
         for g, sl in self._chunks():
             ids, op = g.cells[sl], g.op[sl]
-            pts = _quadrature_points(self.mesh.cell_centroids[ids], g.offsets[op])
-            yield ids, pts, g.weights[op], g.phi[op]
+            offsets = g.offsets[op]
+            pts = _quadrature_points(self.mesh.cell_centroids[ids], offsets)
+            phi = monomials(offsets @ np.swapaxes(g.A[op], 1, 2), self.k + 1) @ g.T[op]
+            yield ids, pts, g.weights[op], phi
 
     def free_dofs(self):
         """All cell dofs plus interior face dofs, in global layout order."""

@@ -155,6 +155,7 @@ class PolytopalMesh:
         self._compute_face_geometry()
         self._check_partition()
         self._face_tree = None  # (order, depth, top) of interior_face_order
+        self._cell_faces = None
         for arr in (self.vertices, self.faces, self.face_owner, self.face_neighbor,
                     self.cell_centroids, self.cell_areas, self.cell_diameters,
                     self.face_midpoints, self.face_lengths, self.face_normals):
@@ -226,7 +227,10 @@ class PolytopalMesh:
         """Faces numbered by first traversal; the first cell to traverse a face owns it.
 
         Edges are grouped by their sorted vertex pair; within a group the
-        traversal order decides owner (first) and neighbor (second).
+        traversal order decides owner (first) and neighbor (second).  Also
+        sets ``_by_face_count``: for each face count nf, ascending, the
+        cell ids (m,) with nf faces, ascending, and their vertex ids and
+        face ids (m, nf) in traversal order, read-only.
         """
         sizes = np.fromiter(map(len, self.cells), dtype=np.int64, count=len(self.cells))
         starts = np.cumsum(sizes) - sizes
@@ -261,7 +265,14 @@ class PolytopalMesh:
         self.face_owner = cell[owner_edge]
         self.face_neighbor = np.full(len(first), -1, dtype=np.int64)
         self.face_neighbor[face[second]] = cell[second]
-        self.cell_faces = np.split(face, starts[1:])
+        self._by_face_count = []
+        for nf in np.unique(sizes):
+            ids = np.flatnonzero(sizes == nf)
+            at = starts[ids, None] + np.arange(nf)
+            stack = (ids, a[at], face[at])
+            for arr in stack:
+                arr.setflags(write=False)
+            self._by_face_count.append(stack)
 
     def _compute_face_geometry(self):
         p0 = self.vertices[self.faces[:, 0]]
@@ -305,6 +316,17 @@ class PolytopalMesh:
     @property
     def num_faces(self):
         return len(self.faces)
+
+    @property
+    def cell_faces(self):
+        """Face ids of each cell in traversal order, one array per cell, built on first use."""
+        if self._cell_faces is None:
+            out = [None] * self.num_cells
+            for ids, _, faces in self._by_face_count:
+                for ci, row in zip(ids.tolist(), faces):
+                    out[ci] = row
+            self._cell_faces = out
+        return self._cell_faces
 
     @property
     def boundary_faces(self):

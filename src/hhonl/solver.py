@@ -351,7 +351,7 @@ def _assemble(space, problem, w, chunk, load, need_jacobian, fields=None):
     ids, at = g.cells[sl], _chunk_rows(g, sl)
     m = len(ids)
     G, wq = g.G[at], g.weights[at]
-    phi = g.phi[at, :, :Nk]
+    phi = g.phi[at]
     nq = wq.shape[-1]
     loc = space._local_values(g, sl, w)
     flat = _quadrature_points(space.mesh.cell_centroids[ids], g.offsets[at]).reshape(-1, 2)
@@ -791,7 +791,8 @@ class _FaceFactor:
 
         Its :class:`LinearSolve` goes on ``solves``.  Raises
         :class:`SolverError` if the float64 factor fails, or if its attempt
-        ends with a true residual beyond the bound of ``_FLOAT64_FLOOR``.
+        ends with a true residual beyond the bound of ``_FLOAT64_FLOOR``: the
+        system is then too ill-conditioned to solve to ``rtol``.
         """
         gnorm = np.linalg.norm(g)
         tol = rtol * gnorm
@@ -825,8 +826,9 @@ class _FaceFactor:
             self.lu = lu
         elif rtol > _RTOL and residual > max(10 * rtol, _FLOAT64_FLOOR):
             raise SolverError(
-                "condensed face system is singular: the float64 factor left a relative "
-                f"residual of {residual:.1e} against the tolerance {rtol:.1e}")
+                "condensed face system is too ill-conditioned to solve to its tolerance: the "
+                f"float64 factor left a relative residual of {residual:.1e} against the "
+                f"tolerance {rtol:.1e}")
         self.solves.append(LinearSolve(kind, steps, rtol, residual, S.shape[0], S.nnz, lu.nnz))
         log.debug("face system: %d rows, %d nonzeros, %s factor, %d Krylov steps, "
                   "tolerance %.1e, relative residual %.1e",

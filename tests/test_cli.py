@@ -109,6 +109,13 @@ def test_mesh_info_reports_the_face_order(tmp_path, capsys):
     assert "face order: cell tree depth 8, top separator 12 faces" in capsys.readouterr().out
 
 
+def test_mesh_info_counts_the_cells_of_each_face_count(tmp_path, capsys):
+    path = tmp_path / "hexagonal.json"
+    write_mesh(harness.build_mesh("hexagonal-files", 1), path)
+    assert main(["mesh-info", str(path)]) == 0
+    assert "cells by face count: 4: 8, 5: 15, 6: 45" in capsys.readouterr().out
+
+
 def test_mesh_info_missing_file(capsys):
     with pytest.raises(SystemExit) as info:
         main(["mesh-info", "/no/such/file.typ2"])

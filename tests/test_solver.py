@@ -985,8 +985,8 @@ def test_steep_problem_replaces_a_held_factor_and_keeps_the_solution(monkeypatch
 def test_a_float64_solve_far_above_its_tolerance_fails():
     # u = 256 x(1-x)y(1-y): the Krylov estimate of a float64 attempt meets
     # the forcing term 1e-6 while the true residual stays at 4.6e-5 of |g|.
-    message = ("condensed face system is singular: the float64 factor left a relative "
-               "residual of 4.6e-05 against the tolerance 1.0e-06")
+    message = ("condensed face system is too ill-conditioned to solve to its tolerance: the "
+               "float64 factor left a relative residual of 4.6e-05 against the tolerance 1.0e-06")
     with pytest.raises(SolverError, match=re.escape(message)):
         newton_solve(steep_mean_curvature_problem(256), generate_cartesian(16), 1, max_iter=40)
 
