@@ -101,6 +101,8 @@ def cmd_solve(args):
     print(f"problem: {problem.name}")
     print(f"mesh: {mesh.num_cells} cells, {mesh.num_faces} faces, h = {mesh_size(mesh):.4e}")
     print(f"degree: k = {args.k}, unknowns: {u.space.num_dofs}")
+    print(f"operators: {len(u.space._classes)} congruence classes, "
+          f"{sum(g.stack_bytes() for g in u.space._groups) / 1e6:.2f} MB stored")
     print(f"newton: converged in {report.iterations} iterations")
     for i, (inc, res) in enumerate(zip(report.increments, report.residuals), start=1):
         print(f"  iter {i}: relative increment {inc:.3e}  condensed residual {res:.3e}")

@@ -10,22 +10,22 @@ degree k+1, and faces have orthonormal Legendre bases (see
 :mod:`hhonl.basis`), so cell mass matrices are identities and face mass
 matrices |F| I.
 
-Cells are grouped by face count.  Each group has one cell rule of degree
-2k+4, which yields the class bases and, kept for assembly, interpolation,
-loads and errors, their degree-k values at its points; the energy norm
-reads the face traces the operator build keeps.  Every loop over cells
-runs over the groups in chunks of bounded size.
-Cells with the same shape, size and face ownership share one congruence
-class, and one row of their group's operator stacks, so uniform meshes
-store a handful of operator sets.  Each group orders its cells by class
-and cuts its chunks at the boundaries of its larger classes, so that a
-chunk of one class takes that class's operators as 2-D operands and only
-chunks pooling small classes gather a copy per cell.  Whatever consumes
-a chunk does so through the per-cell contractions :func:`_apply`,
-:func:`_apply_t`, :func:`_times` and :func:`_masses`, which take either
-operand and pick the product from its shape: one flat matrix product for
-all the cells of a class's 2-D matrix, a stacked product for a gathered
-stack.  That choice is made there and nowhere else.
+Cells are grouped by face count, and cells with the same shape, size and
+face ownership share one congruence class and one row of their group's
+stacks.  :meth:`HHOSpace._class_build` builds any classes of a group from
+their first cells: one cell rule of degree 2k+4 yields the class bases,
+then the operators.  The space keeps what a solve reads (G_T, S_T, the
+face traces, and the rule with the degree-k basis values at its points);
+R_T and the frames of the bases are rebuilt, bit for bit, when read.
+Every loop over cells runs over the groups in chunks of bounded size, cut
+at the boundaries of the larger classes, so that a chunk of one class
+takes its operators as 2-D operands and only chunks pooling small classes
+gather a copy per cell.  Whatever consumes a chunk does so through the
+per-cell contractions :func:`_apply`, :func:`_apply_t`, :func:`_times` and
+:func:`_masses`, which take either operand and pick the product from its
+shape: one flat matrix product for all the cells of a class's 2-D matrix,
+a stacked product for a gathered stack.  That choice is made there and
+nowhere else.
 
 Quadrature points, and their offsets from the centroid, are stored as
 contiguous component planes: (..., 2) views of (2, ...) buffers, so that a
@@ -40,6 +40,7 @@ import logging
 import numbers
 import operator
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,40 +85,39 @@ class OperatorBuildError(HHOError):
 
 @dataclass
 class _Group:
-    """Cells with one face count and the operator stacks of their congruence classes.
+    """Cells with one face count and the stacks of their congruence classes a solve reads.
 
     Cell ``cells[i]`` uses row ``op[i]`` of every stack, one row per class.
-    Cells are ordered by class, ascending ids within a class.  ``chunks``
-    cuts them at the boundary of every class of at least ``step // 4``
-    cells (:func:`_class_slices`); no chunk holds more than ``step``
-    cells, which keeps every gathered array under ``_CHUNK_BYTES``.  A
-    chunk's operands, its stacks at :func:`_chunk_rows`, are 2-D or
-    gathered; only the contractions (:func:`_apply`...) tell them apart.
+    Cells are ordered by class, ascending ids within a class.
+    :meth:`HHOSpace._class_build` builds a class from its first cell, and
+    rebuilds the class's R and frame (A, T), which are not kept.  ``chunks``
+    cuts the cells at the boundary of every class of at least ``step // 4``
+    cells (:func:`_class_slices`); no chunk holds more than ``step`` cells,
+    which keeps every gathered array under ``_CHUNK_BYTES``.  A chunk's
+    operands, its stacks at :func:`_chunk_rows`, are 2-D or gathered; only
+    the contractions (:func:`_apply`...) tell them apart.
     """
 
-    step: int
-    chunks: list           # slices of the cells, one per chunk
     cells: np.ndarray      # (m,) cell ids, ordered by class
     face_ids: np.ndarray   # (m, nf) global face ids per slot
-    gidx: np.ndarray       # (m, nloc) global dof indices
     op: np.ndarray         # (m,) stack row of each cell
-    G: np.ndarray          # (c, 2 Nk, nloc)
-    R: np.ndarray          # (c, Nk1, nloc)
-    S: np.ndarray          # (c, nloc, nloc)
-    P: np.ndarray          # (c, nf nF, Nk) face traces of the degree-k class basis, by slot
-    A: np.ndarray          # (c, 2, 2) whitening of the class basis (orthonormal_frame)
-    T: np.ndarray          # (c, Nk1, Nk1) its triangular orthonormalization
-    offsets: np.ndarray    # (c, nq, 2) assembly quadrature points minus the centroid (planes)
-    weights: np.ndarray    # (c, nq)
-    # (c, nq, Nk) the degree-k class basis at those points, all that assembly,
-    # loads, interpolation and errors read; the degree-(k+1) values are
-    # monomials(offsets @ A^T, k+1) @ T (see HHOSpace.quadrature_batches).
-    phi: np.ndarray
+    gidx: np.ndarray = None  # (m, nloc) global dof indices; this and the rest set after the build
+    step: int = 0
+    chunks: list = None    # slices of the cells, one per chunk
+    G: np.ndarray = None   # (c, 2 Nk, nloc)
+    S: np.ndarray = None   # (c, nloc, nloc)
+    P: np.ndarray = None   # (c, nf nF, Nk) face traces of the degree-k class basis, by slot
+    offsets: np.ndarray = None  # (c, nq, 2) assembly quadrature points minus the centroid (planes)
+    weights: np.ndarray = None  # (c, nq)
+    phi: np.ndarray = None      # (c, nq, Nk) the degree-k class basis at those points
 
     def stack_bytes(self):
-        """Bytes of the per-class stacks: operators, frames, quadrature and basis values."""
-        return sum(a.nbytes for a in (self.G, self.R, self.S, self.P, self.A, self.T,
-                                      self.offsets, self.weights, self.phi))
+        """Bytes of the per-class stacks: operators, quadrature and basis values."""
+        return sum(a.nbytes for a in (self.G, self.S, self.P, self.offsets, self.weights, self.phi))
+
+
+# HHOSpace._class_build's rows of some classes of a group, the frames (A, T) included.
+_ClassBuild = namedtuple("_ClassBuild", "G R S P offsets weights phi A T")
 
 
 class _FacePattern(NamedTuple):
@@ -341,22 +341,28 @@ def _is_whole(value):
         or (isinstance(value, numbers.Real) and float(value).is_integer()))
 
 
-def _congruence_index(rel, signs, size):
-    """Class of each cell of a stack, and the position of each class's first cell.
+def _congruence_index(verts, h, signs, hmax):
+    """Class of each cell of a stack, from its :func:`_cell_geometry` and the largest diameter.
 
     Cells share a class when their centroid-relative corners in units of
     the diameter, their face ownership signs and their diameters relative
     to the mesh's largest agree at ``_KEY_RESOLUTION``.  Classes are
     numbered in order of first appearance.
     """
-    m = len(rel)
-    key = np.hstack((np.rint(rel.reshape(m, -1) / _KEY_RESOLUTION), signs,
-                     np.rint(size / _KEY_RESOLUTION)[:, None])).astype(np.int64)
+    m = len(verts)
+    key = np.hstack((np.rint((verts / h[:, None, None]).reshape(m, -1) / _KEY_RESOLUTION), signs,
+                     np.rint(h / hmax / _KEY_RESOLUTION)[:, None])).astype(np.int64)
     _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse.reshape(-1)], first[order]
+    return np.argsort(np.argsort(first))[inverse.reshape(-1)]
+
+
+def _cell_geometry(mesh, cells, face_ids):
+    """Centroid-relative corners (m, nf, 2), diameters, and +1 where a cell owns a face, else -1."""
+    own = mesh.face_owner[face_ids] == cells[:, None]
+    # Slot s runs from corner s along its face, the face's way if owned, else backwards.
+    corners = np.where(own, mesh.faces[face_ids, 0], mesh.faces[face_ids, 1])
+    verts = mesh.vertices[corners] - mesh.cell_centroids[cells, None]
+    return verts, mesh.cell_diameters[cells], np.where(own, 1, -1)
 
 
 class HHOSpace:
@@ -397,12 +403,16 @@ class HHOSpace:
     # -- bases --------------------------------------------------------------
 
     def cell_basis(self, ci, degree=None):
-        """Cell ``ci``'s class basis of ``degree`` <= k+1 (default k+1), truncated if lower."""
+        """Cell ``ci``'s class basis of ``degree`` <= k+1 (default k+1), truncated if lower.
+
+        Each call rebuilds its class's frame (:meth:`_class_build`, about 0.2 ms).
+        """
         g, i = self._locate(ci)
         degree = self.k + 1 if degree is None else degree
         if not 0 <= degree <= self.k + 1:
             raise ValueError(f"the class bases have degree {self.k + 1}, got {degree}")
-        return CellBasis(self.mesh.cell_vertices(ci), degree, frame=(g.A[g.op[i]], g.T[g.op[i]]),
+        A, T = self._class_build(g, g.op[i:i + 1], operators=False)[-2:]
+        return CellBasis(self.mesh.cell_vertices(ci), degree, frame=(A[0], T[0]),
                          cell_index=ci, center=self.mesh.cell_centroids[ci])
 
     def face_basis(self, fi):
@@ -412,80 +422,75 @@ class HHOSpace:
     # -- operator build --------------------------------------------------------
 
     def _ensure_classes(self):
-        """Build the operators of every congruence class, one face-count group at a time."""
+        """Build every congruence class, one face-count group at a time, and keep its stacks."""
         if self._classes is not None:
             return
         start = time.perf_counter()
-        mesh = self.mesh
-        Nk, nF = self.Nk, self.nF
-        hmax = mesh.cell_diameters.max()
-        groups, reps = [], []
-        for cells, vids, face_ids in mesh._by_face_count:
-            nf = vids.shape[1]
-            signs = np.where(mesh.face_owner[face_ids] == cells[:, None], 1, -1)
-            h = mesh.cell_diameters[cells]
-            verts = mesh.vertices[vids] - mesh.cell_centroids[cells, None]
-            op, rows = _congruence_index(verts / h[:, None, None], signs, h / hmax)
-            reps.append(cells[rows])
-            stacks = self._build_stacks(verts[rows], h[rows], signs[rows], cells[rows])
+        mesh, Nk, nF = self.mesh, self.Nk, self.nF
+        groups = []
+        for cells, _, fids in mesh._by_face_count:
+            op = _congruence_index(*_cell_geometry(mesh, cells, fids), mesh.cell_diameters.max())
             order = np.argsort(op, kind="stable")
-            cells, face_ids, op = cells[order], face_ids[order], op[order]
-            nloc = Nk + nf * nF
-            fdofs = self.num_cell_dofs + face_ids[:, :, None] * nF + np.arange(nF)
-            gidx = np.hstack((cells[:, None] * Nk + np.arange(Nk), fdofs.reshape(len(cells), -1)))
+            g = _Group(cells[order], fids[order], op[order])
+            g.G, _, g.S, g.P, g.offsets, g.weights, g.phi = self._class_build(g, np.unique(op))[:7]
+            fdofs = self.num_cell_dofs + g.face_ids[:, :, None] * nF + np.arange(nF)
+            g.gidx = np.hstack((g.cells[:, None] * Nk + np.arange(Nk),
+                                fdofs.reshape(len(order), -1)))
             # The widest per-cell array a chunk gathers: callback values at
-            # the quadrature points, or a local matrix.  The Nk1 term is
-            # wider than the stored basis values (Nk): it bounds the per-point
-            # callback and mass work, and it keeps the chunks as they were
-            # cut when the stored values had Nk1 columns.
-            nq = stacks[-1].shape[1]
-            step = _step(max(nq * max(self.Nk1, 4), nloc * nloc))
-            groups.append(_Group(step, _class_slices(op, step), cells, face_ids, gidx, op,
-                                 *stacks))
+            # the points, or a local matrix.  The Nk1 term, wider than the
+            # stored values, bounds the per-point callback and mass work.
+            g.step = _step(max(g.weights.shape[1] * max(self.Nk1, 4), g.gidx.shape[1] ** 2))
+            g.chunks = _class_slices(g.op, g.step)
+            groups.append(g)
         where = np.empty((mesh.num_cells, 2), dtype=np.int64)
         for gi, g in enumerate(groups):
             where[g.cells, 0], where[g.cells, 1] = gi, np.arange(len(g.cells))
         self._where = where
         self._groups = groups
-        self._classes = np.concatenate(reps)
+        self._classes = np.concatenate([g.cells[np.searchsorted(g.op, np.unique(g.op))]
+                                        for g in groups])
         kinds = [np.ndim(_chunk_rows(g, sl)) for g in groups for sl in g.chunks]
         log.debug("operators of %d cells in %d face-count groups, %d distinct classes, "
                   "built in %.3f s; %d chunks, %d of one class; stacks %.1f MB",
                   mesh.num_cells, len(groups), len(self._classes), time.perf_counter() - start,
                   len(kinds), kinds.count(0), sum(g.stack_bytes() for g in groups) / 1e6)
 
-    def _build_stacks(self, verts, h, signs, cells):
-        """Operator stacks, class frames, quadrature and degree-k basis values of ``cells``.
+    def _class_build(self, g, classes, operators=True):
+        """The ``_ClassBuild`` of ``classes`` of ``g``, without G, R, S and P if not ``operators``.
 
-        ``verts`` holds their centroid-relative corners (c, nf, 2), ``h``
-        their diameters and ``signs`` +1 where the cell owns the face of a
-        slot, -1 where its neighbor does.  One rule yields each cell's
-        orthonormal basis of degree k+1 and is kept for assembly.  The
-        frames (A, T), the basis values and the operators are built a slice
-        of cells at a time, and only the first Nk columns of the values,
-        the degree-k basis that assembly, loads, interpolation and errors
-        read, are kept: the build never holds every class's degree-(k+1)
-        table at once.
+        Each class is built from its first cell, ``g.cells[np.searchsorted(g.op,
+        c)]``: one rule of degree 2k+4 over those cells yields each class's
+        orthonormal basis of degree k+1 and serves the operators, formed a
+        slice of classes at a time.  A row depends on its class alone, so
+        any subset of classes gets the space's rows bit for bit.  The values
+        are of degree k with operators, of degree k+1 without.
         """
+        first = np.searchsorted(g.op, classes)
+        cells = g.cells[first]
+        verts, h, signs = _cell_geometry(self.mesh, cells, g.face_ids[first])
         try:
             rule = cell_quadrature(verts, self.quad_degree)
         except QuadratureError as exc:
             raise OperatorBuildError(f"cell {cells[exc.index]}: {exc}") from exc
-        c, nq = rule.weights.shape
-        Nk, Nk1 = self.Nk, self.Nk1
-        A, T, phi = np.empty((c, 2, 2)), np.empty((c, Nk1, Nk1)), np.empty((c, nq, Nk))
-        stacks = None
-        for sl in _slices(c, _step(2 * nq * Nk1)):
-            A[sl], T[sl], values = _frame(rule.points[sl], rule.weights[sl], self.k + 1)
-            phi[sl] = values[..., :Nk]
-            del values  # the slice's degree-(k+1) table is not kept
-            part = self._build_operators(verts[sl], h[sl], signs[sl], cells[sl], A[sl], T[sl])
-            if stacks is None:
-                stacks = [np.empty((c,) + a.shape[1:]) for a in part]
-            for whole, a in zip(stacks, part):
-                whole[sl] = a
-        offsets = np.moveaxis(np.moveaxis(rule.points, -1, 0).copy(), 0, -1)  # as planes
-        return stacks + [A, T, offsets, rule.weights, phi]
+        offsets, weights = np.moveaxis(np.moveaxis(rule.points, -1, 0).copy(), 0, -1), rule.weights
+        del rule  # the points are kept as planes; each slice copies its own back
+        # to the rule's layout, which gives _frame's products their bits
+        c, nq = weights.shape
+        Nk1, width = self.Nk1, self.Nk if operators else self.Nk1
+        A, T, phi = np.empty((c, 2, 2)), np.empty((c, Nk1, Nk1)), np.empty((c, nq, width))
+        stacks = [None] * 4
+        for sl in _slices(c, _step(4 * nq * Nk1)):
+            A[sl], T[sl], values = _frame(offsets[sl].copy(), weights[sl], self.k + 1)
+            phi[sl] = values[..., :width]
+            del values  # no slice's transients outlive it
+            if operators:
+                part = self._build_operators(verts[sl], h[sl], signs[sl], cells[sl], A[sl], T[sl])
+                if stacks[0] is None:
+                    stacks = [np.empty((c,) + a.shape[1:]) for a in part]
+                for whole, a in zip(stacks, part):
+                    whole[sl] = a
+                del part
+        return _ClassBuild(*stacks, offsets, weights, phi, A, T)
 
     def _build_operators(self, verts, h, signs, cells, A, T):
         """G, R, S and degree-k face traces P of a stack of cells, in their class bases."""
@@ -579,9 +584,12 @@ class HHOSpace:
         return g.G[g.op[i]]
 
     def build_potential_reconstruction(self, ci):
-        """Matrix of R_T: local dof block to P_{k+1}(T) coefficients."""
+        """Matrix of R_T: local dof block to P_{k+1}(T) coefficients.
+
+        Each call rebuilds the cell's class (:meth:`_class_build`, 0.6-0.8 ms).
+        """
         g, i = self._locate(ci)
-        return g.R[g.op[i]]
+        return self._class_build(g, g.op[i:i + 1]).R[0]
 
     def build_stabilization(self, ci):
         """Stabilization bilinear form s_T on the local dof block."""
@@ -677,10 +685,15 @@ class HHOSpace:
         return coeffs
 
     def reconstruct_potential_global(self, v):
-        """Coefficients of R_T v in every cell's ``cell_basis(ci)``, (num_cells, Nk1)."""
+        """Coefficients of R_T v in every cell's ``cell_basis(ci)``, (num_cells, Nk1).
+
+        Each call rebuilds every class, a chunk's classes at a time (:meth:`_class_build`).
+        """
         coeffs = np.empty((self.mesh.num_cells, self.Nk1))
         for g, sl in self._chunks():
-            coeffs[g.cells[sl]] = _apply(g.R[_chunk_rows(g, sl)], self._local_values(g, sl, v))
+            classes = np.unique(at := _chunk_rows(g, sl))
+            R = self._class_build(g, classes).R[np.searchsorted(classes, at)]
+            coeffs[g.cells[sl]] = _apply(R, self._local_values(g, sl, v))
         return coeffs
 
     # -- iteration helpers ----------------------------------------------------
@@ -690,18 +703,15 @@ class HHOSpace:
 
         Shapes are (m,), (m, nq, 2), (m, nq) and (m, nq, Nk1); the cells of
         one batch share a face count.  The points are stored as component
-        planes (:func:`_quadrature_points`).  The space stores only the
-        degree-k values, so each batch forms its degree-(k+1) values as
-        ``monomials(offsets @ A^T, k+1) @ T``, the operations by which the
-        build orthonormalized the class bases: bit for bit the values the
-        build computed.
+        planes (:func:`_quadrature_points`).  Each batch rebuilds its classes'
+        values (:meth:`_class_build`), bit for bit those the build used.
         """
         for g, sl in self._chunks():
-            ids, op = g.cells[sl], g.op[sl]
-            offsets = g.offsets[op]
-            pts = _quadrature_points(self.mesh.cell_centroids[ids], offsets)
-            phi = monomials(offsets @ np.swapaxes(g.A[op], 1, 2), self.k + 1) @ g.T[op]
-            yield ids, pts, g.weights[op], phi
+            ids = g.cells[sl]
+            classes, at = np.unique(g.op[sl], return_inverse=True)
+            built = self._class_build(g, classes, operators=False)
+            pts = _quadrature_points(self.mesh.cell_centroids[ids], built.offsets[at])
+            yield ids, pts, built.weights[at], built.phi[at]
 
     def free_dofs(self):
         """All cell dofs plus interior face dofs, in global layout order."""

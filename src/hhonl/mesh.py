@@ -145,13 +145,21 @@ class PolytopalMesh:
             if cell.ndim != 1 or len(cell) < 3:
                 raise MeshInvalidError(f"cell {ci} has fewer than 3 vertices")
 
-        stacks = self._stacks()
+        # The loops end to end, and per vertex count: cell ids, positions, vertex ids.
+        sizes = np.fromiter(map(len, self.cells), dtype=np.int64, count=len(self.cells))
+        starts = np.cumsum(sizes) - sizes
+        flat = np.concatenate(self.cells)
+        stacks = []
+        for nv in np.unique(sizes):
+            ids = np.flatnonzero(sizes == nv)
+            at = starts[ids, None] + np.arange(nv)
+            stacks.append((ids, at, flat[at]))
         self._check_vertex_indices(stacks)
         area, self.cell_centroids, self.cell_diameters = self._cell_geometry(stacks)
-        self.orientation_repairs = self._repair_orientation(area)
+        self.orientation_repairs = self._repair_orientation(area, flat, stacks)
         self.cell_areas = np.abs(area)
         self._check_simplicity(stacks, area)
-        self._build_faces()
+        self._build_faces(flat, sizes, starts, stacks)
         self._compute_face_geometry()
         self._check_partition()
         self._face_tree = None  # (order, depth, top) of interior_face_order
@@ -163,18 +171,9 @@ class PolytopalMesh:
 
     # -- construction steps -------------------------------------------------
 
-    def _stacks(self):
-        """(cell ids, (m, nv) vertex indices) per vertex count, in input orientation."""
-        sizes = np.fromiter(map(len, self.cells), dtype=np.int64, count=len(self.cells))
-        stacks = []
-        for nv in np.unique(sizes):
-            ids = np.flatnonzero(sizes == nv)
-            stacks.append((ids, np.stack([self.cells[ci] for ci in ids])))
-        return stacks
-
     def _check_vertex_indices(self, stacks):
         missing, repeated = [], []
-        for ids, idx in stacks:
+        for ids, _, idx in stacks:
             missing.append(ids[(idx.min(axis=1) < 0) | (idx.max(axis=1) >= len(self.vertices))])
             repeated.append(ids[(np.diff(np.sort(idx, axis=1), axis=1) == 0).any(axis=1)])
         if (ci := _first(missing)) is not None:
@@ -188,14 +187,15 @@ class PolytopalMesh:
         area, centroid, diameter = np.empty(nc), np.empty((nc, 2)), np.empty(nc)
         # A degenerate cell divides by its zero area here; it is rejected next.
         with np.errstate(divide="ignore", invalid="ignore"):
-            for ids, idx in stacks:
+            for ids, _, idx in stacks:
                 v = self.vertices[idx]
                 area[ids] = polygon_area(v)
                 centroid[ids] = polygon_centroid(v)
                 diameter[ids] = polygon_diameter(v)
         return area, centroid, diameter
 
-    def _repair_orientation(self, area):
+    def _repair_orientation(self, area, flat, stacks):
+        """Reverse the clockwise cells in ``self.cells``, the flat layout and the stacks."""
         span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         scale = max(float(np.hypot(span[0], span[1])), 1.0)
         degenerate = np.flatnonzero(np.abs(area) <= 1e-14 * scale**2)
@@ -205,36 +205,38 @@ class PolytopalMesh:
         clockwise = np.flatnonzero(area < 0)
         for ci in clockwise:
             self.cells[ci] = self.cells[ci][::-1].copy()
+        for ids, at, idx in stacks:
+            rows = area[ids] < 0
+            idx[rows] = idx[rows, ::-1]
+            flat[at[rows]] = idx[rows]
         return len(clockwise)
 
     def _check_simplicity(self, stacks, area):
         # Convex cells (all left turns, possibly with straight vertices) are
-        # simple; only the others are searched for crossing edges.
+        # simple; only the others, and cells of NaN area, are searched for crossing edges.
         crossing = []
-        for ids, idx in stacks:
+        for ids, _, idx in stacks:
             v = self.vertices[idx]
             d_in = v - np.roll(v, 1, axis=1)
             d_out = np.roll(v, -1, axis=1) - v
-            turns = (d_in[..., 0] * d_out[..., 1] - d_in[..., 1] * d_out[..., 0]) \
-                * np.sign(area[ids])[:, None]
+            turns = d_in[..., 0] * d_out[..., 1] - d_in[..., 1] * d_out[..., 0]
             tol = -1e-12 * self.cell_diameters[ids, None] ** 2
-            suspects = ids[~(turns >= tol).all(axis=1)]
+            suspects = ids[~(turns >= tol).all(axis=1) | np.isnan(area[ids])]
             crossing.append([ci for ci in suspects if _edges_cross(self.vertices[self.cells[ci]])])
         if (ci := _first(crossing)) is not None:
             raise MeshInvalidError(f"cell simplicity: cell {ci} self-intersects")
 
-    def _build_faces(self):
+    def _build_faces(self, a, sizes, starts, stacks):
         """Faces numbered by first traversal; the first cell to traverse a face owns it.
 
-        Edges are grouped by their sorted vertex pair; within a group the
-        traversal order decides owner (first) and neighbor (second).  Also
-        sets ``_by_face_count``: for each face count nf, ascending, the
-        cell ids (m,) with nf faces, ascending, and their vertex ids and
-        face ids (m, nf) in traversal order, read-only.
+        ``a`` holds the repaired cell loops end to end, cell ``ci``'s
+        ``sizes[ci]`` vertex ids from ``starts[ci]`` on.  Edges are grouped
+        by their sorted vertex pair; within a group the traversal order
+        decides owner (first) and neighbor (second).  Also sets
+        ``_by_face_count``: for each face count nf, ascending, the cell ids
+        (m,) with nf faces, ascending, and their vertex ids and face ids
+        (m, nf) in traversal order, read-only.
         """
-        sizes = np.fromiter(map(len, self.cells), dtype=np.int64, count=len(self.cells))
-        starts = np.cumsum(sizes) - sizes
-        a = np.concatenate(self.cells)
         following = np.arange(1, len(a) + 1)
         following[starts + sizes - 1] = starts
         b = a[following]
@@ -265,14 +267,10 @@ class PolytopalMesh:
         self.face_owner = cell[owner_edge]
         self.face_neighbor = np.full(len(first), -1, dtype=np.int64)
         self.face_neighbor[face[second]] = cell[second]
-        self._by_face_count = []
-        for nf in np.unique(sizes):
-            ids = np.flatnonzero(sizes == nf)
-            at = starts[ids, None] + np.arange(nf)
-            stack = (ids, a[at], face[at])
+        self._by_face_count = [(ids, idx, face[at]) for ids, at, idx in stacks]
+        for stack in self._by_face_count:
             for arr in stack:
                 arr.setflags(write=False)
-            self._by_face_count.append(stack)
 
     def _compute_face_geometry(self):
         p0 = self.vertices[self.faces[:, 0]]

@@ -7,6 +7,7 @@ import pytest
 
 from hhonl import harness
 from hhonl.cli import build_parser, main
+from hhonl.hho import HHOSpace
 from hhonl.mesh import generate_cartesian, write_mesh
 
 
@@ -74,6 +75,17 @@ def test_solve_on_a_generated_mesh(capsys):
                        r"factor fill (\d+)\)", out)
     assert len(sizes) == len(solves)
     assert all(rows == "48" and int(nnz) > 0 and int(fill) >= int(nnz) for rows, nnz, fill in sizes)
+
+
+def test_solve_reports_the_classes_and_the_stacks_it_stores(capsys):
+    # The 16 cells of cartesian 4 fall into 4 classes by the faces they own.
+    assert main(["solve", "--family", "cartesian", "--level", "4", "--k", "1"]) == 0
+    space = HHOSpace(generate_cartesian(4), 1)
+    space._ensure_classes()
+    stored = sum(g.stack_bytes() for g in space._groups)
+    assert stored > 0
+    assert (f"operators: 4 congruence classes, {stored / 1e6:.2f} MB stored\n"
+            in capsys.readouterr().out)
 
 
 def test_solve_missing_mesh_file(capsys):
